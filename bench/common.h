@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/identifier.h"
@@ -164,18 +165,16 @@ struct TimingStats {
 };
 
 template <typename Fn>
-TimingStats time_median_ms(Fn&& fn, int samples, int warmup) {
+double time_once_ms(Fn&& fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  fn();
+  const auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::milli>(t1 - t0).count();
+}
+
+inline TimingStats summarize_ms(std::vector<double> samples_ms) {
   TimingStats st;
-  if (samples < 1) samples = 1;
-  for (int i = 0; i < warmup; ++i) fn();
-  st.samples_ms.reserve(static_cast<std::size_t>(samples));
-  for (int i = 0; i < samples; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    st.samples_ms.push_back(
-        std::chrono::duration<double, std::milli>(t1 - t0).count());
-  }
+  st.samples_ms = std::move(samples_ms);
   std::vector<double> sorted = st.samples_ms;
   std::sort(sorted.begin(), sorted.end());
   const std::size_t n = sorted.size();
@@ -185,6 +184,36 @@ TimingStats time_median_ms(Fn&& fn, int samples, int warmup) {
   st.max_ms = sorted.back();
   st.spread_ms = st.max_ms - st.min_ms;
   return st;
+}
+
+template <typename Fn>
+TimingStats time_median_ms(Fn&& fn, int samples, int warmup) {
+  if (samples < 1) samples = 1;
+  for (int i = 0; i < warmup; ++i) fn();
+  std::vector<double> ms;
+  ms.reserve(static_cast<std::size_t>(samples));
+  for (int i = 0; i < samples; ++i) ms.push_back(time_once_ms(fn));
+  return summarize_ms(std::move(ms));
+}
+
+// time_median_ms for two functions whose time ratio is gated, sampled in
+// alternation: a slow spell of a shared host then lands on both, where
+// back-to-back blocks of samples let it skew the ratio.
+template <typename FnA, typename FnB>
+std::pair<TimingStats, TimingStats> time_median_pair_ms(FnA&& a, FnB&& b,
+                                                        int samples,
+                                                        int warmup) {
+  if (samples < 1) samples = 1;
+  for (int i = 0; i < warmup; ++i) {
+    a();
+    b();
+  }
+  std::vector<double> ms_a, ms_b;
+  for (int i = 0; i < samples; ++i) {
+    ms_a.push_back(time_once_ms(a));
+    ms_b.push_back(time_once_ms(b));
+  }
+  return {summarize_ms(std::move(ms_a)), summarize_ms(std::move(ms_b))};
 }
 
 // Monotonic wall timer for per-run telemetry.

@@ -27,7 +27,10 @@ echo "==> bench_em_scaling"
 scaling="$(cat BENCH_em_scaling.json)"
 
 echo "==> bench_fleet (1000-path synthetic mesh, outer 1/2/4/8)"
-./build-release/bench/bench_fleet BENCH_fleet.json
+# --samples pinned as well: the fleet's efficiency ratio from a single
+# sample is noise, and a faster analysis makes the fleet's fixed overhead
+# a larger share of it.
+./build-release/bench/bench_fleet BENCH_fleet.json --samples 5
 fleet="$(cat BENCH_fleet.json)"
 
 echo "==> bench_racing (restart racing vs prune vs full, 1t)"

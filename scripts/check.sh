@@ -272,8 +272,11 @@ if [[ "${DCL_CHECK_SKIP_PERF:-0}" != "1" ]]; then
   trap 'rm -f "${trace_json:-}" "${serve_log:-}" "${fresh:-}"' EXIT
   echo "==> bench_em_scaling perf smoke"
   # The bench's own floor catches an outright broken kernel path even when
-  # the baseline predates the kernel JSON schema.
-  ./build-release/bench/bench_em_scaling "${fresh}" --min-kernel-speedup 1.2
+  # the baseline predates the kernel JSON schema. --samples 7 matches
+  # bench_baseline.sh, so the fresh ratios are medians of as many
+  # alternating cached/kernel samples as the baseline's.
+  ./build-release/bench/bench_em_scaling "${fresh}" --samples 7 \
+    --min-kernel-speedup 1.2
   if command -v python3 >/dev/null 2>&1 && [[ -s BENCH_baseline.jsonl ]]; then
     python3 - "${fresh}" BENCH_baseline.jsonl <<'PY'
 import json, sys
@@ -282,15 +285,24 @@ fresh = json.load(open(sys.argv[1]))
 lines = [l for l in open(sys.argv[2]) if l.strip()]
 base = json.loads(lines[-1]).get("em_scaling", {})
 ok = True
-for model in ("hmm", "mmhd"):
-    ref = base.get(model, {}).get("kernel_speedup_1t")
-    got = fresh[model]["kernel_speedup_1t"]
+# (name, key path) per kernel-speedup row; the fine-fit shapes live in the
+# mmhd_fine block.
+rows = [("hmm", ("hmm",)), ("mmhd", ("mmhd",)),
+        ("mmhd_fine/congested", ("mmhd_fine", "congested")),
+        ("mmhd_fine/loss_heavy", ("mmhd_fine", "loss_heavy"))]
+for name, path in rows:
+    ref_block, got_block = base, fresh
+    for key in path:
+        ref_block = ref_block.get(key, {})
+        got_block = got_block[key]
+    ref = ref_block.get("kernel_speedup_1t")
+    got = got_block["kernel_speedup_1t"]
     if ref is None:
-        print(f"{model}: baseline predates kernel_speedup_1t; ratio check skipped")
+        print(f"{name}: baseline predates kernel_speedup_1t; ratio check skipped")
         continue
     floor = 0.9 * ref
     verdict = "ok" if got >= floor else "REGRESSION"
-    print(f"{model}: kernel_speedup_1t {got:.2f} vs baseline {ref:.2f} "
+    print(f"{name}: kernel_speedup_1t {got:.2f} vs baseline {ref:.2f} "
           f"(floor {floor:.2f}) {verdict}")
     ok = ok and got >= floor
 sys.exit(0 if ok else 1)
@@ -309,8 +321,10 @@ PY
     trap 'rm -f "${trace_json:-}" "${serve_log:-}" "${fleet_a:-}" "${fleet_b:-}" "${fresh:-}" "${fleet_fresh:-}"' EXIT
     # The bench's own floor catches an outright broken engine even when
     # the baseline predates the fleet JSON schema.
+    # --samples 5, as in bench_baseline.sh: one sample of the efficiency
+    # ratio is too noisy to gate on.
     ./build-release/bench/bench_fleet "${fleet_fresh}" \
-      --paths 200 --probes 300 --min-efficiency 0.8
+      --paths 200 --probes 300 --samples 5 --min-efficiency 0.8
     if command -v python3 >/dev/null 2>&1 && [[ -s BENCH_baseline.jsonl ]]; then
       python3 - "${fleet_fresh}" BENCH_baseline.jsonl <<'PY'
 import json, sys

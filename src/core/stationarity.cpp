@@ -12,7 +12,9 @@ namespace dcl::core {
 StationarityReport stationarity(const inference::ObservationSequence& obs,
                                 int blocks) {
   DCL_ENSURE(blocks >= 2);
-  DCL_ENSURE(obs.size() >= static_cast<std::size_t>(blocks));
+  DCL_REQUIRE_INPUT(obs.size() >= static_cast<std::size_t>(blocks),
+                    "stationarity check needs at least "
+                        << blocks << " observations, got " << obs.size());
   StationarityReport rep;
   rep.blocks = static_cast<std::size_t>(blocks);
 

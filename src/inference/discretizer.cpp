@@ -17,9 +17,9 @@ Discretizer Discretizer::from_observations(const ObservationSequence& obs,
     dmin = std::min(dmin, o.delay);
     dmax = std::max(dmax, o.delay);
   }
-  DCL_ENSURE_MSG(std::isfinite(dmin),
-                 "cannot build a discretizer from a sequence with no "
-                 "received probes");
+  DCL_REQUIRE_INPUT(std::isfinite(dmin),
+                    "cannot build a discretizer from a sequence with no "
+                    "received probes");
   DCL_ENSURE(cfg.range_factor >= 1.0);
   const double floor = cfg.propagation_delay.value_or(dmin);
   const double ceil = floor + cfg.range_factor * (dmax - floor);

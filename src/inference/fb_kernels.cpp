@@ -444,6 +444,34 @@ template <typename WidthT>
   return s;
 }
 
+// chain_xi without the block factor: out(i, j) += (a[i] * nf) * bn[j]. The
+// segment sweep multiplies the summed outer products by the (per-iteration
+// constant) loss block once, instead of once per step.
+template <typename WidthT>
+[[gnu::always_inline]] inline void chain_outer(const double* __restrict a,
+                                               double nf,
+                                               const double* __restrict bn,
+                                               std::size_t rows,
+                                               double* __restrict xr0,
+                                               WidthT width) {
+  const std::size_t w = width;
+  for (std::size_t i = 0; i < rows; ++i) {
+    double* __restrict xr = xr0 + i * w;
+    const double ai = a[i] * nf;
+    for (std::size_t j = 0; j < w; ++j) xr[j] += ai * bn[j];
+  }
+}
+
+// out += scale * g over one padded row.
+template <typename WidthT>
+[[gnu::always_inline]] inline void chain_add(const double* __restrict g,
+                                             double scale,
+                                             double* __restrict out,
+                                             WidthT width) {
+  const std::size_t w = width;
+  for (std::size_t j = 0; j < w; ++j) out[j] += g[j] * scale;
+}
+
 }  // namespace
 
 DCL_KERNEL_CLONES
@@ -677,6 +705,159 @@ double chain_log_likelihood(const BlockChain& bc, const RunLengthIndex& runs,
     prev = c;
   }
   return acc.finish() + folded;
+}
+
+void SegmentChain::init(std::size_t width, std::size_t entries,
+                        std::size_t exits) {
+  DCL_ENSURE_MSG(width > 0, "segment chain: no supported symbol");
+  loss.reshape(width, width);
+  loss_t.reshape(width, width);
+  entry.reshape(entries, width);
+  exit.reshape(exits, width);
+}
+
+void SegmentEStep::prepare(const SegmentChain& sc,
+                           const std::vector<LossSegment>& segs) {
+  const std::size_t n = sc.width();
+  gamma.assign(sc.stride(), 0.0);
+  outer.ensure(n, n);
+  entry_gamma.ensure(sc.entry.rows(), n);
+  exit_gamma.ensure(sc.exit.rows(), n);
+  fwd_len.assign(sc.entry.rows(), 0);
+  bwd_len.assign(sc.exit.rows(), 0);
+  for (const LossSegment& seg : segs) {
+    fwd_len[seg.entry] = std::max(fwd_len[seg.entry], seg.len);
+    bwd_len[seg.exit] = std::max(bwd_len[seg.exit], seg.len);
+  }
+  const auto offsets = [](const std::vector<std::size_t>& len,
+                          std::vector<std::size_t>& off) {
+    off.resize(len.size());
+    std::size_t total = 0;
+    for (std::size_t i = 0; i < len.size(); ++i) {
+      off[i] = total;
+      total += len[i];
+    }
+    return total;
+  };
+  const std::size_t fwd_rows = offsets(fwd_len, fwd_off);
+  fwd.reshape(fwd_rows, n);
+  fwd_rf.resize(fwd_rows);
+  fwd_renorms.resize(fwd_rows);
+  bwd.reshape(offsets(bwd_len, bwd_off), n);
+  g.assign(sc.stride(), 0.0);
+}
+
+namespace {
+
+template <typename WidthT>
+[[gnu::always_inline]] inline double segment_estep_body(
+    const SegmentChain& sc, const std::vector<LossSegment>& segs,
+    SegmentEStep& out, WidthT width) {
+  const std::size_t n = sc.width();
+  const std::size_t w = width;
+  const double* __restrict loss = sc.loss.row(0);
+  const double* __restrict loss_t = sc.loss_t.row(0);
+  double* __restrict outer = out.outer.row(0);
+  double* __restrict gacc = out.gamma.data();
+  double* __restrict g = out.g.data();
+
+  // Forward sweeps, renormalized as chain_forward; each row records the
+  // factor applied at its step (the xi normalizer needs it) and the renorms
+  // so far (the segment mass needs them).
+  for (std::size_t e = 0; e < out.fwd_len.size(); ++e) {
+    const std::size_t len = out.fwd_len[e];
+    if (len == 0) continue;
+    double* __restrict a = out.fwd.row(out.fwd_off[e]);
+    double* __restrict rf = out.fwd_rf.data() + out.fwd_off[e];
+    double* __restrict renorms = out.fwd_renorms.data() + out.fwd_off[e];
+    const double* __restrict entry = sc.entry.row(e);
+    double s_prev = 0.0;
+    for (std::size_t j = 0; j < w; ++j) {
+      a[j] = entry[j];
+      s_prev += entry[j];
+    }
+    DCL_ENSURE_MSG(s_prev > 0.0, "segment forward: zero entry mass");
+    rf[0] = 1.0;
+    renorms[0] = 0.0;
+    for (std::size_t t = 1; t < len; ++t) {
+      const bool renorm = s_prev < kRenormThreshold;
+      rf[t] = renorm ? kRenormFactor : 1.0;
+      renorms[t] = renorms[t - 1] + (renorm ? 1.0 : 0.0);
+      s_prev = chain_axpy(a + (t - 1) * w, rf[t], loss, n, a + t * w, width);
+      DCL_ENSURE_MSG(s_prev > 0.0, "segment forward: zero probability mass");
+    }
+  }
+
+  // Backward sweeps from each exit row, renormalized on their own mass: a
+  // beta row's scale cancels from every quantity it enters below.
+  for (std::size_t x = 0; x < out.bwd_len.size(); ++x) {
+    const std::size_t len = out.bwd_len[x];
+    if (len == 0) continue;
+    double* __restrict b = out.bwd.row(out.bwd_off[x]);
+    const double* __restrict exit = sc.exit.row(x);
+    double s_prev = 0.0;
+    for (std::size_t j = 0; j < w; ++j) {
+      b[j] = exit[j];
+      s_prev += exit[j];
+    }
+    DCL_ENSURE_MSG(s_prev > 0.0, "segment backward: zero exit mass");
+    for (std::size_t k = 1; k < len; ++k) {
+      const double rb = s_prev < kRenormThreshold ? kRenormFactor : 1.0;
+      s_prev = chain_axpy(b + (k - 1) * w, rb, loss_t, n, b + k * w, width);
+      DCL_ENSURE_MSG(s_prev > 0.0, "segment backward: zero probability mass");
+    }
+  }
+
+  // Per segment: gamma_t = alpha_t .* beta_t over its measured mass, and
+  // xi_{t-1}(i, j) = alpha_{t-1}(i) F(i, j) beta_t(j) * rf_t / gsum_t (rf_t
+  // relates alpha_t to alpha_{t-1} . F), accumulated without the F factor.
+  double ll = 0.0;
+  for (const LossSegment& seg : segs) {
+    const std::size_t len = seg.len;
+    const double cnt = seg.count;
+    const std::size_t f0 = out.fwd_off[seg.entry];
+    const double* __restrict a = out.fwd.row(f0);
+    const double* __restrict b_last = out.bwd.row(out.bwd_off[seg.exit]);
+    for (std::size_t t = 0; t < len; ++t) {
+      const double* __restrict at = a + t * w;
+      const double* __restrict bt = b_last + (len - 1 - t) * w;
+      const double gsum = chain_gamma(at, bt, g, width);
+      DCL_ENSURE_MSG(gsum > 0.0, "segment: zero posterior mass");
+      const double scale = cnt / gsum;
+      chain_add(g, scale, gacc, width);
+      if (t == 0) chain_add(g, scale, out.entry_gamma.row(seg.entry), width);
+      if (t > 0)
+        chain_outer(at - w, scale * out.fwd_rf[f0 + t], bt, n, outer, width);
+      if (t + 1 == len) {
+        chain_add(g, scale, out.exit_gamma.row(seg.exit), width);
+        // The last beta row is the unscaled exit row, so only the forward
+        // renorms separate gsum from the segment's mass.
+        ll += cnt * (std::log(gsum) -
+                     out.fwd_renorms[f0 + t] * std::log(kRenormFactor));
+      }
+    }
+  }
+  return ll;
+}
+
+}  // namespace
+
+DCL_KERNEL_CLONES
+double segment_estep(const SegmentChain& sc,
+                     const std::vector<LossSegment>& segs, SegmentEStep& out) {
+  // Besides the one-lane case, specialize four lanes: the fine grid
+  // (M = 50) supports about M / 2 symbols under the discretizer's range
+  // factor of 2, so its blocks are 25..32 wide.
+  const std::size_t w = sc.stride();
+  if (w == kLane) {
+    return segment_estep_body(sc, segs, out,
+                              std::integral_constant<std::size_t, kLane>{});
+  }
+  if (w == 4 * kLane) {
+    return segment_estep_body(
+        sc, segs, out, std::integral_constant<std::size_t, 4 * kLane>{});
+  }
+  return segment_estep_body(sc, segs, out, w);
 }
 
 void ScaledPowers::reset(const double* m, std::size_t n, std::size_t stride) {

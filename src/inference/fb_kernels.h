@@ -36,7 +36,8 @@
 //
 // The kernels are model-agnostic: Hmm uses them directly over its N hidden
 // states; Mmhd reuses PaddedMatrix/ScaledPowers over its compact
-// active-state blocks (see mmhd.cpp).
+// active-state blocks (see mmhd.cpp), and with one hidden state sweeps only
+// its distinct loss segments (segment_estep).
 #pragma once
 
 #include <algorithm>
@@ -330,6 +331,83 @@ void chain_backward_estep(const BlockChain& bc, const std::vector<int>& cls,
 double chain_log_likelihood(const BlockChain& bc, const RunLengthIndex& runs,
                             const double* v0,
                             std::vector<ScaledPowers>& cache);
+
+// ---------------------------------------------------------------------------
+// Loss-segment kernels (the MMHD with one hidden state).
+//
+// With N = 1 the MMHD state at a received probe IS its delay symbol, so the
+// posterior is certain everywhere except inside maximal runs of lost probes
+// (loss segments). A segment bridges from its left received symbol (or the
+// sequence start) to its right one (or the sequence end); its forward-
+// backward over the S supported symbols depends only on that (left, right,
+// length) key, so identical segments are evaluated once per iteration and
+// weighted by how often they occur. Going further, a segment's alpha rows
+// depend only on its left boundary and its beta rows only on its right
+// boundary and the distance to it, so one forward sweep per left boundary
+// and one backward sweep per right boundary serve every segment; what
+// remains per segment is the gamma and xi accumulation.
+// ---------------------------------------------------------------------------
+
+// Per-iteration folded inputs, in the compact coordinates of the S
+// supported symbols (rows padded to stride(), padding zero):
+//   loss(i, j)   = A(i, j) * C[j]                 loss -> loss
+//   loss_t       = the same block, transposed
+//   entry(e, j)  = A(l_e, j) * C[j]               left boundary e; the
+//                  sequence-start boundary uses pi(j) * C[j]
+//   exit(x, i)   = A(i, r_x) * (1 - C[r_x])       right boundary x; the
+//                  sequence-end boundary is all ones
+// The caller rewrites every live entry each iteration.
+struct SegmentChain {
+  PaddedMatrix loss, loss_t, entry, exit;
+
+  // Shapes the blocks for `width` supported symbols and the given boundary
+  // row counts; storage (and zero padding) is kept when the shape matches.
+  void init(std::size_t width, std::size_t entries, std::size_t exits);
+  std::size_t width() const { return loss.cols(); }
+  std::size_t stride() const { return loss.stride(); }
+};
+
+// One distinct segment key and its multiplicity in the sequence.
+struct LossSegment {
+  std::size_t entry = 0;  // row of SegmentChain::entry
+  std::size_t exit = 0;   // row of SegmentChain::exit
+  std::size_t len = 0;    // lost probes in the run, >= 1
+  double count = 0.0;     // occurrences
+};
+
+// E-step accumulators of segment_estep, count-weighted sums of normalized
+// posteriors over every segment.
+struct SegmentEStep {
+  util::AlignedVector<double> gamma;  // over loss steps: eq. (5) numerator
+  // Loss -> loss xi numerators divided by the folded loss block: the kernel
+  // accumulates alpha_t (x) beta_{t+1} outer products and the caller
+  // multiplies by SegmentChain::loss once per iteration.
+  PaddedMatrix outer;
+  PaddedMatrix entry_gamma;  // per entry row: gamma at segments' first step
+  PaddedMatrix exit_gamma;   // per exit row: gamma at segments' last step
+
+  // Zeroes the accumulators and sizes the sweeps for the longest segment
+  // at each boundary.
+  void prepare(const SegmentChain& sc, const std::vector<LossSegment>& segs);
+
+  // Raw alpha rows of each entry row's forward sweep (entry e's step t at
+  // row fwd_off[e] + t) with the renorm factor applied at that step and
+  // the count of renorms up to it, and raw beta rows of each exit row's
+  // backward sweep (exit x's row k is beta at the loss step k steps before
+  // a segment's last one).
+  PaddedMatrix fwd, bwd;
+  std::vector<std::size_t> fwd_off, bwd_off, fwd_len, bwd_len;
+  std::vector<double> fwd_rf, fwd_renorms;
+  util::AlignedVector<double> g;
+};
+
+// One raw forward sweep per entry row and one raw backward sweep per exit
+// row (renormalized by exact powers of two, as chain_forward), then every
+// segment's gamma and xi from those rows, in the given (fixed) order.
+// Returns sum over segments of count * log(segment mass), the
+// loss-segment share of the sequence log likelihood.
+double segment_estep(const SegmentChain& sc,
+                     const std::vector<LossSegment>& segs, SegmentEStep& out);
 
 // Memoized scaled powers M^(2^k) of one n x n block with accumulated log
 // norms. Lets likelihood-only evaluation fold a length-L run of one

@@ -1,6 +1,7 @@
 #include "inference/mmhd.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -47,11 +48,14 @@ struct Mmhd::Trellis {
 };
 
 // Immutable per-fit inputs, computed once and shared (read-only) by every
-// restart worker: the support mask, per-step loss flags and active state
-// sets (these depend only on the sequence, not the parameters — the old
-// code rebuilt them inside every forward_backward call), and the
-// transition prior.
+// restart worker: the support mask, the transition prior, and what the
+// fit's engine reads. The per-step engines get per-step loss flags and
+// active state sets (these depend only on the sequence, not the parameters
+// — the old code rebuilt them inside every forward_backward call); the
+// loss-segment engine gets only the received-pair counts and the segment
+// table.
 struct Mmhd::FitContext {
+  Engine engine = Engine::kChain;
   std::vector<char> support;
   std::vector<char> is_loss;        // per step
   std::vector<int> active;          // flattened active sets
@@ -69,6 +73,21 @@ struct Mmhd::FitContext {
   std::vector<int> loss_states;         // loss-class compact index -> state
   std::vector<std::size_t> widths;      // per class, M+1 entries
   std::vector<char> pair_used;          // (M+1)^2 adjacency of cls
+
+  // Loss-segment engine (N = 1): loss_states above is the compact symbol
+  // list. Received steps pin the state to their symbol, so they reduce to
+  // counts fixed for the whole fit.
+  struct Bigram {
+    int from = 0;
+    int to = 0;
+    double count = 0.0;
+  };
+  std::vector<Bigram> bigrams;      // adjacent received pairs, (from, to) order
+  std::vector<double> received;     // per symbol, received steps
+  int first = -1;                   // symbol of a received t = 0, else -1
+  std::vector<int> entry_sym;       // entry row -> left symbol, -1 = start
+  std::vector<int> exit_sym;        // exit row -> right symbol, -1 = end
+  std::vector<fb::LossSegment> segments;  // distinct keys, sorted
 
   const int* begin(std::size_t t) const { return active.data() + offset[t]; }
   const int* end(std::size_t t) const { return active.data() + offset[t + 1]; }
@@ -98,6 +117,9 @@ struct Mmhd::Workspace {
   fb::ChainEStep acc;
   util::AlignedVector<double> v0;
   std::vector<double> kpmf;
+  // Loss-segment engine state: folded blocks and segment accumulators.
+  fb::SegmentChain seg;
+  fb::SegmentEStep sacc;
 
   void prepare(std::size_t s_count) {
     if (a_num.rows() != s_count || a_num.cols() != s_count)
@@ -185,9 +207,17 @@ void Mmhd::build_emission_tables(Workspace& ws) const {
   }
 }
 
+Mmhd::Engine Mmhd::engine_for(int hidden_states, const EmOptions& opts) {
+  if (!opts.cache_emissions) return Engine::kReference;
+  if (!opts.kernels) return Engine::kCached;
+  return hidden_states == 1 ? Engine::kSegments : Engine::kChain;
+}
+
 Mmhd::FitContext Mmhd::make_context(const std::vector<int>& seq,
-                                    const EmOptions& opts) const {
+                                    Engine engine,
+                                    double transition_prior) const {
   FitContext ctx;
+  ctx.engine = engine;
   const std::size_t t_len = seq.size();
   ctx.support.assign(static_cast<std::size_t>(m_), 0);
   bool any_observed = false;
@@ -198,6 +228,20 @@ Mmhd::FitContext Mmhd::make_context(const std::vector<int>& seq,
     }
   }
   if (!any_observed) ctx.support.assign(static_cast<std::size_t>(m_), 1);
+  // The supported states, ascending — the same order active_states
+  // produces for a loss step — so compact loss coordinates match the
+  // cached engine's.
+  for (int s = 0; s < states(); ++s)
+    if (ctx.support[static_cast<std::size_t>(symbol_of_state(s))])
+      ctx.loss_states.push_back(s);
+  if (transition_prior > 0.0) {
+    ctx.prior = build_transition_prior(seq, transition_prior);
+    ctx.use_prior = true;
+  }
+  if (engine == Engine::kSegments) {
+    build_segments(seq, ctx);
+    return ctx;
+  }
 
   ctx.is_loss.resize(t_len);
   ctx.offset.assign(t_len + 1, 0);
@@ -209,28 +253,82 @@ Mmhd::FitContext Mmhd::make_context(const std::vector<int>& seq,
     ctx.offset[t + 1] = ctx.active.size();
   }
 
-  // Class structure for the kernel engine. loss_states must enumerate the
-  // supported states ascending — the same order active_states produces for
-  // a loss step — so compact loss coordinates match the cached engine's.
+  // Class structure for the kernel engine.
   const auto n_cls = static_cast<std::size_t>(m_) + 1;
   ctx.cls.resize(t_len);
   for (std::size_t t = 0; t < t_len; ++t)
     ctx.cls[t] = ctx.is_loss[t] ? m_ : sym(seq[t]);
-  for (int s = 0; s < states(); ++s)
-    if (ctx.support[static_cast<std::size_t>(symbol_of_state(s))])
-      ctx.loss_states.push_back(s);
   ctx.widths.assign(n_cls, static_cast<std::size_t>(n_));
   ctx.widths[static_cast<std::size_t>(m_)] = ctx.loss_states.size();
   ctx.pair_used.assign(n_cls * n_cls, 0);
   for (std::size_t t = 0; t + 1 < t_len; ++t)
     ctx.pair_used[static_cast<std::size_t>(ctx.cls[t]) * n_cls +
                   static_cast<std::size_t>(ctx.cls[t + 1])] = 1;
-
-  if (opts.transition_prior > 0.0) {
-    ctx.prior = build_transition_prior(seq, opts.transition_prior);
-    ctx.use_prior = true;
-  }
   return ctx;
+}
+
+void Mmhd::build_segments(const std::vector<int>& seq,
+                          FitContext& ctx) const {
+  const auto m = static_cast<std::size_t>(m_);
+  const std::size_t t_len = seq.size();
+  ctx.received.assign(m, 0.0);
+  ctx.first = sym(seq[0]);
+  std::vector<double> pairs(m * m, 0.0);
+  // Raw segment keys (left, right, length), with boundary symbols shifted
+  // by one so that 0 is the sequence start (left) or end (right).
+  using Key = std::array<std::size_t, 3>;
+  std::vector<Key> keys;
+  for (std::size_t t = 0; t < t_len;) {
+    const int d = sym(seq[t]);
+    if (d >= 0) {
+      ctx.received[static_cast<std::size_t>(d)] += 1.0;
+      if (t + 1 < t_len && sym(seq[t + 1]) >= 0)
+        pairs[static_cast<std::size_t>(d) * m +
+              static_cast<std::size_t>(sym(seq[t + 1]))] += 1.0;
+      ++t;
+      continue;
+    }
+    std::size_t end = t;
+    while (end < t_len && sym(seq[end]) < 0) ++end;
+    const int left = t == 0 ? -1 : sym(seq[t - 1]);
+    const int right = end == t_len ? -1 : sym(seq[end]);
+    keys.push_back({static_cast<std::size_t>(left + 1),
+                    static_cast<std::size_t>(right + 1), end - t});
+    t = end;
+  }
+  for (std::size_t d = 0; d < m; ++d)
+    for (std::size_t e = 0; e < m; ++e)
+      if (pairs[d * m + e] > 0.0)
+        ctx.bigrams.push_back(
+            {static_cast<int>(d), static_cast<int>(e), pairs[d * m + e]});
+
+  // Distinct keys in sorted order (a fixed function of the sequence), each
+  // boundary given one folded row.
+  std::sort(keys.begin(), keys.end());
+  std::vector<std::size_t> entry_row(m + 1, 0), exit_row(m + 1, 0);
+  std::vector<char> has_entry(m + 1, 0), has_exit(m + 1, 0);
+  for (const Key& k : keys) {
+    has_entry[k[0]] = 1;
+    has_exit[k[1]] = 1;
+  }
+  for (std::size_t b = 0; b <= m; ++b) {
+    if (has_entry[b]) {
+      entry_row[b] = ctx.entry_sym.size();
+      ctx.entry_sym.push_back(static_cast<int>(b) - 1);
+    }
+    if (has_exit[b]) {
+      exit_row[b] = ctx.exit_sym.size();
+      ctx.exit_sym.push_back(static_cast<int>(b) - 1);
+    }
+  }
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (i > 0 && keys[i] == keys[i - 1]) {
+      ctx.segments.back().count += 1.0;
+      continue;
+    }
+    ctx.segments.push_back(
+        {entry_row[keys[i][0]], exit_row[keys[i][1]], keys[i][2], 1.0});
+  }
 }
 
 double Mmhd::forward_backward(const std::vector<int>& seq,
@@ -396,9 +494,8 @@ util::Matrix Mmhd::build_transition_prior(const std::vector<int>& seq,
   return prior;
 }
 
-std::pair<double, double> Mmhd::em_step(const std::vector<int>& seq,
-                                        const util::Matrix* prior,
-                                        Workspace& ws) {
+std::pair<double, double> Mmhd::em_step_reference(
+    const std::vector<int>& seq, const util::Matrix* prior, Workspace& ws) {
   // Reference path (EmOptions::cache_emissions == false): per-call
   // emission() and active-set construction, as originally written.
   const std::size_t t_len = seq.size();
@@ -406,10 +503,10 @@ std::pair<double, double> Mmhd::em_step(const std::vector<int>& seq,
   Trellis& w = ws.w;
   const double ll = forward_backward(seq, w);
 
-  std::vector<double> new_pi(s_count, 0.0);
-  util::Matrix a_num(s_count, s_count);
-  std::vector<double> c_loss(static_cast<std::size_t>(m_), 0.0);
-  std::vector<double> c_total(static_cast<std::size_t>(m_), 0.0);
+  ws.new_pi.assign(s_count, 0.0);
+  ws.a_num.fill(0.0);
+  ws.c_loss.assign(static_cast<std::size_t>(m_), 0.0);
+  ws.c_total.assign(static_cast<std::size_t>(m_), 0.0);
 
   for (std::size_t t = 0; t < t_len; ++t) {
     double gsum = 0.0;
@@ -422,10 +519,10 @@ std::pair<double, double> Mmhd::em_step(const std::vector<int>& seq,
     for (const int* s = w.begin(t); s != w.end(t); ++s) {
       const auto si = static_cast<std::size_t>(*s);
       const double g = w.alpha(t, si) * w.beta(t, si) / gsum;
-      if (t == 0) new_pi[si] = g;
+      if (t == 0) ws.new_pi[si] = g;
       const auto d = static_cast<std::size_t>(symbol_of_state(*s));
-      if (is_loss) c_loss[d] += g;
-      c_total[d] += g;
+      if (is_loss) ws.c_loss[d] += g;
+      ws.c_total[d] += g;
     }
 
     if (t + 1 < t_len) {
@@ -435,8 +532,8 @@ std::pair<double, double> Mmhd::em_step(const std::vector<int>& seq,
         if (ai == 0.0) continue;
         for (const int* j = w.begin(t + 1); j != w.end(t + 1); ++j) {
           const auto jj = static_cast<std::size_t>(*j);
-          a_num(ii, jj) += ai * a_(ii, jj) * emission(*j, seq[t + 1]) *
-                           w.beta(t + 1, jj) / w.scale[t + 1];
+          ws.a_num(ii, jj) += ai * a_(ii, jj) * emission(*j, seq[t + 1]) *
+                              w.beta(t + 1, jj) / w.scale[t + 1];
         }
       }
     }
@@ -445,28 +542,54 @@ std::pair<double, double> Mmhd::em_step(const std::vector<int>& seq,
   ws.old_pi = pi_;
   ws.old_a = a_;
   ws.old_c = c_;
+  return {ll, m_step(prior, ws)};
+}
 
-  pi_ = new_pi;
+double Mmhd::m_step(const util::Matrix* prior, Workspace& ws) {
+  // Copy-assignments reuse the existing storage — no allocations in
+  // steady state.
+  const auto s_count = static_cast<std::size_t>(states());
+  const auto m = static_cast<std::size_t>(m_);
+  pi_ = ws.new_pi;
   if (prior != nullptr) {
     for (std::size_t i = 0; i < s_count; ++i)
       for (std::size_t j = 0; j < s_count; ++j)
-        a_num(i, j) += (*prior)(i, j);
+        ws.a_num(i, j) += (*prior)(i, j);
   }
-  a_ = a_num;
+  a_ = ws.a_num;
   a_.normalize_rows();
-  for (int d = 0; d < m_; ++d) {
-    const auto di = static_cast<std::size_t>(d);
-    if (c_total[di] > 0.0) c_[di] = c_loss[di] / c_total[di];
-  }
+  for (std::size_t d = 0; d < m; ++d)
+    if (ws.c_total[d] > 0.0) c_[d] = ws.c_loss[d] / ws.c_total[d];
   clamp_parameters();
+  // The loss-step gamma sums, divided by the loss count, are the paper's
+  // eq. (5) posterior for the entering parameters — the kernel engines
+  // never retain a beta trellis for it.
+  ws.kpmf = ws.c_loss;
 
   double delta = 0.0;
   for (std::size_t s = 0; s < s_count; ++s)
     delta = std::max(delta, std::abs(pi_[s] - ws.old_pi[s]));
   delta = std::max(delta, util::Matrix::max_abs_diff(a_, ws.old_a));
-  for (std::size_t d = 0; d < static_cast<std::size_t>(m_); ++d)
+  for (std::size_t d = 0; d < m; ++d)
     delta = std::max(delta, std::abs(c_[d] - ws.old_c[d]));
-  return {ll, delta};
+  return delta;
+}
+
+std::pair<double, double> Mmhd::em_step(const std::vector<int>& seq,
+                                        const FitContext& ctx,
+                                        Workspace& ws) {
+  switch (ctx.engine) {
+    case Engine::kReference:
+      return em_step_reference(seq, ctx.use_prior ? &ctx.prior : nullptr, ws);
+    case Engine::kCached:
+      return em_step_cached(ctx, ws);
+    case Engine::kChain:
+      return em_step_kernel(ctx, ws);
+    case Engine::kSegments:
+      return em_step_segments(ctx, ws);
+  }
+  DCL_ENSURE_MSG(false, "unknown EM engine");
+  return {0.0, 0.0};
 }
 
 std::pair<double, double> Mmhd::em_step_cached(const FitContext& ctx,
@@ -523,29 +646,7 @@ std::pair<double, double> Mmhd::em_step_cached(const FitContext& ctx,
     }
   }
 
-  // M-step from the workspace accumulators (copy-assignments reuse the
-  // existing storage — no allocations in steady state).
-  pi_ = ws.new_pi;
-  if (ctx.use_prior) {
-    for (std::size_t i = 0; i < s_count; ++i)
-      for (std::size_t j = 0; j < s_count; ++j)
-        ws.a_num(i, j) += ctx.prior(i, j);
-  }
-  a_ = ws.a_num;
-  a_.normalize_rows();
-  for (int d = 0; d < m_; ++d) {
-    const auto di = static_cast<std::size_t>(d);
-    if (ws.c_total[di] > 0.0) c_[di] = ws.c_loss[di] / ws.c_total[di];
-  }
-  clamp_parameters();
-
-  double delta = 0.0;
-  for (std::size_t s = 0; s < s_count; ++s)
-    delta = std::max(delta, std::abs(pi_[s] - ws.old_pi[s]));
-  delta = std::max(delta, util::Matrix::max_abs_diff(a_, ws.old_a));
-  for (std::size_t d = 0; d < static_cast<std::size_t>(m_); ++d)
-    delta = std::max(delta, std::abs(c_[d] - ws.old_c[d]));
-  return {ll, delta};
+  return {ll, m_step(ctx.use_prior ? &ctx.prior : nullptr, ws)};
 }
 
 int Mmhd::class_state(const FitContext& ctx, std::size_t cls,
@@ -617,16 +718,15 @@ std::pair<double, double> Mmhd::em_step_kernel(const FitContext& ctx,
   ws.old_a = a_;
   ws.old_c = c_;
 
-  // M-step, scattering the compact accumulators back to composite states.
-  // A composite transition can be reached through several class pairs
-  // (e.g. observed->observed and loss->loss over the same states), so the
+  // Scatter the compact accumulators back to composite states. A composite
+  // transition can be reached through several class pairs (e.g.
+  // observed->observed and loss->loss over the same states), so the
   // scatter accumulates, exactly like the per-step cached accumulation.
   ws.new_pi.assign(s_count, 0.0);
   const auto c0 = static_cast<std::size_t>(ctx.cls[0]);
   for (std::size_t k = 0; k < ws.chain.width(c0); ++k)
     ws.new_pi[static_cast<std::size_t>(class_state(ctx, c0, k))] =
         ws.acc.pi0[k];
-  pi_ = ws.new_pi;
 
   ws.a_num.fill(0.0);
   const std::size_t n_cls = m + 1;
@@ -646,13 +746,6 @@ std::pair<double, double> Mmhd::em_step_kernel(const FitContext& ctx,
       }
     }
   }
-  if (ctx.use_prior) {
-    for (std::size_t i = 0; i < s_count; ++i)
-      for (std::size_t j = 0; j < s_count; ++j)
-        ws.a_num(i, j) += ctx.prior(i, j);
-  }
-  a_ = ws.a_num;
-  a_.normalize_rows();
 
   ws.c_loss.assign(m, 0.0);
   ws.c_total.assign(m, 0.0);
@@ -670,22 +763,119 @@ std::pair<double, double> Mmhd::em_step_kernel(const FitContext& ctx,
     ws.c_loss[d] += lrow[k];
     ws.c_total[d] += lrow[k];
   }
-  for (std::size_t d = 0; d < m; ++d)
-    if (ws.c_total[d] > 0.0) c_[d] = ws.c_loss[d] / ws.c_total[d];
-  clamp_parameters();
+  return {ll, m_step(ctx.use_prior ? &ctx.prior : nullptr, ws)};
+}
 
-  // The loss-class gamma sums, marginalized to symbols and divided by the
-  // loss count, are exactly the paper's eq. (5) posterior for the entering
-  // parameters — the kernel path never retains a beta trellis for it.
-  ws.kpmf = ws.c_loss;
+void Mmhd::build_segment_chain(const FitContext& ctx, Workspace& ws) const {
+  // With one hidden state a composite state is its symbol, so A and pi are
+  // indexed by symbol directly.
+  fb::SegmentChain& sc = ws.seg;
+  const std::vector<int>& ls = ctx.loss_states;
+  const std::size_t n = ls.size();
+  sc.init(n, ctx.entry_sym.size(), ctx.exit_sym.size());
+  const std::size_t w = sc.stride();
+  double* loss = sc.loss.row(0);
+  double* loss_t = sc.loss_t.row(0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* arow = a_.row(static_cast<std::size_t>(ls[i]));
+    for (std::size_t j = 0; j < n; ++j) {
+      const auto sj = static_cast<std::size_t>(ls[j]);
+      const double val = arow[sj] * c_[sj];
+      loss[i * w + j] = val;
+      loss_t[j * w + i] = val;
+    }
+  }
+  for (std::size_t e = 0; e < ctx.entry_sym.size(); ++e) {
+    const int l = ctx.entry_sym[e];
+    double* row = sc.entry.row(e);
+    for (std::size_t j = 0; j < n; ++j) {
+      const auto sj = static_cast<std::size_t>(ls[j]);
+      row[j] = (l < 0 ? pi_[sj] : a_(static_cast<std::size_t>(l), sj)) * c_[sj];
+    }
+  }
+  for (std::size_t x = 0; x < ctx.exit_sym.size(); ++x) {
+    const int r = ctx.exit_sym[x];
+    double* row = sc.exit.row(x);
+    for (std::size_t i = 0; i < n; ++i) {
+      row[i] = r < 0 ? 1.0
+                     : a_(static_cast<std::size_t>(ls[i]),
+                          static_cast<std::size_t>(r)) *
+                           (1.0 - c_[static_cast<std::size_t>(r)]);
+    }
+  }
+}
 
-  double delta = 0.0;
-  for (std::size_t s = 0; s < s_count; ++s)
-    delta = std::max(delta, std::abs(pi_[s] - ws.old_pi[s]));
-  delta = std::max(delta, util::Matrix::max_abs_diff(a_, ws.old_a));
-  for (std::size_t d = 0; d < m; ++d)
-    delta = std::max(delta, std::abs(c_[d] - ws.old_c[d]));
-  return {ll, delta};
+std::pair<double, double> Mmhd::em_step_segments(const FitContext& ctx,
+                                                 Workspace& ws) {
+  const auto m = static_cast<std::size_t>(m_);
+  const std::vector<int>& ls = ctx.loss_states;
+  const std::size_t n = ls.size();
+
+  build_segment_chain(ctx, ws);
+  ws.sacc.prepare(ws.seg, ctx.segments);
+  double ll = fb::segment_estep(ws.seg, ctx.segments, ws.sacc);
+  // Received steps have a certain state: their likelihood factors are
+  // closed-form, and so is their E-step share (below).
+  if (ctx.first >= 0) {
+    const auto d = static_cast<std::size_t>(ctx.first);
+    ll += std::log(pi_[d] * (1.0 - c_[d]));
+  }
+  for (const FitContext::Bigram& b : ctx.bigrams) {
+    const auto d = static_cast<std::size_t>(b.to);
+    ll += b.count *
+          std::log(a_(static_cast<std::size_t>(b.from), d) * (1.0 - c_[d]));
+  }
+
+  ws.old_pi = pi_;
+  ws.old_a = a_;
+  ws.old_c = c_;
+
+  const fb::SegmentEStep& acc = ws.sacc;
+  ws.new_pi.assign(m, 0.0);
+  if (ctx.first >= 0) ws.new_pi[static_cast<std::size_t>(ctx.first)] = 1.0;
+  ws.a_num.fill(0.0);
+  for (const FitContext::Bigram& b : ctx.bigrams)
+    ws.a_num(static_cast<std::size_t>(b.from),
+             static_cast<std::size_t>(b.to)) += b.count;
+  // Boundary transitions: the state beside a segment is certain, so the
+  // xi of a left (right) boundary is the gamma of the segment's first
+  // (last) step.
+  for (std::size_t e = 0; e < ctx.entry_sym.size(); ++e) {
+    const int l = ctx.entry_sym[e];
+    const double* row = acc.entry_gamma.row(e);
+    for (std::size_t j = 0; j < n; ++j) {
+      const auto sj = static_cast<std::size_t>(ls[j]);
+      if (l < 0)
+        ws.new_pi[sj] = row[j];
+      else
+        ws.a_num(static_cast<std::size_t>(l), sj) += row[j];
+    }
+  }
+  for (std::size_t x = 0; x < ctx.exit_sym.size(); ++x) {
+    const int r = ctx.exit_sym[x];
+    if (r < 0) continue;
+    const double* row = acc.exit_gamma.row(x);
+    for (std::size_t i = 0; i < n; ++i)
+      ws.a_num(static_cast<std::size_t>(ls[i]), static_cast<std::size_t>(r)) +=
+          row[i];
+  }
+  // Loss -> loss xi: the summed outer products times the folded block.
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* o = acc.outer.row(i);
+    const double* f = ws.seg.loss.row(i);
+    double* a_row = ws.a_num.row(static_cast<std::size_t>(ls[i]));
+    for (std::size_t j = 0; j < n; ++j)
+      a_row[static_cast<std::size_t>(ls[j])] += o[j] * f[j];
+  }
+
+  ws.c_loss.assign(m, 0.0);
+  ws.c_total = ctx.received;
+  for (std::size_t k = 0; k < n; ++k) {
+    const auto d = static_cast<std::size_t>(ls[k]);
+    ws.c_loss[d] = acc.gamma[k];
+    ws.c_total[d] += acc.gamma[k];
+  }
+  return {ll, m_step(ctx.use_prior ? &ctx.prior : nullptr, ws)};
 }
 
 // Resumable per-restart EM state for detail::drive_restarts: a local model
@@ -749,15 +939,11 @@ struct Mmhd::Runner {
       ws.prepare(static_cast<std::size_t>(model.states()));
       inited = true;
     }
-    const util::Matrix* prior = ctx->use_prior ? &ctx->prior : nullptr;
     const int cap = std::min(upto, opts->max_iterations);
     while (res.iterations < cap) {
       DCL_TRACE_SCOPE("mmhd.iter");
       const int it = res.iterations;
-      const auto [ll, delta] =
-          !opts->cache_emissions ? model.em_step(*seq, prior, ws)
-          : opts->kernels        ? model.em_step_kernel(*ctx, ws)
-                                 : model.em_step_cached(*ctx, ws);
+      const auto [ll, delta] = model.em_step(*seq, *ctx, ws);
       res.log_likelihood_history.push_back(ll);
       ll_last = ll;
       res.iterations = it + 1;
@@ -782,14 +968,7 @@ struct Mmhd::Runner {
     res.log_likelihood = ll_last;
     res.pruned = pruned_flag;
     if (pruned_flag) return;  // cannot win; skip the posterior
-    if (opts->cache_emissions && opts->kernels) {
-      util::Pmf pmf(ws.kpmf.begin(), ws.kpmf.end());
-      if (losses > 0)
-        for (auto& p : pmf) p /= static_cast<double>(losses);
-      res.virtual_delay_pmf = std::move(pmf);
-    } else {
-      res.virtual_delay_pmf = model.posterior_from_trellis(*ctx, ws.w);
-    }
+    res.virtual_delay_pmf = model.fitted_posterior(*ctx, ws, losses);
   }
 };
 
@@ -801,7 +980,8 @@ FitResult Mmhd::fit(const std::vector<int>& seq, const EmOptions& opts) {
   const double loss_rate =
       static_cast<double>(losses) / static_cast<double>(seq.size());
 
-  const FitContext ctx = make_context(seq, opts);
+  const FitContext ctx =
+      make_context(seq, engine_for(n_, opts), opts.transition_prior);
   // RNG streams are forked in restart order before dispatch, so every
   // restart sees the same stream for any thread count.
   auto rngs = detail::fork_restart_rngs(opts.seed, opts.restarts);
@@ -860,7 +1040,8 @@ struct Mmhd::StagedFit::Impl {
       : target(&model),
         seq(&s),
         opts(o),
-        ctx(model.make_context(s, opts)),
+        ctx(model.make_context(s, engine_for(model.n_, opts),
+                               opts.transition_prior)),
         race(static_cast<std::size_t>(opts.restarts)) {
     for (int o : s) losses += (o == kLoss) ? 1 : 0;
     const double loss_rate =
@@ -962,6 +1143,16 @@ FitResult Mmhd::StagedFit::finish() {
   return best;
 }
 
+util::Pmf Mmhd::fitted_posterior(const FitContext& ctx, const Workspace& ws,
+                                 std::size_t losses) const {
+  if (ctx.engine == Engine::kReference || ctx.engine == Engine::kCached)
+    return posterior_from_trellis(ctx, ws.w);
+  util::Pmf pmf(ws.kpmf.begin(), ws.kpmf.end());
+  if (losses > 0)
+    for (auto& p : pmf) p /= static_cast<double>(losses);
+  return pmf;
+}
+
 util::Pmf Mmhd::posterior_from_trellis(const FitContext& ctx,
                                        const Trellis& w) const {
   // P(D = d | loss): smoothed posterior over the composite states at the
@@ -1029,9 +1220,8 @@ double Mmhd::log_likelihood(const std::vector<int>& seq) const {
   // long runs collapse to a handful of memoized squared-power
   // applications (fb::ScaledPowers).
   DCL_ENSURE_MSG(!seq.empty(), "log_likelihood: empty sequence");
-  EmOptions opts;
-  opts.transition_prior = 0.0;  // the prior only shapes the M-step
-  const FitContext ctx = make_context(seq, opts);
+  // The prior only shapes the M-step.
+  const FitContext ctx = make_context(seq, Engine::kChain, 0.0);
   Workspace ws;
   build_chain(ctx, ws);
   fb::RunLengthIndex runs;
@@ -1145,22 +1335,19 @@ FitResult MmhdRefitter::refit(const std::vector<int>& seq) {
   model_.a_ = a0_;
   model_.c_ = c0_;
 
-  const Mmhd::FitContext ctx = model_.make_context(seq, opts_);
+  const Mmhd::FitContext ctx = model_.make_context(
+      seq, Mmhd::engine_for(model_.n_, opts_), opts_.transition_prior);
   Mmhd::Workspace& ws = *ws_;
-  const bool kernel = opts_.cache_emissions && opts_.kernels;
   // The class adjacency differs per sequence, so rebuild the block layout
   // here (build_chain's lazy init only covers the first sequence); the
   // assign() calls inside reuse the previous replicate's storage.
-  if (kernel) ws.chain.init(ctx.widths, ctx.pair_used);
-  const util::Matrix* prior = ctx.use_prior ? &ctx.prior : nullptr;
+  if (ctx.engine == Mmhd::Engine::kChain)
+    ws.chain.init(ctx.widths, ctx.pair_used);
 
   FitResult res;
   double ll_last = -std::numeric_limits<double>::infinity();
   while (res.iterations < opts_.max_iterations) {
-    const auto [ll, delta] =
-        !opts_.cache_emissions ? model_.em_step(seq, prior, ws)
-        : kernel               ? model_.em_step_kernel(ctx, ws)
-                               : model_.em_step_cached(ctx, ws);
+    const auto [ll, delta] = model_.em_step(seq, ctx, ws);
     res.log_likelihood_history.push_back(ll);
     ll_last = ll;
     ++res.iterations;
@@ -1178,14 +1365,7 @@ FitResult MmhdRefitter::refit(const std::vector<int>& seq) {
   model_.c_ = std::move(ws.old_c);
   res.log_likelihood = ll_last;
   res.losses = losses;
-  if (kernel) {
-    util::Pmf pmf(ws.kpmf.begin(), ws.kpmf.end());
-    if (losses > 0)
-      for (auto& p : pmf) p /= static_cast<double>(losses);
-    res.virtual_delay_pmf = std::move(pmf);
-  } else {
-    res.virtual_delay_pmf = model_.posterior_from_trellis(ctx, ws.w);
-  }
+  res.virtual_delay_pmf = model_.fitted_posterior(ctx, ws, losses);
   return res;
 }
 

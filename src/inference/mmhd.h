@@ -14,8 +14,13 @@
 // The EM algorithm follows the paper's Appendix B (scaled forward-backward
 // over the composite state space with missing-value emissions). When a
 // symbol is observed only the N states carrying that symbol are feasible,
-// so the trellis is iterated over per-step active state sets: sequences
-// with low loss rates cost O(T * N^2) rather than O(T * (N*M)^2).
+// so the trellis is iterated over per-step active state sets: an EM
+// iteration costs O(N^2) per received probe and O((N*S)^2) per lost one,
+// with S the number of symbols observed in the sequence, rather than
+// O(T * (N*M)^2). With N = 1 a received probe's state is certain, so the
+// default engine sweeps only the distinct loss runs: O(distinct runs x run
+// length x S^2) + O(M^2) per iteration, independent of the received count
+// (see fb::segment_estep).
 #pragma once
 
 #include <cstdint>
@@ -85,10 +90,19 @@ class Mmhd {
   struct Workspace;   // per-restart trellis, emission vectors, accumulators
   struct Runner;      // resumable per-restart EM state for drive_restarts
 
+  // Forward-backward engines, selected per fit from EmOptions and N:
+  // per-call reference, cached emission tables, block-chain kernels, and —
+  // for N = 1 under the kernel switch — the loss-segment kernels.
+  enum class Engine { kReference, kCached, kChain, kSegments };
+  static Engine engine_for(int hidden_states, const EmOptions& opts);
+
   void random_init(util::Rng& rng, double observed_loss_rate);
   void clamp_parameters();
-  FitContext make_context(const std::vector<int>& seq,
-                          const EmOptions& opts) const;
+  FitContext make_context(const std::vector<int>& seq, Engine engine,
+                          double transition_prior) const;
+  // Loss-segment engine inputs: received-pair and per-symbol counts, and
+  // the distinct (left, right, length) loss runs with their multiplicities.
+  void build_segments(const std::vector<int>& seq, FitContext& ctx) const;
   // Dirichlet pseudo-counts for the transition M-step, built from the
   // observed symbol bigrams of `seq` (see EmOptions::transition_prior).
   util::Matrix build_transition_prior(const std::vector<int>& seq,
@@ -102,13 +116,18 @@ class Mmhd {
                      std::vector<int>& out) const;
   double emission(int s, int obs) const;
   double forward_backward(const std::vector<int>& seq, Trellis& w) const;
-  // One EM step in place; both variants snapshot the parameters *entering*
-  // the step into the workspace (their likelihood is the one reported).
+  // One EM step in place with the context's engine; every engine
+  // snapshots the parameters *entering* the step into the workspace (their
+  // likelihood is the one reported). Returns {log likelihood, largest
+  // parameter change}.
+  std::pair<double, double> em_step(const std::vector<int>& seq,
+                                    const FitContext& ctx, Workspace& ws);
   // The cached variant reads per-state emission vectors rebuilt once per
   // iteration and the active sets precomputed in the FitContext instead of
   // evaluating emission() and active_states() per step.
-  std::pair<double, double> em_step(const std::vector<int>& seq,
-                                    const util::Matrix* prior, Workspace& ws);
+  std::pair<double, double> em_step_reference(const std::vector<int>& seq,
+                                              const util::Matrix* prior,
+                                              Workspace& ws);
   std::pair<double, double> em_step_cached(const FitContext& ctx,
                                            Workspace& ws);
   // Vectorized engine (EmOptions::kernels): folds the current parameters
@@ -119,6 +138,17 @@ class Mmhd {
   // over the supported states.
   std::pair<double, double> em_step_kernel(const FitContext& ctx,
                                            Workspace& ws);
+  // Exact N = 1 E-step over loss segments: received pairs contribute fixed
+  // counts, and each distinct loss run is evaluated once, weighted by its
+  // multiplicity (fb::segment_estep).
+  std::pair<double, double> em_step_segments(const FitContext& ctx,
+                                             Workspace& ws);
+  // Folds the parameters into ws.seg for the segment kernels.
+  void build_segment_chain(const FitContext& ctx, Workspace& ws) const;
+  // M-step tail shared by every engine: installs pi, A (plus `prior`) and C
+  // from the workspace accumulators, clamps, records the eq. (5) numerator
+  // and returns the largest change against the snapshot in ws.old_*.
+  double m_step(const util::Matrix* prior, Workspace& ws);
   // Composite state behind compact index k of class `cls` (an observed
   // symbol's hidden index, or a position in the loss-class state list).
   int class_state(const FitContext& ctx, std::size_t cls,
@@ -130,6 +160,9 @@ class Mmhd {
   // Paper eq. (5) from an already-computed trellis of this model.
   util::Pmf posterior_from_trellis(const FitContext& ctx,
                                    const Trellis& w) const;
+  // Eq. (5) for the parameters entering the last em_step on ws.
+  util::Pmf fitted_posterior(const FitContext& ctx, const Workspace& ws,
+                             std::size_t losses) const;
 
   int n_;
   int m_;

@@ -1,6 +1,7 @@
 // Parity and stress tests for the vectorized forward-backward kernels
 // (EmOptions::kernels): randomized HMM and MMHD fits against the retained
-// per-call reference path (cache_emissions=false), engine agreement of the
+// per-call reference path (cache_emissions=false) — for the MMHD with one
+// hidden state (loss-segment engine) as well as two — engine agreement of the
 // PR 2 cached-table path, degenerate sequences (all-loss, single-symbol,
 // length-1), run-length folded likelihood evaluation, and a T=500k
 // underflow stress run guarding the power-cache scaling.
@@ -89,11 +90,13 @@ void expect_fits_match(const inference::FitResult& a,
 
 template <typename Model>
 void check_kernel_vs_naive(const std::vector<int>& seq, int symbols,
-                           std::uint64_t em_seed, int restarts = 3) {
+                           std::uint64_t em_seed, int restarts = 3,
+                           int hidden_states = 2) {
   auto kernel = engine_options(true, true);
   auto naive = engine_options(false, false);
   kernel.seed = naive.seed = em_seed;
   kernel.restarts = naive.restarts = restarts;
+  kernel.hidden_states = naive.hidden_states = hidden_states;
 
   Model mk(kernel.hidden_states, symbols);
   const auto fk = mk.fit(seq, kernel);
@@ -143,11 +146,53 @@ TEST(FbKernels, MmhdRandomizedParityWithNaivePath) {
       {2000, 8, 0.1, 2, 205},
   };
   for (const auto& c : cases) {
-    SCOPED_TRACE(::testing::Message() << "T=" << c.t_len << " M=" << c.symbols
-                                      << " seed=" << c.seed);
     const auto seq = synth_sequence(c.t_len, c.symbols, c.loss_p, c.burst,
                                     c.seed);
-    check_kernel_vs_naive<inference::Mmhd>(seq, c.symbols, c.seed * 7 + 1);
+    // N = 2 runs the block-chain kernels, N = 1 the loss-segment engine.
+    // With one hidden state every restart climbs to the same optimum, so
+    // restart likelihoods tie to ~1e-15 and the winner index is engine
+    // noise: N = 1 parity runs a single restart.
+    for (int n : {2, 1}) {
+      SCOPED_TRACE(::testing::Message() << "T=" << c.t_len << " M="
+                                        << c.symbols << " N=" << n
+                                        << " seed=" << c.seed);
+      check_kernel_vs_naive<inference::Mmhd>(seq, c.symbols, c.seed * 7 + 1,
+                                             n == 1 ? 1 : 3, n);
+    }
+  }
+}
+
+// Loss-segment shapes for the N = 1 engine: boundary segments at both ends
+// of the sequence (entry from pi, exit to nothing), one run long enough to
+// need the raw-recursion renorms, and many repeats of few distinct
+// (left, right, length) keys, so the multiplicity weighting carries most
+// of the E-step. Single restart, as in the randomized N = 1 cases.
+TEST(FbKernels, MmhdSingleHiddenStateSegmentShapes) {
+  auto ends_lost = synth_sequence(900, 5, 0.3, 6, 401);
+  for (std::size_t t = 0; t < 4; ++t) {
+    ends_lost[t] = kLoss;
+    ends_lost[ends_lost.size() - 1 - t] = kLoss;
+  }
+  {
+    SCOPED_TRACE("starts and ends with a loss");
+    check_kernel_vs_naive<inference::Mmhd>(ends_lost, 5, 41, 1, 1);
+  }
+
+  auto long_run = synth_sequence(1500, 6, 0.1, 3, 402);
+  for (std::size_t t = 600; t < 860; ++t) long_run[t] = kLoss;
+  {
+    SCOPED_TRACE("one loss run of 260");
+    check_kernel_vs_naive<inference::Mmhd>(long_run, 6, 42, 1, 1);
+  }
+
+  std::vector<int> repeated;
+  const int pattern[] = {1, 2, kLoss, kLoss, 3, 2, kLoss, 1, 4, kLoss,
+                         kLoss, kLoss, 4, 1};
+  for (int rep = 0; rep < 150; ++rep)
+    for (int o : pattern) repeated.push_back(o);
+  {
+    SCOPED_TRACE("many repeated segment keys");
+    check_kernel_vs_naive<inference::Mmhd>(repeated, 4, 43, 1, 1);
   }
 }
 
@@ -176,6 +221,8 @@ TEST(FbKernels, AllLossSequenceParity) {
   const std::vector<int> seq(60, kLoss);
   check_kernel_vs_naive<inference::Hmm>(seq, 4, 11, 1);
   check_kernel_vs_naive<inference::Mmhd>(seq, 4, 11, 1);
+  // N = 1: one segment from the sequence start to its end.
+  check_kernel_vs_naive<inference::Mmhd>(seq, 4, 11, 1, 1);
 }
 
 TEST(FbKernels, SingleSymbolSequenceParity) {
@@ -185,6 +232,8 @@ TEST(FbKernels, SingleSymbolSequenceParity) {
   const std::vector<int> seq(80, 2);
   check_kernel_vs_naive<inference::Hmm>(seq, 4, 13, 1);
   check_kernel_vs_naive<inference::Mmhd>(seq, 4, 13, 1);
+  // N = 1: no segment at all, only received-pair counts.
+  check_kernel_vs_naive<inference::Mmhd>(seq, 4, 13, 1, 1);
 
   inference::Hmm model(2, 4);
   const auto fit = model.fit(seq, engine_options(true, true));
@@ -321,6 +370,27 @@ TEST(FbKernels, HmmHalfMillionStepsStayFinite) {
 
 TEST(FbKernels, MmhdHalfMillionStepsStayFinite) {
   stress_half_million<inference::Mmhd>(52);
+
+  // N = 1 (loss-segment engine) against the reference path. Over half a
+  // million strictly sequential steps the reference's own rounding reaches
+  // ~1e-12 relative (its iteration-0 likelihood, from identical parameters,
+  // differs from both kernel engines by 9e-13 while those two agree to
+  // 1e-15), so the history tolerance here is 5e-12; the tight check is
+  // against the block-chain likelihood of the installed parameters.
+  const auto seq = synth_sequence(500000, 6, 0.3, 16, 53);
+  inference::EmOptions em = engine_options(true, true);
+  em.hidden_states = 1;
+  em.restarts = 1;
+  em.max_iterations = 3;
+  em.seed = 53;
+  inference::Mmhd model(1, 6);
+  const auto fit = model.fit(seq, em);
+  EXPECT_NEAR(fit.log_likelihood, model.log_likelihood(seq),
+              1e-13 * std::abs(fit.log_likelihood));
+  auto naive = em;
+  naive.cache_emissions = false;
+  inference::Mmhd reference(1, 6);
+  expect_fits_match(fit, reference.fit(seq, naive), 5e-12);
 }
 
 }  // namespace

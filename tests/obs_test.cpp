@@ -9,6 +9,7 @@
 #include <cctype>
 #include <cmath>
 #include <map>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -683,7 +684,15 @@ std::string& log_capture() {
   static std::string s;
   return s;
 }
+// The logger hands each finished line to the sink in one call but does not
+// serialize sink calls (a sink must be thread-safe, as stderr's fwrite
+// is), so concurrent writers append under a lock.
+std::mutex& log_capture_mutex() {
+  static std::mutex m;
+  return m;
+}
 void log_capture_sink(const char* line, std::size_t len) {
+  std::lock_guard<std::mutex> lock(log_capture_mutex());
   log_capture().append(line, len);
 }
 

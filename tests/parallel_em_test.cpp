@@ -127,23 +127,28 @@ TEST(ParallelEm, HmmFitIsThreadCountInvariant) {
 
 TEST(ParallelEm, MmhdFitIsThreadCountInvariant) {
   const auto seq = synth_sequence(1500, 4, 7);
-  auto em = base_options();
+  // N = 1 runs the loss-segment engine, N = 2 the block-chain kernels.
+  for (int n : {2, 1}) {
+    SCOPED_TRACE(::testing::Message() << "N=" << n);
+    auto em = base_options();
+    em.hidden_states = n;
 
-  inference::Mmhd serial(em.hidden_states, 4);
-  em.threads = 1;
-  const auto f1 = serial.fit(seq, em);
+    inference::Mmhd serial(em.hidden_states, 4);
+    em.threads = 1;
+    const auto f1 = serial.fit(seq, em);
 
-  inference::Mmhd threaded(em.hidden_states, 4);
-  em.threads = 8;
-  const auto f8 = threaded.fit(seq, em);
+    inference::Mmhd threaded(em.hidden_states, 4);
+    em.threads = 8;
+    const auto f8 = threaded.fit(seq, em);
 
-  EXPECT_EQ(f1.winning_restart, f8.winning_restart);
-  EXPECT_EQ(f1.log_likelihood, f8.log_likelihood);
-  EXPECT_EQ(f1.log_likelihood_history, f8.log_likelihood_history);
-  EXPECT_EQ(f1.virtual_delay_pmf, f8.virtual_delay_pmf);
-  EXPECT_EQ(serial.initial(), threaded.initial());
-  EXPECT_EQ(serial.transitions().data(), threaded.transitions().data());
-  EXPECT_EQ(serial.loss_given_symbol(), threaded.loss_given_symbol());
+    EXPECT_EQ(f1.winning_restart, f8.winning_restart);
+    EXPECT_EQ(f1.log_likelihood, f8.log_likelihood);
+    EXPECT_EQ(f1.log_likelihood_history, f8.log_likelihood_history);
+    EXPECT_EQ(f1.virtual_delay_pmf, f8.virtual_delay_pmf);
+    EXPECT_EQ(serial.initial(), threaded.initial());
+    EXPECT_EQ(serial.transitions().data(), threaded.transitions().data());
+    EXPECT_EQ(serial.loss_given_symbol(), threaded.loss_given_symbol());
+  }
 }
 
 // --------------------------------------------------------------------------
@@ -427,28 +432,33 @@ TEST(ParallelEm, RacingWithNoEliminationsReproducesPlainFitBitwise) {
   // pure re-chunking of the same EM trajectory: winner, histories, and
   // installed parameters bitwise equal to the non-racing fit.
   const auto seq = synth_sequence(1500, 4, 91);
-  auto em = base_options();
-  em.restarts = 6;
+  for (int n : {2, 1}) {
+    SCOPED_TRACE(::testing::Message() << "N=" << n);
+    auto em = base_options();
+    em.restarts = 6;
+    em.hidden_states = n;
 
-  inference::Mmhd plain(em.hidden_states, 4);
-  const auto f_plain = plain.fit(seq, em);
+    inference::Mmhd plain(em.hidden_states, 4);
+    const auto f_plain = plain.fit(seq, em);
 
-  auto racing = em;
-  racing.race_warmup = 4;
-  racing.race_keep = 1.0;
-  inference::Mmhd raced(em.hidden_states, 4);
-  const auto f_raced = raced.fit(seq, racing);
+    auto racing = em;
+    racing.race_warmup = 4;
+    racing.race_keep = 1.0;
+    inference::Mmhd raced(em.hidden_states, 4);
+    const auto f_raced = raced.fit(seq, racing);
 
-  EXPECT_GT(f_raced.race_rungs, 0);
-  EXPECT_EQ(f_raced.pruned_restarts, 0);
-  EXPECT_EQ(f_plain.race_rungs, 0);
-  EXPECT_EQ(f_plain.winning_restart, f_raced.winning_restart);
-  EXPECT_EQ(f_plain.log_likelihood, f_raced.log_likelihood);
-  EXPECT_EQ(f_plain.log_likelihood_history, f_raced.log_likelihood_history);
-  EXPECT_EQ(f_plain.virtual_delay_pmf, f_raced.virtual_delay_pmf);
-  EXPECT_EQ(plain.initial(), raced.initial());
-  EXPECT_EQ(plain.transitions().data(), raced.transitions().data());
-  EXPECT_EQ(plain.loss_given_symbol(), raced.loss_given_symbol());
+    EXPECT_GT(f_raced.race_rungs, 0);
+    EXPECT_EQ(f_raced.pruned_restarts, 0);
+    EXPECT_EQ(f_plain.race_rungs, 0);
+    EXPECT_EQ(f_plain.winning_restart, f_raced.winning_restart);
+    EXPECT_EQ(f_plain.log_likelihood, f_raced.log_likelihood);
+    EXPECT_EQ(f_plain.log_likelihood_history,
+              f_raced.log_likelihood_history);
+    EXPECT_EQ(f_plain.virtual_delay_pmf, f_raced.virtual_delay_pmf);
+    EXPECT_EQ(plain.initial(), raced.initial());
+    EXPECT_EQ(plain.transitions().data(), raced.transitions().data());
+    EXPECT_EQ(plain.loss_given_symbol(), raced.loss_given_symbol());
+  }
 }
 
 TEST(ParallelEm, RacingIsThreadCountInvariant) {

@@ -5,6 +5,8 @@
 #include <cmath>
 
 #include "core/pipeline.h"
+#include "obs/obs.h"
+#include "obs/window.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -113,6 +115,73 @@ TEST(Pipeline, DegradesOnDegenerateTracesByDefault) {
   const auto r1 = analyze_trace(t, {});
   EXPECT_FALSE(r1.answered);
   EXPECT_TRUE(r1.degraded);
+}
+
+// Traces that are bad data rather than program bugs fail as invalid input:
+// typed kInvalidInput in strict mode, and in graceful mode a degraded
+// no-answer result that does not count as an internal error.
+std::uint64_t internal_errors() {
+  return obs::Registry::global()
+      .windowed_counter("pipeline.internal_errors")
+      .total()
+      .value();
+}
+
+util::ErrorCode strict_error_code(const trace::Trace& t) {
+  PipelineConfig strict;
+  strict.sanitize = false;
+  try {
+    analyze_trace(t, strict);
+  } catch (const util::Error& e) {
+    return e.code();
+  }
+  ADD_FAILURE() << "expected a typed throw";
+  return util::ErrorCode::kInternal;
+}
+
+void expect_graceful_invalid_input(const trace::Trace& t) {
+  const std::uint64_t before = internal_errors();
+  const auto r = analyze_trace(t, {});
+  EXPECT_FALSE(r.answered);
+  EXPECT_TRUE(r.degraded);
+  ASSERT_FALSE(r.warnings.empty());
+  EXPECT_NE(r.warnings.back().find("invalid_input"), std::string::npos)
+      << r.warnings.back();
+  EXPECT_EQ(internal_errors(), before);
+}
+
+TEST(Pipeline, NoReceivedProbeIsInvalidInput) {
+  // Strict mode: nothing received, so no delay range to discretize.
+  trace::Trace lost;
+  for (std::size_t i = 0; i < 100; ++i)
+    lost.records.push_back({i, 0.02 * static_cast<double>(i),
+                            inference::Observation::loss()});
+  EXPECT_EQ(strict_error_code(lost), util::ErrorCode::kInvalidInput);
+
+  // Graceful mode: sanitization drops every (negative) delay, leaving
+  // only losses.
+  trace::Trace negative = lost;
+  for (std::size_t i = 0; i < 100; i += 4)
+    negative.records[i].obs = inference::Observation::received(-0.05);
+  expect_graceful_invalid_input(negative);
+}
+
+TEST(Pipeline, FewerObservationsThanStationarityBlocksIsInvalidInput) {
+  // Strict mode: four records pass the length check but cannot fill the
+  // six stationarity blocks.
+  trace::Trace shortt;
+  for (std::size_t i = 0; i < 4; ++i)
+    shortt.records.push_back({i, 0.02 * static_cast<double>(i),
+                              inference::Observation::received(0.05)});
+  EXPECT_EQ(strict_error_code(shortt), util::ErrorCode::kInvalidInput);
+
+  // Graceful mode: a 100-record trace with 95 negative delays keeps five.
+  trace::Trace mostly_negative;
+  for (std::size_t i = 0; i < 100; ++i)
+    mostly_negative.records.push_back(
+        {i, 0.02 * static_cast<double>(i),
+         inference::Observation::received(i % 20 == 0 ? 0.05 : -0.05)});
+  expect_graceful_invalid_input(mostly_negative);
 }
 
 }  // namespace
