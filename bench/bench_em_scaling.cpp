@@ -2,10 +2,12 @@
 // engines — per-call reference ("naive"), cached emission tables
 // ("cached", the PR 2 path), and the vectorized SoA kernels ("kernel",
 // the default) — plus the threaded restart engine at 1/2/4/8 workers on
-// the kernel path. The "mmhd_fine" block times the fine-bound fit's shape
-// (one hidden state, M = 50, where the kernel engine is the loss-segment
-// E-step) at one thread on two sequences: a congested one (~5% loss) and a
-// loss-heavy one (~50% loss in runs of up to ~150). Each timing is the
+// the kernel path. The "mmhd_select" block times the largest hidden-state
+// candidate of model selection (N = 4, M = 10, the main sequence) and the
+// "mmhd_fine" block the fine-bound fit's shape (one hidden state, M = 50)
+// on two sequences — a congested one (~5% loss) and a loss-heavy one (~50%
+// loss in runs of up to ~150) — each with the three engines at one
+// thread. Each timing is the
 // median of DCL_EM_SCALING_SAMPLES runs after DCL_EM_SCALING_WARMUP warmup
 // runs (bench/common.h), with the min–max spread recorded so the JSON
 // shows whether a speedup clears the run-to-run noise; the cached and
@@ -23,8 +25,9 @@
 // Writes a single-line JSON record to the first non-flag argument
 // (default "BENCH_em_scaling.json") and mirrors a human-readable summary
 // to stdout. `--min-kernel-speedup X` exits nonzero when either model's
-// single-thread kernel-over-cached speedup (or either fine shape's) falls
-// below X — the hook the check.sh perf smoke stage uses.
+// single-thread kernel-over-cached speedup (or the selection candidate's,
+// or either fine shape's) falls below X — the hook the check.sh perf smoke
+// stage uses.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -57,6 +60,8 @@ constexpr int kIterations = 15;
 constexpr int kFineSymbols = 50;
 constexpr int kFineHiddenStates = 1;
 constexpr int kFineRestarts = 1;
+// The largest candidate of the careful model selection (--select-N 4).
+constexpr int kSelectHiddenStates = 4;
 
 // Same congested-path shape as bench_micro: sticky symbols, losses
 // concentrated at the top symbol.
@@ -235,20 +240,26 @@ ModelScaling run_model(const char* name, const std::vector<int>& seq,
   return out;
 }
 
-// One fine-fit shape: the three engines at one thread.
-struct FineShape {
+// One single-thread row: the three engines at one thread on one sequence.
+struct ShapeRow {
   const char* name = "";
+  int hidden_states = 0;
   double loss_frac = 0.0;
   std::size_t longest_run = 0;
   FitTiming naive_1t, cached_1t, kernel_1t;
   double emission_cache_speedup = 0.0;  // naive 1t / cached 1t
-  double kernel_speedup_1t = 0.0;       // cached 1t / kernel 1t, minima
+  double kernel_speedup_1t = 0.0;       // cached 1t / kernel 1t
 };
 
-FineShape run_fine(const char* name, const std::vector<int>& seq, int samples,
+// `minima` gates on the fastest samples rather than the medians (see the
+// fine rows below).
+ShapeRow run_shape(const char* label, const char* name,
+                   const std::vector<int>& seq, int hidden_states,
+                   int symbols, int restarts, bool minima, int samples,
                    int warmup) {
-  FineShape out;
+  ShapeRow out;
   out.name = name;
+  out.hidden_states = hidden_states;
   std::size_t losses = 0, run = 0;
   for (int o : seq) {
     run = o == inference::Discretizer::kLossSymbol ? run + 1 : 0;
@@ -257,42 +268,55 @@ FineShape run_fine(const char* name, const std::vector<int>& seq, int samples,
   }
   out.loss_frac = static_cast<double>(losses) / static_cast<double>(seq.size());
   const auto fit = [&](Engine engine, FitTiming& t) {
-    auto em = options(1, engine, kFineHiddenStates);
-    em.restarts = kFineRestarts;
-    return fit_once<inference::Mmhd>(seq, kFineHiddenStates, kFineSymbols, em,
-                                     t);
+    auto em = options(1, engine, hidden_states);
+    em.restarts = restarts;
+    return fit_once<inference::Mmhd>(seq, hidden_states, symbols, em, t);
   };
-  char label[32];
-  std::snprintf(label, sizeof(label), "fine:%s", name);
   out.naive_1t.wall = bench::time_median_ms(fit(Engine::kNaive, out.naive_1t),
                                             samples, warmup);
-  print_row(label, kFineHiddenStates, "naive", 1, out.naive_1t);
-  // Cached and kernel alternate sample by sample: their ratio is gated,
-  // and the kernel's few milliseconds would otherwise swing it with the
-  // host's load.
+  print_row(label, hidden_states, "naive", 1, out.naive_1t);
+  // Cached and kernel alternate sample by sample: their ratio is gated.
   std::tie(out.cached_1t.wall, out.kernel_1t.wall) = bench::time_median_pair_ms(
       fit(Engine::kCached, out.cached_1t), fit(Engine::kKernel, out.kernel_1t),
       samples, warmup);
-  print_row(label, kFineHiddenStates, "cached", 1, out.cached_1t);
-  print_row(label, kFineHiddenStates, "kernel", 1, out.kernel_1t);
+  print_row(label, hidden_states, "cached", 1, out.cached_1t);
+  print_row(label, hidden_states, "kernel", 1, out.kernel_1t);
   const double ll_ref = out.naive_1t.log_likelihood;
   DCL_ENSURE_MSG(std::abs(out.cached_1t.log_likelihood - ll_ref) <=
                          1e-6 * std::abs(ll_ref) &&
                      std::abs(out.kernel_1t.log_likelihood - ll_ref) <=
                          1e-6 * std::abs(ll_ref),
-                 "fine fit log likelihood differs across engines");
+                 "fit log likelihood differs across engines");
   out.emission_cache_speedup =
       out.naive_1t.wall.median_ms / out.cached_1t.wall.median_ms;
-  // Fastest against fastest: this kernel runs a few milliseconds, and on a
-  // shared host such short samples fall into two speed modes up to 1.5x
-  // apart, which swings a ratio of medians by +-25% from run to run; the
-  // minima of the alternating samples keep it within +-5%.
-  out.kernel_speedup_1t = out.cached_1t.wall.min_ms / out.kernel_1t.wall.min_ms;
+  out.kernel_speedup_1t =
+      minima ? out.cached_1t.wall.min_ms / out.kernel_1t.wall.min_ms
+             : out.cached_1t.wall.median_ms / out.kernel_1t.wall.median_ms;
   std::printf("%-5s N=%d  loss %.3f (longest run %zu)  cache %5.2fx   "
               "kernel/cached %5.2fx\n",
-              label, kFineHiddenStates, out.loss_frac, out.longest_run,
+              label, hidden_states, out.loss_frac, out.longest_run,
               out.emission_cache_speedup, out.kernel_speedup_1t);
   return out;
+}
+
+// The selection candidate runs the main sequence with every restart, like
+// the mmhd row; its kernel takes tens of milliseconds, so medians gate.
+ShapeRow run_select(const std::vector<int>& seq, int samples, int warmup) {
+  return run_shape("select", "mmhd_select", seq, kSelectHiddenStates,
+                   kSymbols, kRestarts, false, samples, warmup);
+}
+
+// One fine-fit shape. Its ratio is fastest against fastest: this kernel
+// runs a few milliseconds, and on a shared host such short samples fall
+// into two speed modes up to 1.5x apart, which swings a ratio of medians
+// by +-25% from run to run; the minima of the alternating samples keep it
+// within +-5%.
+ShapeRow run_fine(const char* name, const std::vector<int>& seq, int samples,
+                  int warmup) {
+  char label[32];
+  std::snprintf(label, sizeof(label), "fine:%s", name);
+  return run_shape(label, name, seq, kFineHiddenStates, kFineSymbols,
+                   kFineRestarts, true, samples, warmup);
 }
 
 std::string json_timing(const FitTiming& t) {
@@ -348,26 +372,38 @@ std::string json_block(const char* name, const ModelScaling& s) {
   return out;
 }
 
-std::string json_fine(const std::vector<FineShape>& shapes) {
+std::string json_shape_body(const ShapeRow& f) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf), "\"loss_frac\":%.4f,\"longest_run\":%zu,",
+                f.loss_frac, f.longest_run);
+  std::string out = buf;
+  out += "\"naive_1t\":" + json_timing(f.naive_1t) + ",";
+  out += "\"cached_1t\":" + json_timing(f.cached_1t) + ",";
+  out += "\"kernel_1t\":" + json_timing(f.kernel_1t) + ",";
+  std::snprintf(buf, sizeof(buf),
+                "\"emission_cache_speedup\":%.3f,\"kernel_speedup_1t\":%.3f",
+                f.emission_cache_speedup, f.kernel_speedup_1t);
+  return out + buf;
+}
+
+std::string json_select(const ShapeRow& s) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "\"mmhd_select\":{\"hidden_states\":%d,\"symbols\":%d,"
+                "\"restarts\":%d,",
+                s.hidden_states, kSymbols, kRestarts);
+  return buf + json_shape_body(s) + "}";
+}
+
+std::string json_fine(const std::vector<ShapeRow>& shapes) {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "\"mmhd_fine\":{\"hidden_states\":%d,\"symbols\":%d,"
                 "\"restarts\":%d",
                 kFineHiddenStates, kFineSymbols, kFineRestarts);
   std::string out = buf;
-  for (const FineShape& f : shapes) {
-    std::snprintf(buf, sizeof(buf),
-                  ",\"%s\":{\"loss_frac\":%.4f,\"longest_run\":%zu,",
-                  f.name, f.loss_frac, f.longest_run);
-    out += buf;
-    out += "\"naive_1t\":" + json_timing(f.naive_1t) + ",";
-    out += "\"cached_1t\":" + json_timing(f.cached_1t) + ",";
-    out += "\"kernel_1t\":" + json_timing(f.kernel_1t) + ",";
-    std::snprintf(buf, sizeof(buf),
-                  "\"emission_cache_speedup\":%.3f,\"kernel_speedup_1t\":%.3f}",
-                  f.emission_cache_speedup, f.kernel_speedup_1t);
-    out += buf;
-  }
+  for (const ShapeRow& f : shapes)
+    out += std::string(",\"") + f.name + "\":{" + json_shape_body(f) + "}";
   out += "}";
   return out;
 }
@@ -411,7 +447,8 @@ int main(int argc, char** argv) {
   const auto hmm = run_model<inference::Hmm>("hmm", seq, 3, samples, warmup);
   const auto mmhd =
       run_model<inference::Mmhd>("mmhd", seq, 2, samples, warmup);
-  const std::vector<FineShape> fine = {
+  const ShapeRow select = run_select(seq, samples, warmup);
+  const std::vector<ShapeRow> fine = {
       run_fine("congested",
                fine_sequence(static_cast<std::size_t>(kTLen), false, 43),
                samples, warmup),
@@ -428,16 +465,17 @@ int main(int argc, char** argv) {
   const std::string line = std::string(head) + "\"manifest\":" +
                            obs::manifest("em_scaling").to_json() + "," +
                            json_block("hmm", hmm) + "," +
-                           json_block("mmhd", mmhd) + "," + json_fine(fine) +
-                           "}";
+                           json_block("mmhd", mmhd) + "," +
+                           json_select(select) + "," + json_fine(fine) + "}";
   std::ofstream out(out_path);
   DCL_ENSURE_MSG(out.good(), "cannot open benchmark output file");
   out << line << "\n";
   std::printf("wrote %s\n", out_path.c_str());
 
   if (min_kernel_speedup > 0.0) {
-    double worst = std::min(hmm.kernel_speedup_1t, mmhd.kernel_speedup_1t);
-    for (const FineShape& f : fine)
+    double worst = std::min({hmm.kernel_speedup_1t, mmhd.kernel_speedup_1t,
+                             select.kernel_speedup_1t});
+    for (const ShapeRow& f : fine)
       worst = std::min(worst, f.kernel_speedup_1t);
     if (worst < min_kernel_speedup) {
       std::fprintf(stderr, "FAIL: kernel speedup %.2fx below required %.2fx\n",

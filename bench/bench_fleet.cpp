@@ -7,9 +7,16 @@
 // machine speed, which makes it the machine-portable number the check.sh
 // perf gate compares against the BENCH_baseline.jsonl series.
 //
+// The "journal" block times the fleet at outer=1 with and without a
+// checkpoint journal (samples alternate between the two): the journal-on
+// run appends every outcome to an fsync'd journal in a fresh temporary
+// directory from the completion callback, as `dclfleet --journal` does, so
+// `overhead_frac` is the cost of durable execution on this mesh.
+//
 // Every configuration's verdicts are digested (util::Error on mismatch):
 // the fleet result must be bitwise identical to the sequential loop for
-// every outer count, so the benchmark doubles as the determinism smoke.
+// every outer count, journal on or off, so the benchmark doubles as the
+// determinism smoke.
 //
 // Writes a single-line JSON record to the first non-flag argument
 // (default "BENCH_fleet.json"). `--min-efficiency X` exits nonzero when
@@ -20,6 +27,7 @@
 #include <cstdio>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -28,6 +36,7 @@
 #include "bench/common.h"
 #include "core/pipeline.h"
 #include "fleet/fleet.h"
+#include "fleet/journal.h"
 #include "fleet/synth.h"
 #include "obs/manifest.h"
 #include "util/error.h"
@@ -125,6 +134,66 @@ RunStats run_fleet_at(const std::vector<fleet::TraceJob>& jobs,
   return out;
 }
 
+struct JournalStats {
+  RunStats off, on;
+  double overhead_frac = 0.0;  // 1 - on / off paths per second
+};
+
+// outer=1 without and with an fsync'd checkpoint journal, alternating
+// sample by sample so both sides see the same host conditions.
+JournalStats run_journal_pair(const std::vector<fleet::TraceJob>& jobs,
+                              const core::PipelineConfig& base, int samples) {
+  namespace fs = std::filesystem;
+  std::string tmpl = (fs::temp_directory_path() / "dcl_bench_journal.XXXXXX")
+                         .string();
+  DCL_ENSURE_MSG(mkdtemp(tmpl.data()) != nullptr,
+                 "cannot create a temporary journal directory");
+  const fs::path dir(tmpl);
+  const std::string path = (dir / "fleet.journal").string();
+
+  fleet::FleetConfig cfg;
+  cfg.pipeline = base;
+  cfg.outer_threads = 1;
+  cfg.inner_threads = 1;
+  fleet::journal::Header header;
+  header.base_seed = base.identifier.em.seed;
+  header.jobs = jobs.size();
+
+  JournalStats out;
+  std::vector<double> off_walls, on_walls;
+  for (int s = 0; s < samples; ++s) {
+    double t0 = now_s();
+    const auto plain = fleet::run_fleet(jobs, cfg);
+    off_walls.push_back(now_s() - t0);
+    out.off.digest = outcomes_digest(plain.traces);
+
+    t0 = now_s();
+    fleet::journal::Writer writer;
+    writer.create(path, header);
+    const auto journaled = fleet::run_fleet(
+        jobs, cfg, [&writer](const fleet::TraceOutcome& o) {
+          if (o.executed)
+            writer.append(fleet::journal::entry_from_outcome(o));
+        });
+    writer.close();
+    on_walls.push_back(now_s() - t0);
+    out.on.digest = outcomes_digest(journaled.traces);
+    DCL_ENSURE_MSG(fleet::journal::read_file(path).entries.size() ==
+                       jobs.size(),
+                   "journal lost an outcome");
+  }
+  fs::remove_all(dir);
+  const auto finish = [&jobs](std::vector<double>& walls, RunStats& r) {
+    std::sort(walls.begin(), walls.end());
+    r.wall_s = walls[walls.size() / 2];
+    r.paths_per_sec = static_cast<double>(jobs.size()) / r.wall_s;
+  };
+  finish(off_walls, out.off);
+  finish(on_walls, out.on);
+  out.overhead_frac = 1.0 - out.on.paths_per_sec / out.off.paths_per_sec;
+  return out;
+}
+
 }  // namespace
 }  // namespace dcl
 
@@ -185,6 +254,18 @@ int main(int argc, char** argv) {
                    "fleet verdicts differ from the sequential reference");
   }
 
+  const auto journal = run_journal_pair(jobs, base, samples);
+  std::printf("  journal off (outer=1) %7.2f s  %8.1f paths/s\n"
+              "  journal on  (outer=1) %7.2f s  %8.1f paths/s  "
+              "(overhead %.1f%%)\n",
+              journal.off.wall_s, journal.off.paths_per_sec,
+              journal.on.wall_s, journal.on.paths_per_sec,
+              100.0 * journal.overhead_frac);
+  DCL_ENSURE_MSG(journal.off.digest == seq.digest &&
+                     journal.on.digest == seq.digest,
+                 "journaled fleet verdicts differ from the sequential "
+                 "reference");
+
   const double efficiency = fleet_runs[0].paths_per_sec / seq.paths_per_sec;
   std::printf("  efficiency (outer=1 / loop): %.3f   digest %s\n", efficiency,
               seq.digest.c_str());
@@ -210,6 +291,15 @@ int main(int argc, char** argv) {
                 seq.wall_s, seq.paths_per_sec);
   line += buf;
   line += "\"outer\":" + outer_json + ",";
+  std::snprintf(buf, sizeof(buf),
+                "\"journal\":{\"outer\":1,\"fsync\":true,"
+                "\"off\":{\"wall_s\":%.3f,\"paths_per_sec\":%.2f},"
+                "\"on\":{\"wall_s\":%.3f,\"paths_per_sec\":%.2f},"
+                "\"overhead_frac\":%.4f},",
+                journal.off.wall_s, journal.off.paths_per_sec,
+                journal.on.wall_s, journal.on.paths_per_sec,
+                journal.overhead_frac);
+  line += buf;
   std::snprintf(buf, sizeof(buf), "\"efficiency\":%.4f,\"digest\":\"%s\"}",
                 efficiency, seq.digest.c_str());
   line += buf;

@@ -286,8 +286,9 @@ lines = [l for l in open(sys.argv[2]) if l.strip()]
 base = json.loads(lines[-1]).get("em_scaling", {})
 ok = True
 # (name, key path) per kernel-speedup row; the fine-fit shapes live in the
-# mmhd_fine block.
+# mmhd_fine block. A row the baseline line lacks is skipped.
 rows = [("hmm", ("hmm",)), ("mmhd", ("mmhd",)),
+        ("mmhd_select", ("mmhd_select",)),
         ("mmhd_fine/congested", ("mmhd_fine", "congested")),
         ("mmhd_fine/loss_heavy", ("mmhd_fine", "loss_heavy"))]
 for name, path in rows:

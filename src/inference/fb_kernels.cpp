@@ -7,49 +7,6 @@
 #include "util/error.h"
 
 namespace dcl::inference::fb {
-namespace {
-
-// Batched log of per-step scale factors: multiplies kLogBatch scales per
-// std::log call. Every scale is bounded below by the parameter floor
-// (~1e-12) and above by the state count (<= pad width), so the running
-// product stays far inside double range.
-struct LogAccumulator {
-  double ll = 0.0;
-  double prod = 1.0;
-  std::size_t pending = 0;
-
-  void push(double scale) {
-    prod *= scale;
-    if (++pending == kLogBatch) {
-      ll += std::log(prod);
-      prod = 1.0;
-      pending = 0;
-    }
-  }
-
-  double finish() {
-    if (pending > 0) {
-      ll += std::log(prod);
-      prod = 1.0;
-      pending = 0;
-    }
-    return ll;
-  }
-};
-
-}  // namespace
-
-void RunLengthIndex::build(const std::vector<int>& cols) {
-  runs.clear();
-  for (std::size_t t = 0; t < cols.size(); ++t) {
-    if (!runs.empty() && runs.back().col == cols[t]) {
-      ++runs.back().len;
-    } else {
-      runs.push_back(Run{cols[t], t, 1});
-    }
-  }
-}
-
 void FoldedMatrices::build(const util::Matrix& a, const util::Matrix& emit) {
   n_ = a.rows();
   stride_ = pad_up(n_);
@@ -317,75 +274,18 @@ void backward_estep(const FoldedMatrices& f, const std::vector<int>& cols,
   backward_estep_body(f, cols, tr, out, w);
 }
 
-void BlockChain::init(const std::vector<std::size_t>& widths,
-                      const std::vector<char>& pair_used) {
-  n_cls_ = widths.size();
-  DCL_ENSURE_MSG(pair_used.size() == n_cls_ * n_cls_,
-                 "block chain: pair_used size mismatch");
-  width_ = widths;
-  stride_.resize(n_cls_);
-  max_stride_ = 0;
-  for (std::size_t c = 0; c < n_cls_; ++c) {
-    DCL_ENSURE_MSG(width_[c] > 0, "block chain: empty class");
-    stride_[c] = pad_up(width_[c]);
-    max_stride_ = std::max(max_stride_, stride_[c]);
-  }
-  off_fw_.assign(n_cls_ * n_cls_, kUnused);
-  off_bw_.assign(n_cls_ * n_cls_, kUnused);
-  std::size_t fw = 0;
-  std::size_t bw = 0;
-  for (std::size_t u = 0; u < n_cls_; ++u) {
-    for (std::size_t v = 0; v < n_cls_; ++v) {
-      if (!pair_used[u * n_cls_ + v]) continue;
-      off_fw_[u * n_cls_ + v] = fw;
-      fw += width_[u] * stride_[v];
-      off_bw_[u * n_cls_ + v] = bw;
-      bw += width_[v] * stride_[u];
-    }
-  }
-  total_fw_ = fw;
-  // Zeroing here is what keeps the row padding zero for good: the caller
-  // rewrites only the width(u) x width(v) live entries of each used block.
-  data_.assign(fw, 0.0);
-  data_t_.assign(bw, 0.0);
-}
-
-void ChainEStep::prepare(const BlockChain& bc) {
-  cls_gamma.ensure(bc.classes(), bc.max_stride());
-  xi.assign(bc.total(), 0.0);
-  pi0.assign(bc.max_stride(), 0.0);
-  beta_next.assign(bc.max_stride(), 0.0);
-  beta_cur.assign(bc.max_stride(), 0.0);
-  gamma.assign(bc.max_stride(), 0.0);
-}
-
 namespace {
 
-// Shared axpy form of both chain sweeps: out[j] = sum_i (coef[i] * r) *
+// Shared axpy form of the segment sweeps: out[j] = sum_i (coef[i] * r) *
 // blk[i * w + j] over `rows` block rows, returning the mass of the result.
-// Forward uses it with the row-major block (rows = width(u), w = stride(v));
-// backward uses it with the transposed block (rows = width(v), w =
-// stride(u)). Width-specialized for the dominant one-cache-line case, same
-// rationale as the fixed-width bodies above.
+// Forward sweeps use it with the loss block, backward sweeps with its
+// transpose. Width-specialized by the callers, same rationale as the
+// fixed-width bodies above.
 template <typename WidthT>
-[[gnu::always_inline]] inline double chain_axpy(
+[[gnu::always_inline]] inline double axpy_rows(
     const double* __restrict coef, double r, const double* __restrict blk,
     std::size_t rows, double* __restrict out, WidthT width) {
   const std::size_t w = width;
-  // The dominant observation classes have exactly `states_per_symbol` rows;
-  // a fused fixed-trip body keeps GCC from outer-vectorizing the unknown
-  // rows loop into a shuffle-heavy 8x8 transpose (measured ~2x slower).
-  if (rows == 2) {
-    const double a0 = coef[0] * r;
-    const double a1 = coef[1] * r;
-    const double* __restrict r1 = blk + w;
-    double s = 0.0;
-    for (std::size_t j = 0; j < w; ++j) {
-      out[j] = a0 * blk[j] + a1 * r1[j];
-      s += out[j];
-    }
-    return s;
-  }
   {
     const double a = coef[0] * r;
     for (std::size_t j = 0; j < w; ++j) out[j] = a * blk[j];
@@ -400,41 +300,12 @@ template <typename WidthT>
   return s;
 }
 
+// gamma = alpha .* beta over one padded row; returns its mass.
 template <typename WidthT>
-[[gnu::always_inline]] inline void chain_xi(const double* __restrict a,
-                                            double nf,
-                                            const double* __restrict blk,
-                                            const double* __restrict bn,
-                                            std::size_t rows,
-                                            double* __restrict xr0,
-                                            WidthT width) {
-  const std::size_t w = width;
-  if (rows == 2) {  // same fixed-trip escape hatch as chain_axpy
-    const double a0 = a[0] * nf;
-    const double a1 = a[1] * nf;
-    const double* __restrict r1 = blk + w;
-    double* __restrict x1 = xr0 + w;
-    for (std::size_t j = 0; j < w; ++j) {
-      const double bj = bn[j];
-      xr0[j] += a0 * (blk[j] * bj);
-      x1[j] += a1 * (r1[j] * bj);
-    }
-    return;
-  }
-  for (std::size_t i = 0; i < rows; ++i) {
-    const double* __restrict r = blk + i * w;
-    double* __restrict xr = xr0 + i * w;
-    const double ai = a[i] * nf;
-    for (std::size_t j = 0; j < w; ++j) xr[j] += ai * (r[j] * bn[j]);
-  }
-}
-
-// gamma_t = alpha_t .* beta_t over one padded row; returns its mass.
-template <typename WidthT>
-[[gnu::always_inline]] inline double chain_gamma(const double* __restrict a,
-                                                 const double* __restrict b,
-                                                 double* __restrict g,
-                                                 WidthT width) {
+[[gnu::always_inline]] inline double gamma_row(const double* __restrict a,
+                                               const double* __restrict b,
+                                               double* __restrict g,
+                                               WidthT width) {
   const std::size_t w = width;
   double s = 0.0;
   for (std::size_t j = 0; j < w; ++j) {
@@ -444,338 +315,177 @@ template <typename WidthT>
   return s;
 }
 
-// chain_xi without the block factor: out(i, j) += (a[i] * nf) * bn[j]. The
-// segment sweep multiplies the summed outer products by the (per-iteration
-// constant) loss block once, instead of once per step.
+// out(i, j) += (a[i] * nf) * bn[j]: an xi numerator without the block
+// factor. The segment expansion multiplies the summed outer products by
+// the (per-iteration constant) loss block once, instead of once per step.
+// Two rows per pass share the bn loads and the row-loop bookkeeping, which
+// weighs on rows only a few vectors wide; each element's update is the
+// same either way.
 template <typename WidthT>
-[[gnu::always_inline]] inline void chain_outer(const double* __restrict a,
-                                               double nf,
-                                               const double* __restrict bn,
-                                               std::size_t rows,
-                                               double* __restrict xr0,
-                                               WidthT width) {
+[[gnu::always_inline]] inline void outer_add(const double* __restrict a,
+                                             double nf,
+                                             const double* __restrict bn,
+                                             std::size_t rows,
+                                             double* __restrict xr0,
+                                             WidthT width) {
   const std::size_t w = width;
-  for (std::size_t i = 0; i < rows; ++i) {
+  std::size_t i = 0;
+  for (; i + 2 <= rows; i += 2) {
+    double* __restrict x0 = xr0 + i * w;
+    double* __restrict x1 = x0 + w;
+    const double a0 = a[i] * nf;
+    const double a1 = a[i + 1] * nf;
+    for (std::size_t j = 0; j < w; ++j) {
+      x0[j] += a0 * bn[j];
+      x1[j] += a1 * bn[j];
+    }
+  }
+  if (i < rows) {
     double* __restrict xr = xr0 + i * w;
     const double ai = a[i] * nf;
     for (std::size_t j = 0; j < w; ++j) xr[j] += ai * bn[j];
   }
 }
 
+// out = in over one padded row; returns its mass. Row-wise (not over a
+// boundary's whole seed block) so the reduction's vectorized grouping —
+// this file may reassociate sums — follows the specialized width.
+template <typename WidthT>
+[[gnu::always_inline]] inline double copy_row(const double* __restrict in,
+                                              double* __restrict out,
+                                              WidthT width) {
+  const std::size_t w = width;
+  double s = 0.0;
+  for (std::size_t j = 0; j < w; ++j) {
+    out[j] = in[j];
+    s += in[j];
+  }
+  return s;
+}
+
+// out = sum_k c[k * cs] * row k of `rows` (count rows, one padded width).
+template <typename WidthT>
+[[gnu::always_inline]] inline void mix_rows(const double* __restrict rows,
+                                            std::size_t count,
+                                            const double* __restrict c,
+                                            std::size_t cs,
+                                            double* __restrict out,
+                                            WidthT width) {
+  const std::size_t w = width;
+  for (std::size_t j = 0; j < w; ++j) out[j] = c[0] * rows[j];
+  for (std::size_t k = 1; k < count; ++k) {
+    const double ck = c[k * cs];
+    const double* __restrict row = rows + k * w;
+    for (std::size_t j = 0; j < w; ++j) out[j] += ck * row[j];
+  }
+}
+
 // out += scale * g over one padded row.
 template <typename WidthT>
-[[gnu::always_inline]] inline void chain_add(const double* __restrict g,
-                                             double scale,
-                                             double* __restrict out,
-                                             WidthT width) {
+[[gnu::always_inline]] inline void add_scaled(const double* __restrict g,
+                                              double scale,
+                                              double* __restrict out,
+                                              WidthT width) {
   const std::size_t w = width;
   for (std::size_t j = 0; j < w; ++j) out[j] += g[j] * scale;
 }
 
 }  // namespace
 
-DCL_KERNEL_CLONES
-double chain_forward(const BlockChain& bc, const std::vector<int>& cls,
-                     const double* v0, Trellis& tr) {
-  const std::size_t t_len = cls.size();
-  DCL_ENSURE_MSG(t_len > 0, "chain forward: empty sequence");
-  const std::size_t mw = bc.max_stride();
-  tr.alpha.reshape(t_len, mw);
-  tr.renorms.clear();
-
-  // Same raw recursion as forward(): no per-step normalization, exact
-  // power-of-two renorms recorded in tr.renorms, telescoped likelihood.
-  double s_prev;
-  {
-    double* __restrict a0 = tr.alpha.row(0);
-    const std::size_t s0 = bc.stride(static_cast<std::size_t>(cls[0]));
-    double s = 0.0;
-    for (std::size_t j = 0; j < s0; ++j) {
-      a0[j] = v0[j];  // caller zero-pads v0 up to the class stride
-      s += a0[j];
-    }
-    DCL_ENSURE_MSG(s > 0.0, "chain forward: zero probability at t = 0");
-    s_prev = s;
-  }
-
-  double* __restrict alpha0 = tr.alpha.row(0);
-  const int* __restrict cl = cls.data();
-  const double* __restrict data0 = bc.data();
-  const std::size_t* __restrict off = bc.offsets();
-  const std::size_t* __restrict wid = bc.widths();
-  const std::size_t* __restrict str = bc.strides();
-  const std::size_t n_cls = bc.classes();
-  for (std::size_t t = 1; t < t_len; ++t) {
-    const std::size_t u = static_cast<std::size_t>(cl[t - 1]);
-    const std::size_t v = static_cast<std::size_t>(cl[t]);
-    const double* __restrict blk = data0 + off[u * n_cls + v];
-    const std::size_t nu = wid[u];
-    const std::size_t sv = str[v];
-    const double* __restrict vprev = alpha0 + (t - 1) * mw;
-    double* __restrict vout = alpha0 + t * mw;
-    double r = 1.0;
-    if (s_prev < kRenormThreshold) {
-      r = kRenormFactor;
-      tr.renorms.push_back(t);
-    }
-    const double s =
-        sv == kLane
-            ? chain_axpy(vprev, r, blk, nu, vout,
-                         std::integral_constant<std::size_t, kLane>{})
-            : chain_axpy(vprev, r, blk, nu, vout, sv);
-    DCL_ENSURE_MSG(s > 0.0, "chain forward: zero probability mass");
-    s_prev = s;
-  }
-
-  return std::log(s_prev) -
-         static_cast<double>(tr.renorms.size()) * std::log(kRenormFactor);
-}
-
-DCL_KERNEL_CLONES
-void chain_backward_estep(const BlockChain& bc, const std::vector<int>& cls,
-                          const Trellis& tr, ChainEStep& out) {
-  const std::size_t t_len = cls.size();
-  DCL_ENSURE_MSG(t_len > 0, "chain backward: empty sequence");
-  const std::size_t mw = bc.max_stride();
-  double* bnext = out.beta_next.data();
-  double* bcur = out.beta_cur.data();
-  double* __restrict g = out.gamma.data();
-  std::fill(bnext, bnext + mw, 0.0);
-  std::fill(bcur, bcur + mw, 0.0);
-
-  // Same renorm bookkeeping as backward_estep(): raw beta, forward factors
-  // consumed descending from tr.renorms, beta's own renorm decided from the
-  // tracked (power-of-two exact) mass, and every normalizer cancelling
-  // through the measured per-step gamma mass.
-  double gsum_next;
-  {
-    const std::size_t last = static_cast<std::size_t>(cls[t_len - 1]);
-    const std::size_t sw = bc.stride(last);
-    for (std::size_t j = 0; j < bc.width(last); ++j) bnext[j] = 1.0;
-    const double* __restrict a = tr.alpha.row(t_len - 1);
-    const double gsum =
-        sw == kLane ? chain_gamma(a, bnext, g,
-                                  std::integral_constant<std::size_t, kLane>{})
-                    : chain_gamma(a, bnext, g, sw);
-    DCL_ENSURE_MSG(gsum > 0.0, "chain backward: zero posterior mass");
-    const double invg = 1.0 / gsum;
-    double* __restrict row = out.cls_gamma.row(last);
-    for (std::size_t j = 0; j < sw; ++j) row[j] += g[j] * invg;
-    if (t_len == 1) {
-      for (std::size_t j = 0; j < bc.width(last); ++j) out.pi0[j] = g[j] * invg;
-    }
-    gsum_next = gsum;
-  }
-
-  const double* __restrict alpha0 = tr.alpha.row(0);
-  double* __restrict xi0 = out.xi.data();
-  double* __restrict cg0 = out.cls_gamma.row(0);
-  const std::size_t cg_stride = out.cls_gamma.stride();
-  const int* __restrict cl = cls.data();
-  const std::size_t* __restrict renorm = tr.renorms.data();
-  const double* __restrict data0 = bc.data();
-  const double* __restrict data_t0 = bc.data_t();
-  const std::size_t* __restrict off = bc.offsets();
-  const std::size_t* __restrict off_t = bc.offsets_t();
-  const std::size_t* __restrict wid = bc.widths();
-  const std::size_t* __restrict str = bc.strides();
-  const std::size_t n_cls = bc.classes();
-  std::size_t ridx = tr.renorms.size();
-  double mass = gsum_next;
-  for (std::size_t t = t_len - 1; t-- > 0;) {
-    const std::size_t u = static_cast<std::size_t>(cl[t]);
-    const std::size_t v = static_cast<std::size_t>(cl[t + 1]);
-    const std::size_t pair = u * n_cls + v;
-    const double* __restrict blk = data0 + off[pair];
-    const double* __restrict blk_t = data_t0 + off_t[pair];
-    const std::size_t nu = wid[u];
-    const std::size_t su = str[u];
-    const std::size_t nv = wid[v];
-    const std::size_t sv = str[v];
-    const double* __restrict a = alpha0 + t * mw;
-    const double* __restrict bn = bnext;
-    double* __restrict bcr = bcur;
-
-    double rf = 1.0;
-    if (ridx > 0 && renorm[ridx - 1] == t + 1) {
-      rf = kRenormFactor;
-      --ridx;
-    }
-    const double rb = mass < kRenormThreshold ? kRenormFactor : 1.0;
-    mass = mass * rb / rf;
-    const double nf = rf / gsum_next;
-
-    // Transposed axpy: B_t(i) = sum_j (B_{t+1}(j) * rb) * blk_t[j][i].
-    if (su == kLane) {
-      chain_axpy(bn, rb, blk_t, nv, bcr,
-                 std::integral_constant<std::size_t, kLane>{});
-    } else {
-      chain_axpy(bn, rb, blk_t, nv, bcr, su);
-    }
-
-    // Xi into the flat accumulator at this pair's block offset.
-    double* __restrict xr0 = xi0 + off[pair];
-    if (sv == kLane) {
-      chain_xi(a, nf, blk, bn, nu, xr0,
-               std::integral_constant<std::size_t, kLane>{});
-    } else {
-      chain_xi(a, nf, blk, bn, nu, xr0, sv);
-    }
-
-    const double gsum =
-        su == kLane ? chain_gamma(a, bcr, g,
-                                  std::integral_constant<std::size_t, kLane>{})
-                    : chain_gamma(a, bcr, g, su);
-    DCL_ENSURE_MSG(gsum > 0.0, "chain backward: zero posterior mass");
-    const double invg = 1.0 / gsum;
-    double* __restrict row = cg0 + u * cg_stride;
-    for (std::size_t j = 0; j < su; ++j) row[j] += g[j] * invg;
-    if (t == 0) {
-      for (std::size_t j = 0; j < nu; ++j) out.pi0[j] = g[j] * invg;
-    }
-    gsum_next = gsum;
-    std::swap(bnext, bcur);
-  }
-}
-
-DCL_KERNEL_CLONES
-double chain_log_likelihood(const BlockChain& bc, const RunLengthIndex& runs,
-                            const double* v0,
-                            std::vector<ScaledPowers>& cache) {
-  DCL_ENSURE_MSG(!runs.runs.empty(), "chain likelihood: empty sequence");
-  if (cache.size() < bc.classes()) cache.resize(bc.classes());
-  std::vector<char> bound(bc.classes(), 0);
-
-  util::AlignedVector<double> v(bc.max_stride(), 0.0);
-  util::AlignedVector<double> tmp(bc.max_stride(), 0.0);
-  LogAccumulator acc;
-  double folded = 0.0;
-
-  // One normalized step through block (u, v); v's live width becomes
-  // stride(v) afterwards (block padding keeps the tail zero).
-  const auto step = [&](std::size_t u, std::size_t v_cls) {
-    const double* blk = bc.block(u, v_cls);
-    const std::size_t nu = bc.width(u);
-    const std::size_t sv = bc.stride(v_cls);
-    double* t = tmp.data();
-    const double s = sv == kLane
-                         ? chain_axpy(v.data(), 1.0, blk, nu, t,
-                                      std::integral_constant<std::size_t,
-                                                             kLane>{})
-                         : chain_axpy(v.data(), 1.0, blk, nu, t, sv);
-    DCL_ENSURE_MSG(s > 0.0, "chain likelihood: zero probability mass");
-    const double inv = 1.0 / s;
-    for (std::size_t j = 0; j < sv; ++j) v[j] = t[j] * inv;
-    acc.push(s);
-  };
-
-  // len further steps through the self block (c, c), folded through the
-  // per-class power cache when the run is long enough.
-  const auto fold_or_steps = [&](std::size_t c, std::size_t len) {
-    if (len == 0) return;
-    if (len >= kFoldMinRun) {
-      if (!bound[c]) {
-        cache[c].reset(bc.block(c, c), bc.width(c), bc.stride(c));
-        bound[c] = 1;
-      }
-      folded += cache[c].apply(len, v.data());
-    } else {
-      for (std::size_t l = 0; l < len; ++l) step(c, c);
-    }
-  };
-
-  std::size_t prev = static_cast<std::size_t>(runs.runs.front().col);
-  {
-    const std::size_t w0 = bc.width(prev);
-    double s = 0.0;
-    for (std::size_t j = 0; j < w0; ++j) {
-      v[j] = v0[j];
-      s += v[j];
-    }
-    DCL_ENSURE_MSG(s > 0.0, "chain likelihood: zero probability at t = 0");
-    const double inv = 1.0 / s;
-    for (std::size_t j = 0; j < w0; ++j) v[j] *= inv;
-    acc.push(s);
-    fold_or_steps(prev, runs.runs.front().len - 1);
-  }
-  for (std::size_t ri = 1; ri < runs.runs.size(); ++ri) {
-    const std::size_t c = static_cast<std::size_t>(runs.runs[ri].col);
-    step(prev, c);
-    fold_or_steps(c, runs.runs[ri].len - 1);
-    prev = c;
-  }
-  return acc.finish() + folded;
-}
-
-void SegmentChain::init(std::size_t width, std::size_t entries,
-                        std::size_t exits) {
+void SegmentChain::init(std::size_t width,
+                        const std::vector<std::size_t>& entry_seeds,
+                        const std::vector<std::size_t>& exit_seeds) {
   DCL_ENSURE_MSG(width > 0, "segment chain: no supported symbol");
+  const auto offsets = [](const std::vector<std::size_t>& seeds,
+                          std::vector<std::size_t>& begin) {
+    begin.assign(seeds.size() + 1, 0);
+    for (std::size_t b = 0; b < seeds.size(); ++b)
+      begin[b + 1] = begin[b] + seeds[b];
+    return begin.back();
+  };
   loss.reshape(width, width);
   loss_t.reshape(width, width);
-  entry.reshape(entries, width);
-  exit.reshape(exits, width);
+  entry.reshape(offsets(entry_seeds, entry_begin), width);
+  exit.reshape(offsets(exit_seeds, exit_begin), width);
 }
 
 void SegmentEStep::prepare(const SegmentChain& sc,
                            const std::vector<LossSegment>& segs) {
   const std::size_t n = sc.width();
-  gamma.assign(sc.stride(), 0.0);
+  const std::size_t w = sc.stride();
+  gamma.assign(w, 0.0);
   outer.ensure(n, n);
   entry_gamma.ensure(sc.entry.rows(), n);
   exit_gamma.ensure(sc.exit.rows(), n);
-  fwd_len.assign(sc.entry.rows(), 0);
-  bwd_len.assign(sc.exit.rows(), 0);
+  fwd_len.assign(sc.entries(), 0);
+  bwd_len.assign(sc.exits(), 0);
   for (const LossSegment& seg : segs) {
     fwd_len[seg.entry] = std::max(fwd_len[seg.entry], seg.len);
     bwd_len[seg.exit] = std::max(bwd_len[seg.exit], seg.len);
   }
+  std::size_t exit_seeds = 1;
+  if (!sc.single_seeds()) {
+    bridge_off.assign(segs.size() + 1, 0);
+    for (std::size_t i = 0; i < segs.size(); ++i) {
+      const LossSegment& seg = segs[i];
+      bridge_off[i + 1] = bridge_off[i] + sc.entry_seeds(seg.entry) *
+                                              sc.exit_seeds(seg.exit);
+      exit_seeds = std::max(exit_seeds, sc.exit_seeds(seg.exit));
+    }
+    bridge.resize(bridge_off.back());
+    bridge_renorms.resize(segs.size());
+    weight.resize(bridge_off.back());
+  }
+
+  // Offsets of each boundary's first row (per_seed) or step in the sweeps.
   const auto offsets = [](const std::vector<std::size_t>& len,
-                          std::vector<std::size_t>& off) {
+                          const std::vector<std::size_t>& begin,
+                          bool per_seed, std::vector<std::size_t>& off) {
     off.resize(len.size());
     std::size_t total = 0;
-    for (std::size_t i = 0; i < len.size(); ++i) {
-      off[i] = total;
-      total += len[i];
+    for (std::size_t b = 0; b < len.size(); ++b) {
+      off[b] = total;
+      total += len[b] * (per_seed ? begin[b + 1] - begin[b] : 1);
     }
     return total;
   };
-  const std::size_t fwd_rows = offsets(fwd_len, fwd_off);
-  fwd.reshape(fwd_rows, n);
-  fwd_rf.resize(fwd_rows);
-  fwd_renorms.resize(fwd_rows);
-  bwd.reshape(offsets(bwd_len, bwd_off), n);
-  g.assign(sc.stride(), 0.0);
+  fwd.reshape(offsets(fwd_len, sc.entry_begin, true, fwd_row), n);
+  const std::size_t steps = offsets(fwd_len, sc.entry_begin, false, fwd_step);
+  fwd_rf.resize(steps);
+  fwd_renorms.resize(steps);
+  bwd.reshape(offsets(bwd_len, sc.exit_begin, true, bwd_row), n);
+  g.assign(w, 0.0);
+  cur.assign(exit_seeds * w, 0.0);
+  prev.assign(exit_seeds * w, 0.0);
+  split.assign(w, 0.0);
 }
 
 namespace {
 
 template <typename WidthT>
-[[gnu::always_inline]] inline double segment_estep_body(
+[[gnu::always_inline]] inline void segment_bridges_body(
     const SegmentChain& sc, const std::vector<LossSegment>& segs,
     SegmentEStep& out, WidthT width) {
   const std::size_t n = sc.width();
   const std::size_t w = width;
   const double* __restrict loss = sc.loss.row(0);
-  const double* __restrict loss_t = sc.loss_t.row(0);
-  double* __restrict outer = out.outer.row(0);
-  double* __restrict gacc = out.gamma.data();
-  double* __restrict g = out.g.data();
 
-  // Forward sweeps, renormalized as chain_forward; each row records the
-  // factor applied at its step (the xi normalizer needs it) and the renorms
-  // so far (the segment mass needs them).
-  for (std::size_t e = 0; e < out.fwd_len.size(); ++e) {
+  // Forward sweeps, one boundary's seeds in lockstep: one renorm decision
+  // per step, from their summed mass, keeps all of a step's rows in one
+  // frame — the bridges and the expansion's weighted row sums rely on it.
+  // Each step records the factor applied at it (the xi normalizer needs
+  // it) and the renorms so far (a bridge's exponent).
+  for (std::size_t e = 0; e < sc.entries(); ++e) {
     const std::size_t len = out.fwd_len[e];
     if (len == 0) continue;
-    double* __restrict a = out.fwd.row(out.fwd_off[e]);
-    double* __restrict rf = out.fwd_rf.data() + out.fwd_off[e];
-    double* __restrict renorms = out.fwd_renorms.data() + out.fwd_off[e];
-    const double* __restrict entry = sc.entry.row(e);
+    const std::size_t rw = sc.entry_seeds(e) * w;  // one step's rows
+    double* __restrict a = out.fwd.row(out.fwd_row[e]);
+    double* __restrict rf = out.fwd_rf.data() + out.fwd_step[e];
+    double* __restrict renorms = out.fwd_renorms.data() + out.fwd_step[e];
+    const double* __restrict entry = sc.entry.row(sc.entry_begin[e]);
     double s_prev = 0.0;
-    for (std::size_t j = 0; j < w; ++j) {
-      a[j] = entry[j];
-      s_prev += entry[j];
-    }
+    for (std::size_t h = 0; h < rw; h += w)
+      s_prev += copy_row(entry + h, a + h, width);
     DCL_ENSURE_MSG(s_prev > 0.0, "segment forward: zero entry mass");
     rf[0] = 1.0;
     renorms[0] = 0.0;
@@ -783,53 +493,106 @@ template <typename WidthT>
       const bool renorm = s_prev < kRenormThreshold;
       rf[t] = renorm ? kRenormFactor : 1.0;
       renorms[t] = renorms[t - 1] + (renorm ? 1.0 : 0.0);
-      s_prev = chain_axpy(a + (t - 1) * w, rf[t], loss, n, a + t * w, width);
-      DCL_ENSURE_MSG(s_prev > 0.0, "segment forward: zero probability mass");
+      double s = 0.0;
+      for (std::size_t h = 0; h < rw; h += w)
+        s += axpy_rows(a + (t - 1) * rw + h, rf[t], loss, n, a + t * rw + h,
+                       width);
+      DCL_ENSURE_MSG(s > 0.0, "segment forward: zero probability mass");
+      s_prev = s;
     }
   }
 
-  // Backward sweeps from each exit row, renormalized on their own mass: a
-  // beta row's scale cancels from every quantity it enters below.
-  for (std::size_t x = 0; x < out.bwd_len.size(); ++x) {
+  // Bridges: each seed's last forward row against each exit row. A
+  // segment's last beta row is its unscaled exit row, so only the forward
+  // renorms separate a bridge from its true value.
+  if (sc.single_seeds()) return;
+  double* __restrict g = out.g.data();
+  for (std::size_t i = 0; i < segs.size(); ++i) {
+    const LossSegment& seg = segs[i];
+    const std::size_t ls = sc.entry_seeds(seg.entry);
+    const std::size_t rs = sc.exit_seeds(seg.exit);
+    if (ls == 1 && rs == 1) continue;
+    const double* last =
+        out.fwd.row(out.fwd_row[seg.entry] + (seg.len - 1) * ls);
+    const double* exit = sc.exit.row(sc.exit_begin[seg.exit]);
+    double* b = out.bridge.data() + out.bridge_off[i];
+    for (std::size_t h = 0; h < ls; ++h)
+      for (std::size_t k = 0; k < rs; ++k)
+        b[h * rs + k] = gamma_row(last + h * w, exit + k * w, g, width);
+    out.bridge_renorms[i] =
+        out.fwd_renorms[out.fwd_step[seg.entry] + seg.len - 1];
+  }
+}
+
+template <typename WidthT>
+[[gnu::always_inline]] inline double segment_expand_body(
+    const SegmentChain& sc, const std::vector<LossSegment>& segs,
+    SegmentEStep& out, WidthT width) {
+  const std::size_t n = sc.width();
+  const std::size_t w = width;
+  const double* __restrict loss_t = sc.loss_t.row(0);
+  double* __restrict outer = out.outer.row(0);
+  double* __restrict gacc = out.gamma.data();
+  double* __restrict g = out.g.data();
+  double* __restrict split = out.split.data();
+
+  // Backward sweeps from each exit boundary, seeds in lockstep like the
+  // forward ones: a step's beta rows share one scale, which cancels from
+  // every quantity they enter below.
+  for (std::size_t x = 0; x < sc.exits(); ++x) {
     const std::size_t len = out.bwd_len[x];
     if (len == 0) continue;
-    double* __restrict b = out.bwd.row(out.bwd_off[x]);
-    const double* __restrict exit = sc.exit.row(x);
+    const std::size_t rw = sc.exit_seeds(x) * w;
+    double* __restrict b = out.bwd.row(out.bwd_row[x]);
+    const double* __restrict exit = sc.exit.row(sc.exit_begin[x]);
     double s_prev = 0.0;
-    for (std::size_t j = 0; j < w; ++j) {
-      b[j] = exit[j];
-      s_prev += exit[j];
-    }
+    for (std::size_t h = 0; h < rw; h += w)
+      s_prev += copy_row(exit + h, b + h, width);
     DCL_ENSURE_MSG(s_prev > 0.0, "segment backward: zero exit mass");
     for (std::size_t k = 1; k < len; ++k) {
       const double rb = s_prev < kRenormThreshold ? kRenormFactor : 1.0;
-      s_prev = chain_axpy(b + (k - 1) * w, rb, loss_t, n, b + k * w, width);
-      DCL_ENSURE_MSG(s_prev > 0.0, "segment backward: zero probability mass");
+      double s = 0.0;
+      for (std::size_t h = 0; h < rw; h += w)
+        s += axpy_rows(b + (k - 1) * rw + h, rb, loss_t, n, b + k * rw + h,
+                       width);
+      DCL_ENSURE_MSG(s > 0.0, "segment backward: zero probability mass");
+      s_prev = s;
     }
   }
 
   // Per segment: gamma_t = alpha_t .* beta_t over its measured mass, and
   // xi_{t-1}(i, j) = alpha_{t-1}(i) F(i, j) beta_t(j) * rf_t / gsum_t (rf_t
   // relates alpha_t to alpha_{t-1} . F), accumulated without the F factor.
+  // This loop takes the segments with one seed on each side (every segment
+  // when N = 1): a single boundary pair, whose weight cancels. The
+  // weighted ones follow in a loop of their own, which keeps this hot loop
+  // free of their register pressure.
+  const bool all_single = sc.single_seeds();
   double ll = 0.0;
   for (const LossSegment& seg : segs) {
+    if (!all_single &&
+        (sc.entry_seeds(seg.entry) != 1 || sc.exit_seeds(seg.exit) != 1))
+      continue;
     const std::size_t len = seg.len;
     const double cnt = seg.count;
-    const std::size_t f0 = out.fwd_off[seg.entry];
-    const double* __restrict a = out.fwd.row(f0);
-    const double* __restrict b_last = out.bwd.row(out.bwd_off[seg.exit]);
+    const std::size_t f0 = out.fwd_step[seg.entry];
+    const double* __restrict a = out.fwd.row(out.fwd_row[seg.entry]);
+    const double* __restrict b_last = out.bwd.row(out.bwd_row[seg.exit]);
     for (std::size_t t = 0; t < len; ++t) {
       const double* __restrict at = a + t * w;
       const double* __restrict bt = b_last + (len - 1 - t) * w;
-      const double gsum = chain_gamma(at, bt, g, width);
+      const double gsum = gamma_row(at, bt, g, width);
       DCL_ENSURE_MSG(gsum > 0.0, "segment: zero posterior mass");
       const double scale = cnt / gsum;
-      chain_add(g, scale, gacc, width);
-      if (t == 0) chain_add(g, scale, out.entry_gamma.row(seg.entry), width);
+      add_scaled(g, scale, gacc, width);
+      if (t == 0)
+        add_scaled(g, scale, out.entry_gamma.row(sc.entry_begin[seg.entry]),
+                   width);
       if (t > 0)
-        chain_outer(at - w, scale * out.fwd_rf[f0 + t], bt, n, outer, width);
+        outer_add(at - w, scale * out.fwd_rf[f0 + t], bt, n, outer, width);
       if (t + 1 == len) {
-        chain_add(g, scale, out.exit_gamma.row(seg.exit), width);
+        add_scaled(g, scale, out.exit_gamma.row(sc.exit_begin[seg.exit]),
+                   width);
         // The last beta row is the unscaled exit row, so only the forward
         // renorms separate gsum from the segment's mass.
         ll += cnt * (std::log(gsum) -
@@ -837,164 +600,310 @@ template <typename WidthT>
       }
     }
   }
+
+  if (all_single) return ll;
+  // With several seeds on a side, boundary pair (h, h') enters with its
+  // weight V(h, h'): gamma_t is proportional to
+  //   g_t = sum_h' cur_h' .* beta_h',   cur_h' = sum_h V(h, h') alpha_h,
+  // scaled to the segment's count, xi_{t-1} to sum_h' prev_h' (x) beta_h'
+  // on the same scale, and the split of g_t by left seed at the first
+  // step (by right seed at the last) is the entry (exit) xi.
+  for (std::size_t i = 0; i < segs.size(); ++i) {
+    const LossSegment& seg = segs[i];
+    const std::size_t ls = sc.entry_seeds(seg.entry);
+    const std::size_t rs = sc.exit_seeds(seg.exit);
+    if (ls == 1 && rs == 1) continue;
+    const std::size_t len = seg.len;
+    const double cnt = seg.count;
+    const std::size_t f0 = out.fwd_step[seg.entry];
+    const double* a = out.fwd.row(out.fwd_row[seg.entry]);
+    const double* b_last = out.bwd.row(out.bwd_row[seg.exit]);
+    double* entry_rows = out.entry_gamma.row(sc.entry_begin[seg.entry]);
+    double* exit_rows = out.exit_gamma.row(sc.exit_begin[seg.exit]);
+    const double* v = out.weight.data() + out.bridge_off[i];
+    double* cur = out.cur.data();
+    double* prev = out.prev.data();
+    for (std::size_t t = 0; t < len; ++t) {
+      const double* at = a + t * ls * w;
+      const double* bt = b_last + (len - 1 - t) * rs * w;
+      for (std::size_t k = 0; k < rs; ++k)
+        mix_rows(at, ls, v + k, rs, cur + k * w, width);
+      for (std::size_t j = 0; j < w; ++j) g[j] = cur[j] * bt[j];
+      for (std::size_t k = 1; k < rs; ++k) {
+        const double* __restrict c = cur + k * w;
+        const double* __restrict bk = bt + k * w;
+        for (std::size_t j = 0; j < w; ++j) g[j] += c[j] * bk[j];
+      }
+      double gsum = 0.0;
+      for (std::size_t j = 0; j < w; ++j) gsum += g[j];
+      DCL_ENSURE_MSG(gsum > 0.0, "segment: zero posterior mass");
+      const double scale = cnt / gsum;
+      add_scaled(g, scale, gacc, width);
+      if (t == 0) {
+        for (std::size_t h = 0; h < ls; ++h) {
+          mix_rows(bt, rs, v + h * rs, 1, split, width);
+          for (std::size_t j = 0; j < w; ++j) split[j] *= at[h * w + j];
+          add_scaled(split, scale, entry_rows + h * w, width);
+        }
+      }
+      if (t > 0) {
+        const double nf = scale * out.fwd_rf[f0 + t];
+        for (std::size_t k = 0; k < rs; ++k)
+          outer_add(prev + k * w, nf, bt + k * w, n, outer, width);
+      }
+      if (t + 1 == len) {
+        for (std::size_t k = 0; k < rs; ++k) {
+          const double* __restrict c = cur + k * w;
+          const double* __restrict bk = bt + k * w;
+          for (std::size_t j = 0; j < w; ++j) split[j] = c[j] * bk[j];
+          add_scaled(split, scale, exit_rows + k * w, width);
+        }
+      }
+      std::swap(cur, prev);
+    }
+  }
   return ll;
 }
 
 }  // namespace
 
+// Besides the one-lane case, specialize four lanes: the fine grid (M = 50)
+// supports about M / 2 symbols under the discretizer's range factor of 2,
+// so its N = 1 blocks are 25..32 wide. (Other specializations would
+// regroup the reassociated sums and change N = 1 results in the last bit.)
+#define DCL_SEGMENT_DISPATCH(body, sc, segs, out)                    \
+  do {                                                               \
+    const std::size_t w_ = (sc).stride();                            \
+    if (w_ == kLane)                                                 \
+      return body(sc, segs, out,                                     \
+                  std::integral_constant<std::size_t, kLane>{});     \
+    if (w_ == 4 * kLane)                                             \
+      return body(sc, segs, out,                                     \
+                  std::integral_constant<std::size_t, 4 * kLane>{}); \
+    return body(sc, segs, out, w_);                                  \
+  } while (false)
+
 DCL_KERNEL_CLONES
-double segment_estep(const SegmentChain& sc,
+void segment_bridges(const SegmentChain& sc,
                      const std::vector<LossSegment>& segs, SegmentEStep& out) {
-  // Besides the one-lane case, specialize four lanes: the fine grid
-  // (M = 50) supports about M / 2 symbols under the discretizer's range
-  // factor of 2, so its blocks are 25..32 wide.
-  const std::size_t w = sc.stride();
-  if (w == kLane) {
-    return segment_estep_body(sc, segs, out,
-                              std::integral_constant<std::size_t, kLane>{});
-  }
-  if (w == 4 * kLane) {
-    return segment_estep_body(
-        sc, segs, out, std::integral_constant<std::size_t, 4 * kLane>{});
-  }
-  return segment_estep_body(sc, segs, out, w);
-}
-
-void ScaledPowers::reset(const double* m, std::size_t n, std::size_t stride) {
-  base_ = m;
-  n_ = n;
-  stride_ = stride;
-  powers_.clear();
-  tmp_.assign(stride, 0.0);
-}
-
-const ScaledPowers::Power& ScaledPowers::power(std::size_t k) {
-  DCL_ENSURE_MSG(bound(), "power cache used before reset()");
-  while (powers_.size() <= k) {
-    Power p;
-    p.m.assign(n_ * stride_, 0.0);
-    double mx = 0.0;
-    if (powers_.empty()) {
-      for (std::size_t i = 0; i < n_; ++i)
-        for (std::size_t j = 0; j < n_; ++j)
-          mx = std::max(mx, base_[i * stride_ + j]);
-      DCL_ENSURE_MSG(mx > 0.0, "power cache: all-zero transition block");
-      const double inv = 1.0 / mx;
-      p.log_norm = std::log(mx);
-      for (std::size_t i = 0; i < n_; ++i)
-        for (std::size_t j = 0; j < n_; ++j)
-          p.m[i * stride_ + j] = base_[i * stride_ + j] * inv;
-    } else {
-      const Power& q = powers_.back();
-      for (std::size_t i = 0; i < n_; ++i) {
-        double* dst = p.m.data() + i * stride_;
-        for (std::size_t k2 = 0; k2 < n_; ++k2) {
-          const double a = q.m[i * stride_ + k2];
-          const double* r = q.m.data() + k2 * stride_;
-          for (std::size_t j = 0; j < stride_; ++j) dst[j] += a * r[j];
-        }
-        for (std::size_t j = 0; j < n_; ++j) mx = std::max(mx, dst[j]);
-      }
-      DCL_ENSURE_MSG(mx > 0.0, "power cache: vanished transition power");
-      const double inv = 1.0 / mx;
-      p.log_norm = 2.0 * q.log_norm + std::log(mx);
-      for (std::size_t i = 0; i < n_ * stride_; ++i) p.m[i] *= inv;
-    }
-    powers_.push_back(std::move(p));
-  }
-  return powers_[k];
+  DCL_SEGMENT_DISPATCH(segment_bridges_body, sc, segs, out);
 }
 
 DCL_KERNEL_CLONES
-double ScaledPowers::apply(std::size_t len, double* v) {
-  double shed = 0.0;
-  std::size_t k = 0;
-  for (std::size_t rem = len; rem != 0; rem >>= 1, ++k) {
-    if (!(rem & 1)) continue;
-    const Power& p = power(k);
-    double* t = tmp_.data();
-    std::fill(t, t + stride_, 0.0);
-    for (std::size_t i = 0; i < n_; ++i) {
-      const double a = v[i];
-      const double* r = p.m.data() + i * stride_;
-      for (std::size_t j = 0; j < stride_; ++j) t[j] += a * r[j];
-    }
-    double s = 0.0;
-    for (std::size_t j = 0; j < stride_; ++j) s += t[j];
-    DCL_ENSURE_MSG(s > 0.0, "power cache: zero probability mass in fold");
-    shed += std::log(s) + p.log_norm;
-    const double inv = 1.0 / s;
-    for (std::size_t j = 0; j < stride_; ++j) v[j] = t[j] * inv;
-  }
-  return shed;
+double segment_expand(const SegmentChain& sc,
+                      const std::vector<LossSegment>& segs,
+                      SegmentEStep& out) {
+  DCL_SEGMENT_DISPATCH(segment_expand_body, sc, segs, out);
 }
 
-DCL_KERNEL_CLONES
-double log_likelihood(const FoldedMatrices& f, const RunLengthIndex& runs,
-                      const double* pi, std::vector<ScaledPowers>& cache) {
-  const std::size_t n = f.n();
-  const std::size_t w = f.stride();
-  DCL_ENSURE_MSG(!runs.runs.empty(), "likelihood kernel: empty sequence");
-  if (cache.size() < f.cols()) cache.resize(f.cols());
-  std::vector<char> bound(f.cols(), 0);
+#undef DCL_SEGMENT_DISPATCH
 
-  util::AlignedVector<double> v(w, 0.0);
-  util::AlignedVector<double> tmp(w, 0.0);
-  LogAccumulator acc;
-  double folded = 0.0;
+void SkeletonEStep::prepare(std::size_t blocks, std::size_t n) {
+  // Two banks: even and odd steps accumulate apart (see below); the
+  // backward kernel folds the odd bank into the even one at the end.
+  block_count = blocks;
+  outer.assign(2 * blocks * n * n, 0.0);
+  first.assign(n, 0.0);
+  last.assign(n, 0.0);
+  beta_next.assign(n, 0.0);
+  beta_cur.assign(n, 0.0);
+}
 
-  const auto step = [&](const double* blk) {
-    double* t = tmp.data();
-    {
-      const double a = v[0];
-      for (std::size_t j = 0; j < w; ++j) t[j] = a * blk[j];
-    }
-    for (std::size_t i = 1; i < n; ++i) {
-      const double a = v[i];
-      const double* r = blk + i * w;
-      for (std::size_t j = 0; j < w; ++j) t[j] += a * r[j];
-    }
-    double s = 0.0;
-    for (std::size_t j = 0; j < w; ++j) s += t[j];
-    DCL_ENSURE_MSG(s > 0.0, "likelihood kernel: zero probability mass");
-    const double inv = 1.0 / s;
-    for (std::size_t j = 0; j < w; ++j) v[j] = t[j] * inv;
-    acc.push(s);
+namespace {
+
+// Rescales a row whose mass dropped below kRenormThreshold by the power of
+// two that brings the mass back to [1, 2); returns the exponent. Rare, and
+// applied after the step that measured the mass, so the common path keeps
+// no renorm factor on the loop-carried chain.
+inline int renormalize(double* row, std::size_t n, double& mass) {
+  const int e = -std::ilogb(mass);
+  const double r = std::ldexp(1.0, e);
+  for (std::size_t j = 0; j < n; ++j) row[j] *= r;
+  mass *= r;
+  return e;
+}
+
+// The skeleton bodies are templated on N for the same reason as the HMM
+// bodies on their width: N = 2..4 compile to straight-line code, with the
+// carried state row in registers (the runtime-N fallback keeps it in
+// memory). Fixed<NT>::cap sizes the register rows (1, unused, at runtime N).
+template <typename NT>
+struct Fixed {
+  static constexpr bool value = false;
+  static constexpr std::size_t cap = 1;
+};
+template <std::size_t N>
+struct Fixed<std::integral_constant<std::size_t, N>> {
+  static constexpr bool value = true;
+  static constexpr std::size_t cap = N;
+};
+
+template <typename NT>
+[[gnu::always_inline]] inline double skeleton_forward_body(
+    const double* __restrict blocks, const std::vector<int>& steps,
+    const double* v0, const double* tail, SkeletonTrellis& tr, NT nt) {
+  constexpr bool kFixed = Fixed<NT>::value;
+  constexpr std::size_t kCap = Fixed<NT>::cap;
+  const std::size_t n = nt;
+  const std::size_t k_len = steps.size();
+  DCL_ENSURE_MSG(k_len > 0, "skeleton forward: no received probe");
+  tr.alpha.resize(k_len * n);
+  tr.renorm_at.clear();
+  tr.renorm_exp.clear();
+  tr.renorm_total = 0;
+  double* __restrict alpha = tr.alpha.data();
+  const auto record = [&tr](std::size_t k, int e) {
+    tr.renorm_at.push_back(k);
+    tr.renorm_exp.push_back(e);
+    tr.renorm_total += e;
   };
 
-  const auto fold_or_step = [&](std::size_t c, std::size_t len) {
-    if (len == 0) return;
-    if (len >= kFoldMinRun) {
-      if (!bound[c]) {
-        cache[c].reset(f.block(c), n, w);
-        bound[c] = 1;
-      }
-      folded += cache[c].apply(len, v.data());
-    } else {
-      const double* blk = f.block(c);
-      for (std::size_t l = 0; l < len; ++l) step(blk);
-    }
-  };
+  double s = 0.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    alpha[j] = v0[j];
+    s += v0[j];
+  }
+  DCL_ENSURE_MSG(s > 0.0, "skeleton forward: zero probability at k = 0");
+  if (s < kRenormThreshold) record(0, renormalize(alpha, n, s));
+  double v[kCap];
+  if constexpr (kFixed)
+    for (std::size_t j = 0; j < n; ++j) v[j] = alpha[j];
 
-  {
-    const auto& r0 = runs.runs.front();
-    const double* e0 = f.emission_row(static_cast<std::size_t>(r0.col));
-    double s = 0.0;
+  // Raw recursion as forward(), renormalized after the step: row k is
+  // rescaled in place when its own mass is low, so the factor relating
+  // row k to row k - 1 times the block is recorded at k, as there.
+  const int* __restrict step = steps.data();
+  const std::size_t nn = n * n;
+  for (std::size_t k = 1; k < k_len; ++k) {
+    const double* __restrict blk =
+        blocks + static_cast<std::size_t>(step[k]) * nn;
+    const double* __restrict vp = kFixed ? v : alpha + (k - 1) * n;
+    double* __restrict vo = alpha + k * n;
+    double o[kCap];
+    s = 0.0;
     for (std::size_t j = 0; j < n; ++j) {
-      v[j] = pi[j] * e0[j];
-      s += v[j];
+      double x = vp[0] * blk[j];
+      for (std::size_t i = 1; i < n; ++i) x += vp[i] * blk[i * n + j];
+      vo[j] = x;
+      s += x;
+      if constexpr (kFixed) o[j] = x;
     }
-    DCL_ENSURE_MSG(s > 0.0, "likelihood kernel: zero probability at t = 0");
-    const double inv = 1.0 / s;
-    for (std::size_t j = 0; j < n; ++j) v[j] *= inv;
-    acc.push(s);
-    fold_or_step(static_cast<std::size_t>(r0.col), r0.len - 1);
+    DCL_ENSURE_MSG(s > 0.0, "skeleton forward: zero probability mass");
+    if (s < kRenormThreshold) {
+      record(k, renormalize(vo, n, s));
+      if constexpr (kFixed)
+        for (std::size_t j = 0; j < n; ++j) o[j] = vo[j];
+    }
+    if constexpr (kFixed)
+      for (std::size_t j = 0; j < n; ++j) v[j] = o[j];
   }
-  for (std::size_t ri = 1; ri < runs.runs.size(); ++ri) {
-    const auto& r = runs.runs[ri];
-    fold_or_step(static_cast<std::size_t>(r.col), r.len);
-  }
-  return acc.finish() + folded;
+  if (tail == nullptr) return std::log(s);
+  const double* __restrict a = alpha + (k_len - 1) * n;
+  double mass = 0.0;
+  for (std::size_t j = 0; j < n; ++j) mass += a[j] * tail[j];
+  DCL_ENSURE_MSG(mass > 0.0, "skeleton forward: zero probability at the end");
+  return std::log(mass);
 }
+
+template <typename NT>
+[[gnu::always_inline]] inline void skeleton_backward_body(
+    const double* __restrict blocks, const std::vector<int>& steps,
+    const double* tail, const SkeletonTrellis& tr, SkeletonEStep& out,
+    NT nt) {
+  constexpr bool kFixed = Fixed<NT>::value;
+  constexpr std::size_t kCap = Fixed<NT>::cap;
+  const std::size_t n = nt;
+  const std::size_t nn = n * n;
+  const std::size_t k_len = steps.size();
+  const double* __restrict alpha = tr.alpha.data();
+  double bn_loc[kCap], bc_loc[kCap];
+  double* __restrict bn = kFixed ? bn_loc : out.beta_next.data();
+  double* __restrict bc = kFixed ? bc_loc : out.beta_cur.data();
+  for (std::size_t j = 0; j < n; ++j) bn[j] = tail == nullptr ? 1.0 : tail[j];
+
+  // Same normalizers as backward_estep(): xi_k = alpha_k (x) beta_{k+1} *
+  // rf_{k+1} / gsum_{k+1} times the block, with gsum measured per step.
+  // Beta renormalizes after its step, like the forward rows, when the
+  // measured posterior mass drops low. Consecutive steps through one block
+  // (a sticky symbol) would chain every xi update through the previous
+  // one's store, so even and odd steps accumulate into separate banks.
+  double gsum_next = 0.0;
+  {
+    const double* __restrict a = alpha + (k_len - 1) * n;
+    for (std::size_t j = 0; j < n; ++j) gsum_next += a[j] * bn[j];
+    DCL_ENSURE_MSG(gsum_next > 0.0, "skeleton backward: zero posterior mass");
+    const double inv = 1.0 / gsum_next;
+    for (std::size_t j = 0; j < n; ++j) out.last[j] = a[j] * inv;
+  }
+  const int* __restrict step = steps.data();
+  const std::size_t* __restrict renorm_at = tr.renorm_at.data();
+  const int* __restrict renorm_exp = tr.renorm_exp.data();
+  double* __restrict outer0 = out.outer.data();
+  const std::size_t bank = out.block_count * nn;
+  std::size_t ridx = tr.renorm_at.size();
+  for (std::size_t k = k_len - 1; k-- > 0;) {
+    const std::size_t b = static_cast<std::size_t>(step[k + 1]);
+    const double* __restrict blk = blocks + b * nn;
+    double rf = 1.0;
+    if (ridx > 0 && renorm_at[ridx - 1] == k + 1) {
+      rf = std::ldexp(1.0, renorm_exp[ridx - 1]);
+      --ridx;
+    }
+    const double nf = rf / gsum_next;
+    const double* __restrict a = alpha + k * n;
+
+    double gsum = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double* __restrict row = blk + i * n;
+      double x = row[0] * bn[0];
+      for (std::size_t j = 1; j < n; ++j) x += row[j] * bn[j];
+      bc[i] = x;
+      gsum += a[i] * x;
+    }
+    double* __restrict xo = outer0 + (k & 1) * bank + b * nn;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double ai = a[i] * nf;
+      for (std::size_t j = 0; j < n; ++j) xo[i * n + j] += ai * bn[j];
+    }
+    DCL_ENSURE_MSG(gsum > 0.0, "skeleton backward: zero posterior mass");
+    if (gsum < kRenormThreshold) renormalize(bc, n, gsum);
+    gsum_next = gsum;
+    for (std::size_t j = 0; j < n; ++j) bn[j] = bc[j];
+  }
+  for (std::size_t i = 0; i < bank; ++i) outer0[i] += outer0[bank + i];
+  const double inv = 1.0 / gsum_next;
+  for (std::size_t j = 0; j < n; ++j) out.first[j] = bn[j] * inv;
+}
+
+}  // namespace
+
+#define DCL_SKELETON_DISPATCH(body, n, ...)                                  \
+  do {                                                                       \
+    if ((n) == 2)                                                            \
+      return body(__VA_ARGS__, std::integral_constant<std::size_t, 2>{});    \
+    if ((n) == 3)                                                            \
+      return body(__VA_ARGS__, std::integral_constant<std::size_t, 3>{});    \
+    if ((n) == 4)                                                            \
+      return body(__VA_ARGS__, std::integral_constant<std::size_t, 4>{});    \
+    return body(__VA_ARGS__, n);                                             \
+  } while (false)
+
+DCL_KERNEL_CLONES
+double skeleton_forward(const double* blocks, std::size_t n,
+                        const std::vector<int>& steps, const double* v0,
+                        const double* tail, SkeletonTrellis& tr) {
+  DCL_SKELETON_DISPATCH(skeleton_forward_body, n, blocks, steps, v0, tail,
+                        tr);
+}
+
+DCL_KERNEL_CLONES
+void skeleton_backward_estep(const double* blocks, std::size_t n,
+                             const std::vector<int>& steps, const double* tail,
+                             const SkeletonTrellis& tr, SkeletonEStep& out) {
+  DCL_SKELETON_DISPATCH(skeleton_backward_body, n, blocks, steps, tail, tr,
+                        out);
+}
+
+#undef DCL_SKELETON_DISPATCH
 
 }  // namespace dcl::inference::fb

@@ -1,4 +1,4 @@
-// Vectorized forward-backward kernels (SoA layout, run-length batching).
+// Vectorized forward-backward kernels (SoA layout, raw recursions).
 //
 // The EM hot path spends its time in three loops over the probe sequence:
 // the scaled alpha recursion, the scaled beta recursion, and the E-step
@@ -28,16 +28,10 @@
 //     trellis, halving hot-loop memory traffic; the per-step gamma
 //     bookkeeping collapses to one fused multiply-add row per observation
 //     column (EStep::col_gamma).
-//   * Likelihood-only evaluation folds runs of identical observation symbols
-//     through memoized scaled powers F_c^(2^k) with tracked log norms
-//     (ScaledPowers), turning a length-L run into O(log L) matrix
-//     applications without underflow — discretized probe delays are sticky
-//     and loss bursts overwhelmingly so.
 //
-// The kernels are model-agnostic: Hmm uses them directly over its N hidden
-// states; Mmhd reuses PaddedMatrix/ScaledPowers over its compact
-// active-state blocks (see mmhd.cpp), and with one hidden state sweeps only
-// its distinct loss segments (segment_estep).
+// Hmm uses these kernels directly over its N hidden states. Mmhd sweeps its
+// received probes with N x N blocks and its distinct loss segments over the
+// supported states (the loss-segment and skeleton kernels below).
 #pragma once
 
 #include <algorithm>
@@ -69,10 +63,6 @@ constexpr std::size_t pad_up(std::size_t n) {
   return (n + kLane - 1) / kLane * kLane;
 }
 
-// Runs at least this long are folded through ScaledPowers in the
-// likelihood-only kernels; shorter runs are cheaper stepped directly.
-inline constexpr std::size_t kFoldMinRun = 32;
-
 // Raw-recursion renormalization: when the previous step's probability mass
 // drops below the threshold, the next step multiplies the state vector by
 // kRenormFactor (an exact power of two — rounding-free). Parameter floors
@@ -80,11 +70,6 @@ inline constexpr std::size_t kFoldMinRun = 32;
 // [2^-104, 1]: far from both underflow and the subnormal range.
 inline constexpr double kRenormThreshold = 0x1p-64;
 inline constexpr double kRenormFactor = 0x1p64;
-
-// Scale factors multiplied together per log() call in the likelihood sum.
-// Each factor is >= the parameter floor (1e-12), so 16 of them stay far
-// above DBL_MIN.
-inline constexpr std::size_t kLogBatch = 16;
 
 // Row-major matrix whose rows are 64-byte aligned and padded to a whole
 // number of lanes. Padding stays exact zero through resize()/zero().
@@ -139,20 +124,6 @@ class PaddedMatrix {
   std::size_t cols_ = 0;
   std::size_t stride_ = 0;
   util::AlignedVector<double> data_;
-};
-
-// Run-length encoding of the per-step emission-column sequence. Consecutive
-// steps with the same column share one folded matrix (and, in the
-// likelihood kernels, one power chain).
-struct RunLengthIndex {
-  struct Run {
-    int col = 0;
-    std::size_t begin = 0;
-    std::size_t len = 0;
-  };
-  std::vector<Run> runs;
-
-  void build(const std::vector<int>& cols);
 };
 
 // Per-iteration folded transition x emission blocks:
@@ -223,226 +194,185 @@ double forward(const FoldedMatrices& f, const std::vector<int>& cols,
 void backward_estep(const FoldedMatrices& f, const std::vector<int>& cols,
                     const Trellis& tr, EStep& out);
 
-class ScaledPowers;  // declared below, shared by both kernel families
-
 // ---------------------------------------------------------------------------
-// Varying-width block-chain kernels (the MMHD state space).
+// Loss-segment kernels (the MMHD state space, every hidden-state count N).
 //
-// The MMHD trellis is sparse: at an observed step only the N composite
-// states carrying that symbol are feasible; at a loss step, the states of
-// every supported symbol. Instead of gathering through per-step active-set
-// index lists (the cached engine), the kernel assigns each step a CLASS —
-// one class per observed symbol plus one shared loss class — and works in
-// the class's own compact, contiguous coordinates. The transition-times-
-// emission product for every adjacent class pair that actually occurs in
-// the sequence is folded once per EM iteration into a dense block
-// (BlockChain), after which both sweeps are the same raw axpy recursions as
-// the HMM kernels above, just with per-step block selection and widths.
-// ---------------------------------------------------------------------------
-
-// Folded transition blocks between per-step classes. block(u, v) maps the
-// compact states of class u to those of class v:
-//   block(u, v)[i * stride(v) + j]   = A(state_u(i), state_v(j)) * emit_v(j)
-//   block_t(u, v)[j * stride(u) + i] = same value, transposed
-// Only pairs flagged used are allocated; the caller rewrites their entries
-// every EM iteration (row padding is zeroed once at init and never written
-// again).
-class BlockChain {
- public:
-  static constexpr std::size_t kUnused = static_cast<std::size_t>(-1);
-
-  void init(const std::vector<std::size_t>& widths,
-            const std::vector<char>& pair_used);
-
-  std::size_t classes() const { return n_cls_; }
-  std::size_t width(std::size_t c) const { return width_[c]; }
-  std::size_t stride(std::size_t c) const { return stride_[c]; }
-  std::size_t max_stride() const { return max_stride_; }
-  bool used(std::size_t u, std::size_t v) const {
-    return off_fw_[u * n_cls_ + v] != kUnused;
-  }
-  // Offset of block (u, v) in the forward-layout flat array; ChainEStep::xi
-  // mirrors this layout.
-  std::size_t offset(std::size_t u, std::size_t v) const {
-    return off_fw_[u * n_cls_ + v];
-  }
-  std::size_t total() const { return total_fw_; }
-
-  double* block(std::size_t u, std::size_t v) {
-    return data_.data() + off_fw_[u * n_cls_ + v];
-  }
-  const double* block(std::size_t u, std::size_t v) const {
-    return data_.data() + off_fw_[u * n_cls_ + v];
-  }
-  double* block_t(std::size_t u, std::size_t v) {
-    return data_t_.data() + off_bw_[u * n_cls_ + v];
-  }
-  const double* block_t(std::size_t u, std::size_t v) const {
-    return data_t_.data() + off_bw_[u * n_cls_ + v];
-  }
-
-  // Raw views for the kernel hot loops: hoisted into __restrict locals once
-  // per sweep, so per-step block/width/stride lookups are plain L1 loads
-  // rather than accessor chains the compiler must re-derive each step.
-  const double* data() const { return data_.data(); }
-  const double* data_t() const { return data_t_.data(); }
-  const std::size_t* offsets() const { return off_fw_.data(); }
-  const std::size_t* offsets_t() const { return off_bw_.data(); }
-  const std::size_t* widths() const { return width_.data(); }
-  const std::size_t* strides() const { return stride_.data(); }
-
- private:
-  std::size_t n_cls_ = 0;
-  std::size_t max_stride_ = 0;
-  std::size_t total_fw_ = 0;
-  std::vector<std::size_t> width_, stride_;
-  std::vector<std::size_t> off_fw_, off_bw_;  // kUnused for absent pairs
-  util::AlignedVector<double> data_, data_t_;
-};
-
-// E-step accumulators for the block-chain sweep.
-struct ChainEStep {
-  // cls_gamma(c, j) = sum over steps of class c of the normalized gamma in
-  // class-c compact coordinates. For the loss class this is the virtual
-  // delay numerator; for observed classes it feeds the C[d] denominators.
-  PaddedMatrix cls_gamma;            // n_cls x max_width
-  util::AlignedVector<double> xi;    // mirrors BlockChain forward layout
-  util::AlignedVector<double> pi0;   // compact gamma at t = 0
-
-  void prepare(const BlockChain& bc);
-
-  util::AlignedVector<double> beta_next, beta_cur, gamma;
-};
-
-// Raw block-chain forward pass. cls[t] names each step's class; v0 is the
-// caller-built compact init row pi .* emit for class cls[0] (padding zero).
-// Same renorm scheme and telescoped likelihood as forward().
-double chain_forward(const BlockChain& bc, const std::vector<int>& cls,
-                     const double* v0, Trellis& tr);
-
-// Fused raw backward + E-step over a chain_forward trellis; the chain
-// analog of backward_estep.
-void chain_backward_estep(const BlockChain& bc, const std::vector<int>& cls,
-                          const Trellis& tr, ChainEStep& out);
-
-// Likelihood-only block-chain pass with run-length folding: within a run of
-// one class, steps 2..len apply the self block (c, c) and fold through the
-// per-class ScaledPowers cache once the remaining run is long enough.
-double chain_log_likelihood(const BlockChain& bc, const RunLengthIndex& runs,
-                            const double* v0,
-                            std::vector<ScaledPowers>& cache);
-
-// ---------------------------------------------------------------------------
-// Loss-segment kernels (the MMHD with one hidden state).
+// At a received probe the MMHD state is one of the N composite states that
+// carry the received symbol; only inside a maximal run of lost probes (a
+// loss segment) does it range over the N * S supported states. The E-step
+// therefore splits in two:
 //
-// With N = 1 the MMHD state at a received probe IS its delay symbol, so the
-// posterior is certain everywhere except inside maximal runs of lost probes
-// (loss segments). A segment bridges from its left received symbol (or the
-// sequence start) to its right one (or the sequence end); its forward-
-// backward over the S supported symbols depends only on that (left, right,
-// length) key, so identical segments are evaluated once per iteration and
-// weighted by how often they occur. Going further, a segment's alpha rows
-// depend only on its left boundary and its beta rows only on its right
-// boundary and the distance to it, so one forward sweep per left boundary
-// and one backward sweep per right boundary serve every segment; what
-// remains per segment is the gamma and xi accumulation.
+//   * A loss segment's forward-backward over the supported states depends
+//     only on its (left symbol, right symbol, length) key and on the hidden
+//     states at its two boundaries, so each distinct key is evaluated once
+//     per iteration. Its alpha rows depend only on the left boundary and
+//     its beta rows only on the right boundary and the distance to it: one
+//     forward sweep per left boundary seeded from each of its hidden states
+//     (N seeds, swept in lockstep), and one backward sweep per right
+//     boundary likewise, serve every segment. The N x N BRIDGE of a key,
+//     bridge(h, h') = P(its losses, then (h', right) | (h, left)), is a dot
+//     product of those rows (segment_bridges).
+//   * A sweep over the received probes only (the skeleton, see below) runs
+//     the raw forward-backward with one N x N block per step: A's
+//     (h, d) -> (h', d') block times 1 - C[d'] between adjacent received
+//     probes, a key's bridge across a loss run. Its xi at a bridged step is
+//     the posterior weight of the segment's boundary-state pairs.
+//   * segment_expand turns each key's N x N weight into its loss-step
+//     gamma and its entry, loss -> loss and exit xi.
+//
+// With N = 1 every received probe's state is certain, the skeleton
+// degenerates to fixed bigram counts, and only the segment kernels run.
+// The sequence start (end) is a boundary with a single seed: pi .* C
+// (all ones).
 // ---------------------------------------------------------------------------
 
-// Per-iteration folded inputs, in the compact coordinates of the S
-// supported symbols (rows padded to stride(), padding zero):
+// Per-iteration folded inputs, in the compact coordinates of the supported
+// states (rows padded to stride(), padding zero):
 //   loss(i, j)   = A(i, j) * C[j]                 loss -> loss
 //   loss_t       = the same block, transposed
-//   entry(e, j)  = A(l_e, j) * C[j]               left boundary e; the
-//                  sequence-start boundary uses pi(j) * C[j]
-//   exit(x, i)   = A(i, r_x) * (1 - C[r_x])       right boundary x; the
-//                  sequence-end boundary is all ones
-// The caller rewrites every live entry each iteration.
+//   entry(r, j)  = A(s_r, j) * C[j]               seed row r: state s_r
+//                  beside a left boundary; the sequence start uses
+//                  pi(j) * C[j]
+//   exit(r, i)   = A(i, s_r) * (1 - C[sym(s_r)])  seed row r: state s_r
+//                  beside a right boundary; the sequence end is all ones
+// Boundary b's seed rows are [entry_begin[b], entry_begin[b + 1]) (and
+// likewise for exits). The caller rewrites every live entry each iteration.
 struct SegmentChain {
   PaddedMatrix loss, loss_t, entry, exit;
+  std::vector<std::size_t> entry_begin, exit_begin;
 
-  // Shapes the blocks for `width` supported symbols and the given boundary
-  // row counts; storage (and zero padding) is kept when the shape matches.
-  void init(std::size_t width, std::size_t entries, std::size_t exits);
+  // Shapes the blocks for `width` supported states and the given seed
+  // counts per boundary; storage (and zero padding) is kept when the shape
+  // matches.
+  void init(std::size_t width, const std::vector<std::size_t>& entry_seeds,
+            const std::vector<std::size_t>& exit_seeds);
   std::size_t width() const { return loss.cols(); }
   std::size_t stride() const { return loss.stride(); }
+  std::size_t entries() const { return entry_begin.size() - 1; }
+  std::size_t exits() const { return exit_begin.size() - 1; }
+  std::size_t entry_seeds(std::size_t e) const {
+    return entry_begin[e + 1] - entry_begin[e];
+  }
+  std::size_t exit_seeds(std::size_t x) const {
+    return exit_begin[x + 1] - exit_begin[x];
+  }
+  // Every boundary has a single seed (always when N = 1).
+  bool single_seeds() const {
+    return entry.rows() == entries() && exit.rows() == exits();
+  }
 };
 
 // One distinct segment key and its multiplicity in the sequence.
 struct LossSegment {
-  std::size_t entry = 0;  // row of SegmentChain::entry
-  std::size_t exit = 0;   // row of SegmentChain::exit
+  std::size_t entry = 0;  // left boundary (SegmentChain entry boundary)
+  std::size_t exit = 0;   // right boundary (SegmentChain exit boundary)
   std::size_t len = 0;    // lost probes in the run, >= 1
   double count = 0.0;     // occurrences
 };
 
-// E-step accumulators of segment_estep, count-weighted sums of normalized
-// posteriors over every segment.
+// Per-iteration state of the segment kernels. Per-segment blocks (bridge,
+// weight) are entry_seeds x exit_seeds, row-major, at bridge_off[i]; they
+// are not sized when every boundary has a single seed.
 struct SegmentEStep {
+  // segment_bridges output: the raw bridge in its entry sweep's frame —
+  // the true block is bridge * 2^(-64 * bridge_renorms[i]) — for the
+  // segments with more than one seed on a side.
+  util::AlignedVector<double> bridge;
+  std::vector<std::size_t> bridge_off;  // per segment, plus the total
+  std::vector<double> bridge_renorms;
+  // segment_expand input: each boundary pair's posterior weight divided by
+  // its bridge entry, up to a positive factor per segment (the expansion
+  // renormalizes every step to the segment's count). Unread for 1 x 1
+  // segments, whose single pair carries the whole count.
+  util::AlignedVector<double> weight;
+
+  // segment_expand output: count-weighted sums of normalized posteriors.
   util::AlignedVector<double> gamma;  // over loss steps: eq. (5) numerator
   // Loss -> loss xi numerators divided by the folded loss block: the kernel
   // accumulates alpha_t (x) beta_{t+1} outer products and the caller
   // multiplies by SegmentChain::loss once per iteration.
   PaddedMatrix outer;
-  PaddedMatrix entry_gamma;  // per entry row: gamma at segments' first step
-  PaddedMatrix exit_gamma;   // per exit row: gamma at segments' last step
+  PaddedMatrix entry_gamma;  // per entry seed row: xi into a first loss step
+  PaddedMatrix exit_gamma;   // per exit seed row: xi out of a last loss step
 
   // Zeroes the accumulators and sizes the sweeps for the longest segment
   // at each boundary.
   void prepare(const SegmentChain& sc, const std::vector<LossSegment>& segs);
 
-  // Raw alpha rows of each entry row's forward sweep (entry e's step t at
-  // row fwd_off[e] + t) with the renorm factor applied at that step and
-  // the count of renorms up to it, and raw beta rows of each exit row's
-  // backward sweep (exit x's row k is beta at the loss step k steps before
-  // a segment's last one).
+  // Raw alpha rows of each entry boundary's forward sweep (seed h of entry
+  // e at step t is row fwd_row[e] + t * seeds + h), with the renorm factor
+  // applied at each step and the count of renorms up to it (per step, at
+  // fwd_step[e] + t), and raw beta rows of each exit boundary's backward
+  // sweep (row k is beta at the loss step k steps before a segment's last
+  // one).
   PaddedMatrix fwd, bwd;
-  std::vector<std::size_t> fwd_off, bwd_off, fwd_len, bwd_len;
+  std::vector<std::size_t> fwd_row, fwd_step, bwd_row, fwd_len, bwd_len;
   std::vector<double> fwd_rf, fwd_renorms;
-  util::AlignedVector<double> g;
+  // Scratch: gamma row, per-exit-seed weighted alpha rows (this step and
+  // the previous one), and one split row.
+  util::AlignedVector<double> g, cur, prev, split;
 };
 
-// One raw forward sweep per entry row and one raw backward sweep per exit
-// row (renormalized by exact powers of two, as chain_forward), then every
-// segment's gamma and xi from those rows, in the given (fixed) order.
-// Returns sum over segments of count * log(segment mass), the
-// loss-segment share of the sequence log likelihood.
-double segment_estep(const SegmentChain& sc,
+// One raw forward sweep per entry boundary, its seeds in lockstep under one
+// renorm schedule (exact powers of two, like the HMM kernels), then the
+// bridge of every segment with more than one seed on a side, from the last
+// rows and the exit rows.
+void segment_bridges(const SegmentChain& sc,
                      const std::vector<LossSegment>& segs, SegmentEStep& out);
 
-// Memoized scaled powers M^(2^k) of one n x n block with accumulated log
-// norms. Lets likelihood-only evaluation fold a length-L run of one
-// emission column into O(log L) matrix applications; the per-power
-// renormalization keeps every intermediate in range for arbitrarily long
-// runs (the T=500k underflow stress test exercises exactly this).
-class ScaledPowers {
- public:
-  // Rebind to a block (n rows of the given stride). Drops cached powers.
-  void reset(const double* m, std::size_t n, std::size_t stride);
-  bool bound() const { return base_ != nullptr; }
+// One raw backward sweep per exit boundary (seeds in lockstep), then every
+// segment's gamma and xi from the sweep rows and its weight, in the given
+// (fixed) order. Requires segment_bridges on the same inputs first.
+// Returns the sum over the segments with a single seed on both sides
+// (every segment when N = 1) of count * log(segment mass): their share of
+// the log likelihood when the states beside them are certain.
+double segment_expand(const SegmentChain& sc,
+                      const std::vector<LossSegment>& segs,
+                      SegmentEStep& out);
 
-  // v <- normalize(v * M^len) (row vector times matrix power). Returns the
-  // log of the total mass shed, i.e. the sum of the per-step log scale
-  // factors of the equivalent step-by-step recursion.
-  double apply(std::size_t len, double* v);
+// ---------------------------------------------------------------------------
+// Received-probe skeleton (N >= 2): the raw forward-backward over received
+// probes only. Every step is an N x N block (row-major, stride N) picked by
+// index; the caller folds adjacent-pair blocks and normalized bridges once
+// per iteration. A row whose mass drops below kRenormThreshold is rescaled
+// in place by the exact power of two that brings it back to [1, 2) — a
+// bridge may shrink the mass by far more than one 2^64 factor restores.
+// ---------------------------------------------------------------------------
 
- private:
-  struct Power {
-    util::AlignedVector<double> m;
-    double log_norm = 0.0;
-  };
-  const Power& power(std::size_t k);
-
-  const double* base_ = nullptr;
-  std::size_t n_ = 0;
-  std::size_t stride_ = 0;
-  std::vector<Power> powers_;
-  util::AlignedVector<double> tmp_;
+struct SkeletonTrellis {
+  util::AlignedVector<double> alpha;   // K x N raw rows
+  std::vector<std::size_t> renorm_at;  // ascending probe indices rescaled
+  std::vector<int> renorm_exp;         // ... by 2^renorm_exp
+  long long renorm_total = 0;          // sum of renorm_exp
 };
 
-// Likelihood-only scaled forward pass with run-length folding: runs shorter
-// than kFoldMinRun step through the folded block directly; longer runs go
-// through the per-column ScaledPowers cache (resized/rebound lazily).
-double log_likelihood(const FoldedMatrices& f, const RunLengthIndex& runs,
-                      const double* pi, std::vector<ScaledPowers>& cache);
+struct SkeletonEStep {
+  // outer(b) = sum over steps k -> k+1 through block b of the normalized
+  // alpha_k (x) beta_{k+1}; times block b it is that block's xi. Blocks
+  // are n x n at b * n * n (the storage past them is kernel scratch).
+  util::AlignedVector<double> outer;
+  std::size_t block_count = 0;
+  util::AlignedVector<double> first;  // beta_0 / gsum_0
+  util::AlignedVector<double> last;   // alpha_{K-1} / gsum_{K-1}
+  util::AlignedVector<double> beta_next, beta_cur;
+
+  void prepare(std::size_t blocks, std::size_t n);
+};
+
+// Raw forward pass. steps[k] (k >= 1) is the block from received probe k - 1
+// to k; v0 is the raw row at probe 0; tail (nullptr for none) is the column
+// a trailing loss segment multiplies the last row by. Returns the log of the
+// final raw mass; the true log likelihood is that minus
+// tr.renorm_total * log(2), plus the log of whatever the caller divided
+// out of the blocks.
+double skeleton_forward(const double* blocks, std::size_t n,
+                        const std::vector<int>& steps, const double* v0,
+                        const double* tail, SkeletonTrellis& tr);
+
+// Fused raw backward + xi accumulation over a skeleton_forward trellis, as
+// backward_estep. out must be prepared for the block count.
+void skeleton_backward_estep(const double* blocks, std::size_t n,
+                             const std::vector<int>& steps, const double* tail,
+                             const SkeletonTrellis& tr, SkeletonEStep& out);
 
 }  // namespace dcl::inference::fb

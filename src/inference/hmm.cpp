@@ -906,10 +906,9 @@ util::Pmf Hmm::stationary_virtual_delay_pmf() const {
 }
 
 double Hmm::log_likelihood(const std::vector<int>& seq) const {
-  // Likelihood-only evaluation goes through the folded kernel with
-  // run-length power folding: runs of one symbol (loss bursts especially)
-  // collapse to O(log L) matrix applications, and the per-power
-  // renormalization keeps 500k-step sequences finite.
+  // Likelihood-only evaluation is the kernel engine's forward sweep: its
+  // raw recursion renormalizes by exact powers of two and telescopes the
+  // likelihood, so 500k-step sequences stay finite.
   DCL_ENSURE_MSG(!seq.empty(), "log_likelihood of an empty sequence");
   const FitContext ctx = make_context(seq);
   util::Matrix emit(static_cast<std::size_t>(n_),
@@ -917,10 +916,8 @@ double Hmm::log_likelihood(const std::vector<int>& seq) const {
   build_emission_table(ctx.support, emit);
   fb::FoldedMatrices folded;
   folded.build(a_, emit);
-  fb::RunLengthIndex runs;
-  runs.build(ctx.col);
-  std::vector<fb::ScaledPowers> cache;
-  return fb::log_likelihood(folded, runs, pi_.data(), cache);
+  fb::Trellis tr;
+  return fb::forward(folded, ctx.col, pi_.data(), tr);
 }
 
 }  // namespace dcl::inference

@@ -52,10 +52,10 @@ struct Mmhd::Trellis {
 // fit's engine reads. The per-step engines get per-step loss flags and
 // active state sets (these depend only on the sequence, not the parameters
 // — the old code rebuilt them inside every forward_backward call); the
-// loss-segment engine gets only the received-pair counts and the segment
-// table.
+// loss-segment engine gets the received-pair counts, the segment table and
+// the received-probe step list.
 struct Mmhd::FitContext {
-  Engine engine = Engine::kChain;
+  Engine engine = Engine::kSegments;
   std::vector<char> support;
   std::vector<char> is_loss;        // per step
   std::vector<int> active;          // flattened active sets
@@ -63,31 +63,31 @@ struct Mmhd::FitContext {
   util::Matrix prior;
   bool use_prior = false;
 
-  // Kernel-engine class structure: class d < M for steps observing symbol
-  // d, class M for losses. Every loss step shares one active set (the
-  // supported states, ascending — `loss_states`), and an observed step's
-  // set is just the N hidden copies of its symbol, so a step is fully
-  // described by its class and the kernels can run in compact per-class
-  // coordinates.
-  std::vector<int> cls;                 // per step, in [0, M]
-  std::vector<int> loss_states;         // loss-class compact index -> state
-  std::vector<std::size_t> widths;      // per class, M+1 entries
-  std::vector<char> pair_used;          // (M+1)^2 adjacency of cls
-
-  // Loss-segment engine (N = 1): loss_states above is the compact symbol
-  // list. Received steps pin the state to their symbol, so they reduce to
-  // counts fixed for the whole fit.
+  // Loss-segment engine. loss_states are the supported states, ascending —
+  // the compact coordinates of every loss step. A received probe pins the
+  // symbol, so adjacent received pairs reduce to bigram counts (and, with
+  // N = 1, to fixed xi counts).
   struct Bigram {
     int from = 0;
     int to = 0;
     double count = 0.0;
   };
+  std::vector<int> loss_states;
   std::vector<Bigram> bigrams;      // adjacent received pairs, (from, to) order
   std::vector<double> received;     // per symbol, received steps
   int first = -1;                   // symbol of a received t = 0, else -1
-  std::vector<int> entry_sym;       // entry row -> left symbol, -1 = start
-  std::vector<int> exit_sym;        // exit row -> right symbol, -1 = end
+  std::vector<int> entry_sym;       // entry boundary -> left symbol, -1 = start
+  std::vector<int> exit_sym;        // exit boundary -> right symbol, -1 = end
+  std::vector<std::size_t> entry_seeds, exit_seeds;  // per boundary: N, or 1
   std::vector<fb::LossSegment> segments;  // distinct keys, sorted
+  // Received-probe skeleton (N >= 2 with a received probe; empty
+  // otherwise): per received probe k >= 1 the block into it — a bigram
+  // index, or bigrams.size() + the segment index across a loss run
+  // (steps[0] is unused) — and the segments at the sequence start and end
+  // (-1 when that end is received).
+  std::vector<int> steps;
+  int head = -1;
+  int tail = -1;
 
   const int* begin(std::size_t t) const { return active.data() + offset[t]; }
   const int* end(std::size_t t) const { return active.data() + offset[t + 1]; }
@@ -109,17 +109,20 @@ struct Mmhd::Workspace {
   // installs at finalize, since the step's reported likelihood is theirs.
   std::vector<double> old_pi, old_c;
   util::Matrix old_a;
-  // Vectorized-engine state (EmOptions::kernels): folded per-class-pair
-  // blocks, padded trellis, fused E-step accumulators, the t = 0 init row,
-  // and the loss-posterior numerator (eq. (5) * losses).
-  fb::BlockChain chain;
-  fb::Trellis ktr;
-  fb::ChainEStep acc;
-  util::AlignedVector<double> v0;
+  // Loss-posterior numerator (eq. (5) * losses) of the last em_step.
   std::vector<double> kpmf;
-  // Loss-segment engine state: folded blocks and segment accumulators.
+  // Loss-segment engine state: folded segment blocks and accumulators, C of
+  // each loss state's symbol, and the received-probe skeleton — its N x N
+  // blocks, the raw row at the first received probe (v0) and the trailing
+  // bridge column (tail), the summed bridge exponent, trellis and E-step
+  // accumulators.
   fb::SegmentChain seg;
   fb::SegmentEStep sacc;
+  std::vector<double> loss_emit;
+  util::AlignedVector<double> blocks, v0, tail;
+  long long bridge_exp = 0;
+  fb::SkeletonTrellis skel;
+  fb::SkeletonEStep sest;
 
   void prepare(std::size_t s_count) {
     if (a_num.rows() != s_count || a_num.cols() != s_count)
@@ -207,10 +210,10 @@ void Mmhd::build_emission_tables(Workspace& ws) const {
   }
 }
 
-Mmhd::Engine Mmhd::engine_for(int hidden_states, const EmOptions& opts) {
+Mmhd::Engine Mmhd::engine_for(const EmOptions& opts) {
   if (!opts.cache_emissions) return Engine::kReference;
   if (!opts.kernels) return Engine::kCached;
-  return hidden_states == 1 ? Engine::kSegments : Engine::kChain;
+  return Engine::kSegments;
 }
 
 Mmhd::FitContext Mmhd::make_context(const std::vector<int>& seq,
@@ -228,17 +231,17 @@ Mmhd::FitContext Mmhd::make_context(const std::vector<int>& seq,
     }
   }
   if (!any_observed) ctx.support.assign(static_cast<std::size_t>(m_), 1);
-  // The supported states, ascending — the same order active_states
-  // produces for a loss step — so compact loss coordinates match the
-  // cached engine's.
-  for (int s = 0; s < states(); ++s)
-    if (ctx.support[static_cast<std::size_t>(symbol_of_state(s))])
-      ctx.loss_states.push_back(s);
   if (transition_prior > 0.0) {
     ctx.prior = build_transition_prior(seq, transition_prior);
     ctx.use_prior = true;
   }
   if (engine == Engine::kSegments) {
+    // The supported states, ascending — the same order active_states
+    // produces for a loss step — so compact loss coordinates match the
+    // per-step engines'.
+    for (int s = 0; s < states(); ++s)
+      if (ctx.support[static_cast<std::size_t>(symbol_of_state(s))])
+        ctx.loss_states.push_back(s);
     build_segments(seq, ctx);
     return ctx;
   }
@@ -252,18 +255,6 @@ Mmhd::FitContext Mmhd::make_context(const std::vector<int>& seq,
     ctx.active.insert(ctx.active.end(), act.begin(), act.end());
     ctx.offset[t + 1] = ctx.active.size();
   }
-
-  // Class structure for the kernel engine.
-  const auto n_cls = static_cast<std::size_t>(m_) + 1;
-  ctx.cls.resize(t_len);
-  for (std::size_t t = 0; t < t_len; ++t)
-    ctx.cls[t] = ctx.is_loss[t] ? m_ : sym(seq[t]);
-  ctx.widths.assign(n_cls, static_cast<std::size_t>(n_));
-  ctx.widths[static_cast<std::size_t>(m_)] = ctx.loss_states.size();
-  ctx.pair_used.assign(n_cls * n_cls, 0);
-  for (std::size_t t = 0; t + 1 < t_len; ++t)
-    ctx.pair_used[static_cast<std::size_t>(ctx.cls[t]) * n_cls +
-                  static_cast<std::size_t>(ctx.cls[t + 1])] = 1;
   return ctx;
 }
 
@@ -274,10 +265,11 @@ void Mmhd::build_segments(const std::vector<int>& seq,
   ctx.received.assign(m, 0.0);
   ctx.first = sym(seq[0]);
   std::vector<double> pairs(m * m, 0.0);
-  // Raw segment keys (left, right, length), with boundary symbols shifted
-  // by one so that 0 is the sequence start (left) or end (right).
+  // Raw segment keys (left, right, length) in sequence order, with
+  // boundary symbols shifted by one so that 0 is the sequence start (left)
+  // or end (right).
   using Key = std::array<std::size_t, 3>;
-  std::vector<Key> keys;
+  std::vector<Key> runs;
   for (std::size_t t = 0; t < t_len;) {
     const int d = sym(seq[t]);
     if (d >= 0) {
@@ -292,33 +284,40 @@ void Mmhd::build_segments(const std::vector<int>& seq,
     while (end < t_len && sym(seq[end]) < 0) ++end;
     const int left = t == 0 ? -1 : sym(seq[t - 1]);
     const int right = end == t_len ? -1 : sym(seq[end]);
-    keys.push_back({static_cast<std::size_t>(left + 1),
+    runs.push_back({static_cast<std::size_t>(left + 1),
                     static_cast<std::size_t>(right + 1), end - t});
     t = end;
   }
+  std::vector<int> bigram_of(m * m, -1);
   for (std::size_t d = 0; d < m; ++d)
     for (std::size_t e = 0; e < m; ++e)
-      if (pairs[d * m + e] > 0.0)
+      if (pairs[d * m + e] > 0.0) {
+        bigram_of[d * m + e] = static_cast<int>(ctx.bigrams.size());
         ctx.bigrams.push_back(
             {static_cast<int>(d), static_cast<int>(e), pairs[d * m + e]});
+      }
 
   // Distinct keys in sorted order (a fixed function of the sequence), each
-  // boundary given one folded row.
+  // boundary given one seed row per hidden state beside it.
+  std::vector<Key> keys = runs;
   std::sort(keys.begin(), keys.end());
-  std::vector<std::size_t> entry_row(m + 1, 0), exit_row(m + 1, 0);
+  std::vector<std::size_t> entry_of(m + 1, 0), exit_of(m + 1, 0);
   std::vector<char> has_entry(m + 1, 0), has_exit(m + 1, 0);
   for (const Key& k : keys) {
     has_entry[k[0]] = 1;
     has_exit[k[1]] = 1;
   }
+  const auto n = static_cast<std::size_t>(n_);
   for (std::size_t b = 0; b <= m; ++b) {
     if (has_entry[b]) {
-      entry_row[b] = ctx.entry_sym.size();
+      entry_of[b] = ctx.entry_sym.size();
       ctx.entry_sym.push_back(static_cast<int>(b) - 1);
+      ctx.entry_seeds.push_back(b == 0 ? 1 : n);
     }
     if (has_exit[b]) {
-      exit_row[b] = ctx.exit_sym.size();
+      exit_of[b] = ctx.exit_sym.size();
       ctx.exit_sym.push_back(static_cast<int>(b) - 1);
+      ctx.exit_seeds.push_back(b == 0 ? 1 : n);
     }
   }
   for (std::size_t i = 0; i < keys.size(); ++i) {
@@ -327,7 +326,36 @@ void Mmhd::build_segments(const std::vector<int>& seq,
       continue;
     }
     ctx.segments.push_back(
-        {entry_row[keys[i][0]], exit_row[keys[i][1]], keys[i][2], 1.0});
+        {entry_of[keys[i][0]], exit_of[keys[i][1]], keys[i][2], 1.0});
+  }
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+
+  // The received-probe skeleton: with N = 1 the state at every received
+  // probe is certain and the bigram counts above are its whole E-step.
+  std::size_t received = 0;
+  for (double r : ctx.received) received += static_cast<std::size_t>(r);
+  if (n_ == 1 || received == 0) return;
+  const auto seg_of = [&](const Key& k) {
+    return static_cast<int>(std::lower_bound(keys.begin(), keys.end(), k) -
+                            keys.begin());
+  };
+  const int n_bigrams = static_cast<int>(ctx.bigrams.size());
+  if (sym(seq.front()) < 0) ctx.head = seg_of(runs.front());
+  if (sym(seq.back()) < 0) ctx.tail = seg_of(runs.back());
+  ctx.steps.reserve(received);
+  std::size_t run = ctx.head >= 0 ? 1 : 0;  // next run in sequence order
+  int prev = -1;
+  for (std::size_t t = 0; t < t_len; ++t) {
+    const int d = sym(seq[t]);
+    if (d < 0) continue;
+    if (prev < 0)
+      ctx.steps.push_back(0);
+    else if (sym(seq[t - 1]) >= 0)
+      ctx.steps.push_back(bigram_of[static_cast<std::size_t>(prev) * m +
+                                    static_cast<std::size_t>(d)]);
+    else
+      ctx.steps.push_back(n_bigrams + seg_of(runs[run++]));
+    prev = d;
   }
 }
 
@@ -583,8 +611,6 @@ std::pair<double, double> Mmhd::em_step(const std::vector<int>& seq,
       return em_step_reference(seq, ctx.use_prior ? &ctx.prior : nullptr, ws);
     case Engine::kCached:
       return em_step_cached(ctx, ws);
-    case Engine::kChain:
-      return em_step_kernel(ctx, ws);
     case Engine::kSegments:
       return em_step_segments(ctx, ws);
   }
@@ -649,173 +675,123 @@ std::pair<double, double> Mmhd::em_step_cached(const FitContext& ctx,
   return {ll, m_step(ctx.use_prior ? &ctx.prior : nullptr, ws)};
 }
 
-int Mmhd::class_state(const FitContext& ctx, std::size_t cls,
-                      std::size_t k) const {
-  return cls == static_cast<std::size_t>(m_)
-             ? ctx.loss_states[k]
-             : state_of(static_cast<int>(k), static_cast<int>(cls));
-}
-
-void Mmhd::build_chain(const FitContext& ctx, Workspace& ws) const {
-  fb::BlockChain& bc = ws.chain;
-  if (bc.classes() == 0) bc.init(ctx.widths, ctx.pair_used);
-  const auto loss_cls = static_cast<std::size_t>(m_);
-  const std::size_t n_cls = loss_cls + 1;
-  // Fold transition * destination-emission into every used class-pair
-  // block (the entries the kernels read; row padding stays zero from
-  // init). Cost is a few block sweeps over A per iteration, against O(T)
-  // kernel work.
-  for (std::size_t u = 0; u < n_cls; ++u) {
-    for (std::size_t v = 0; v < n_cls; ++v) {
-      if (!bc.used(u, v)) continue;
-      double* blk = bc.block(u, v);
-      double* blt = bc.block_t(u, v);
-      const std::size_t wu = bc.width(u);
-      const std::size_t wv = bc.width(v);
-      const std::size_t su = bc.stride(u);
-      const std::size_t sv = bc.stride(v);
-      const double e_obs = v == loss_cls ? 0.0 : 1.0 - c_[v];
-      for (std::size_t i = 0; i < wu; ++i) {
-        const auto si = static_cast<std::size_t>(class_state(ctx, u, i));
-        const double* arow = a_.row(si);
-        for (std::size_t j = 0; j < wv; ++j) {
-          const int sj = class_state(ctx, v, j);
-          const double e =
-              v == loss_cls
-                  ? c_[static_cast<std::size_t>(symbol_of_state(sj))]
-                  : e_obs;
-          const double val = arow[static_cast<std::size_t>(sj)] * e;
-          blk[i * sv + j] = val;
-          blt[j * su + i] = val;
-        }
-      }
-    }
-  }
-  // t = 0 init row: pi .* emission in class-cls[0] compact coordinates.
-  const auto c0 = static_cast<std::size_t>(ctx.cls[0]);
-  ws.v0.assign(bc.max_stride(), 0.0);
-  for (std::size_t k = 0; k < bc.width(c0); ++k) {
-    const int s = class_state(ctx, c0, k);
-    const double e =
-        c0 == loss_cls ? c_[static_cast<std::size_t>(symbol_of_state(s))]
-                       : 1.0 - c_[c0];
-    ws.v0[k] = pi_[static_cast<std::size_t>(s)] * e;
-  }
-}
-
-std::pair<double, double> Mmhd::em_step_kernel(const FitContext& ctx,
-                                               Workspace& ws) {
-  const auto s_count = static_cast<std::size_t>(states());
-  const auto m = static_cast<std::size_t>(m_);
-
-  build_chain(ctx, ws);
-  const double ll = fb::chain_forward(ws.chain, ctx.cls, ws.v0.data(), ws.ktr);
-  ws.acc.prepare(ws.chain);
-  fb::chain_backward_estep(ws.chain, ctx.cls, ws.ktr, ws.acc);
-
-  // Snapshot the entering parameters (the sweeps above used them).
-  ws.old_pi = pi_;
-  ws.old_a = a_;
-  ws.old_c = c_;
-
-  // Scatter the compact accumulators back to composite states. A composite
-  // transition can be reached through several class pairs (e.g.
-  // observed->observed and loss->loss over the same states), so the
-  // scatter accumulates, exactly like the per-step cached accumulation.
-  ws.new_pi.assign(s_count, 0.0);
-  const auto c0 = static_cast<std::size_t>(ctx.cls[0]);
-  for (std::size_t k = 0; k < ws.chain.width(c0); ++k)
-    ws.new_pi[static_cast<std::size_t>(class_state(ctx, c0, k))] =
-        ws.acc.pi0[k];
-
-  ws.a_num.fill(0.0);
-  const std::size_t n_cls = m + 1;
-  for (std::size_t u = 0; u < n_cls; ++u) {
-    for (std::size_t v = 0; v < n_cls; ++v) {
-      if (!ws.chain.used(u, v)) continue;
-      const double* x = ws.acc.xi.data() + ws.chain.offset(u, v);
-      const std::size_t wu = ws.chain.width(u);
-      const std::size_t wv = ws.chain.width(v);
-      const std::size_t sv = ws.chain.stride(v);
-      for (std::size_t i = 0; i < wu; ++i) {
-        const auto si = static_cast<std::size_t>(class_state(ctx, u, i));
-        for (std::size_t j = 0; j < wv; ++j) {
-          const auto sj = static_cast<std::size_t>(class_state(ctx, v, j));
-          ws.a_num(si, sj) += x[i * sv + j];
-        }
-      }
-    }
-  }
-
-  ws.c_loss.assign(m, 0.0);
-  ws.c_total.assign(m, 0.0);
-  for (std::size_t d = 0; d < m; ++d) {
-    const double* row = ws.acc.cls_gamma.row(d);
-    double s = 0.0;
-    for (std::size_t h = 0; h < static_cast<std::size_t>(n_); ++h)
-      s += row[h];
-    ws.c_total[d] += s;
-  }
-  const double* lrow = ws.acc.cls_gamma.row(m);
-  for (std::size_t k = 0; k < ctx.loss_states.size(); ++k) {
-    const auto d =
-        static_cast<std::size_t>(symbol_of_state(ctx.loss_states[k]));
-    ws.c_loss[d] += lrow[k];
-    ws.c_total[d] += lrow[k];
-  }
-  return {ll, m_step(ctx.use_prior ? &ctx.prior : nullptr, ws)};
-}
-
 void Mmhd::build_segment_chain(const FitContext& ctx, Workspace& ws) const {
-  // With one hidden state a composite state is its symbol, so A and pi are
-  // indexed by symbol directly.
   fb::SegmentChain& sc = ws.seg;
   const std::vector<int>& ls = ctx.loss_states;
   const std::size_t n = ls.size();
-  sc.init(n, ctx.entry_sym.size(), ctx.exit_sym.size());
+  sc.init(n, ctx.entry_seeds, ctx.exit_seeds);
   const std::size_t w = sc.stride();
+  std::vector<double>& ce = ws.loss_emit;
+  ce.resize(n);
+  for (std::size_t j = 0; j < n; ++j)
+    ce[j] = c_[static_cast<std::size_t>(symbol_of_state(ls[j]))];
   double* loss = sc.loss.row(0);
   double* loss_t = sc.loss_t.row(0);
   for (std::size_t i = 0; i < n; ++i) {
     const double* arow = a_.row(static_cast<std::size_t>(ls[i]));
     for (std::size_t j = 0; j < n; ++j) {
-      const auto sj = static_cast<std::size_t>(ls[j]);
-      const double val = arow[sj] * c_[sj];
+      const double val = arow[static_cast<std::size_t>(ls[j])] * ce[j];
       loss[i * w + j] = val;
       loss_t[j * w + i] = val;
     }
   }
   for (std::size_t e = 0; e < ctx.entry_sym.size(); ++e) {
     const int l = ctx.entry_sym[e];
-    double* row = sc.entry.row(e);
-    for (std::size_t j = 0; j < n; ++j) {
-      const auto sj = static_cast<std::size_t>(ls[j]);
-      row[j] = (l < 0 ? pi_[sj] : a_(static_cast<std::size_t>(l), sj)) * c_[sj];
+    for (std::size_t h = 0; h < ctx.entry_seeds[e]; ++h) {
+      double* row = sc.entry.row(sc.entry_begin[e] + h);
+      const double* from =
+          l < 0 ? pi_.data()
+                : a_.row(static_cast<std::size_t>(state_of(static_cast<int>(h), l)));
+      for (std::size_t j = 0; j < n; ++j)
+        row[j] = from[static_cast<std::size_t>(ls[j])] * ce[j];
     }
   }
   for (std::size_t x = 0; x < ctx.exit_sym.size(); ++x) {
     const int r = ctx.exit_sym[x];
-    double* row = sc.exit.row(x);
-    for (std::size_t i = 0; i < n; ++i) {
-      row[i] = r < 0 ? 1.0
-                     : a_(static_cast<std::size_t>(ls[i]),
-                          static_cast<std::size_t>(r)) *
-                           (1.0 - c_[static_cast<std::size_t>(r)]);
+    for (std::size_t h = 0; h < ctx.exit_seeds[x]; ++h) {
+      double* row = sc.exit.row(sc.exit_begin[x] + h);
+      if (r < 0) {
+        std::fill(row, row + n, 1.0);
+        continue;
+      }
+      const auto to =
+          static_cast<std::size_t>(state_of(static_cast<int>(h), r));
+      const double keep = 1.0 - c_[static_cast<std::size_t>(r)];
+      for (std::size_t i = 0; i < n; ++i)
+        row[i] = a_(static_cast<std::size_t>(ls[i]), to) * keep;
     }
   }
 }
 
-std::pair<double, double> Mmhd::em_step_segments(const FitContext& ctx,
-                                                 Workspace& ws) {
-  const auto m = static_cast<std::size_t>(m_);
-  const std::vector<int>& ls = ctx.loss_states;
-  const std::size_t n = ls.size();
+void Mmhd::build_skeleton(const FitContext& ctx, Workspace& ws) const {
+  const auto n = static_cast<std::size_t>(n_);
+  const std::size_t nn = n * n;
+  const std::size_t nb = ctx.bigrams.size();
+  ws.blocks.resize((nb + ctx.segments.size()) * nn);
+  // Adjacent received pairs: A's (h, d) -> (h', d') block times 1 - C[d'].
+  for (std::size_t b = 0; b < nb; ++b) {
+    const FitContext::Bigram& bg = ctx.bigrams[b];
+    const double keep = 1.0 - c_[static_cast<std::size_t>(bg.to)];
+    double* blk = ws.blocks.data() + b * nn;
+    for (std::size_t h = 0; h < n; ++h) {
+      const double* arow =
+          a_.row(static_cast<std::size_t>(state_of(static_cast<int>(h), bg.from)));
+      for (std::size_t k = 0; k < n; ++k)
+        blk[h * n + k] =
+            arow[static_cast<std::size_t>(state_of(static_cast<int>(k), bg.to))] *
+            keep;
+    }
+  }
+  // Bridges, each scaled by the power of two that puts its largest entry
+  // in [0.5, 1): the true block is the scaled one times 2^exponent, with
+  // the entry sweep's renorms folded into the exponent. The skeleton
+  // forward multiplies every bridged step by its scaled block, so the
+  // exponents, summed over occurrences, are the rest of the likelihood.
+  const fb::SegmentEStep& sa = ws.sacc;
+  ws.bridge_exp = 0;
+  ws.v0.resize(n);
+  ws.tail.resize(n);
+  for (std::size_t i = 0; i < ctx.segments.size(); ++i) {
+    const double* src = sa.bridge.data() + sa.bridge_off[i];
+    const std::size_t len = sa.bridge_off[i + 1] - sa.bridge_off[i];
+    const double mx = *std::max_element(src, src + len);
+    DCL_ENSURE_MSG(mx > 0.0, "skeleton: zero bridge");
+    int ex = 0;
+    std::frexp(mx, &ex);
+    const double scale = std::ldexp(1.0, -ex);
+    ws.bridge_exp += static_cast<long long>(ctx.segments[i].count) *
+                     (ex - 64 * static_cast<long long>(sa.bridge_renorms[i]));
+    double* dst = static_cast<int>(i) == ctx.head   ? ws.v0.data()
+                  : static_cast<int>(i) == ctx.tail ? ws.tail.data()
+                                                    : ws.blocks.data() + (nb + i) * nn;
+    for (std::size_t k = 0; k < len; ++k) dst[k] = src[k] * scale;
+  }
+  if (ctx.head < 0) {
+    const auto d = static_cast<std::size_t>(ctx.first);
+    for (std::size_t h = 0; h < n; ++h)
+      ws.v0[h] = pi_[static_cast<std::size_t>(state_of(static_cast<int>(h),
+                                                       ctx.first))] *
+                 (1.0 - c_[d]);
+  }
+}
 
+double Mmhd::segment_forward(const FitContext& ctx, Workspace& ws) const {
   build_segment_chain(ctx, ws);
   ws.sacc.prepare(ws.seg, ctx.segments);
-  double ll = fb::segment_estep(ws.seg, ctx.segments, ws.sacc);
-  // Received steps have a certain state: their likelihood factors are
-  // closed-form, and so is their E-step share (below).
+  fb::segment_bridges(ws.seg, ctx.segments, ws.sacc);
+  if (!ctx.steps.empty()) {
+    build_skeleton(ctx, ws);
+    const double log_mass = fb::skeleton_forward(
+        ws.blocks.data(), static_cast<std::size_t>(n_), ctx.steps,
+        ws.v0.data(), ctx.tail >= 0 ? ws.tail.data() : nullptr, ws.skel);
+    return log_mass + static_cast<double>(ws.bridge_exp -
+                                          ws.skel.renorm_total) *
+                          std::log(2.0);
+  }
+  // Every received probe's state is certain (N = 1, or none received):
+  // the expansion needs no skeleton weights and measures each loss run's
+  // mass as it goes, and each received step adds a closed-form factor.
+  double ll = fb::segment_expand(ws.seg, ctx.segments, ws.sacc);
   if (ctx.first >= 0) {
     const auto d = static_cast<std::size_t>(ctx.first);
     ll += std::log(pi_[d] * (1.0 - c_[d]));
@@ -825,54 +801,116 @@ std::pair<double, double> Mmhd::em_step_segments(const FitContext& ctx,
     ll += b.count *
           std::log(a_(static_cast<std::size_t>(b.from), d) * (1.0 - c_[d]));
   }
+  return ll;
+}
+
+std::pair<double, double> Mmhd::em_step_segments(const FitContext& ctx,
+                                                 Workspace& ws) {
+  const auto m = static_cast<std::size_t>(m_);
+  const auto n = static_cast<std::size_t>(n_);
+  const std::vector<int>& ls = ctx.loss_states;
+  const std::size_t width = ls.size();
+  const std::size_t nb = ctx.bigrams.size();
+  const bool skeleton = !ctx.steps.empty();
+
+  const double ll = segment_forward(ctx, ws);
+  fb::SegmentEStep& acc = ws.sacc;
+  if (skeleton) {
+    // Skeleton posterior weights: a bridged step's xi divided by its block
+    // is the outer-product sum; the end rows carry the two boundary runs'.
+    ws.sest.prepare(nb + ctx.segments.size(), n);
+    fb::skeleton_backward_estep(ws.blocks.data(), n, ctx.steps,
+                                ctx.tail >= 0 ? ws.tail.data() : nullptr,
+                                ws.skel, ws.sest);
+    for (std::size_t i = 0; i < ctx.segments.size(); ++i) {
+      const double* src = static_cast<int>(i) == ctx.head ? ws.sest.first.data()
+                          : static_cast<int>(i) == ctx.tail
+                              ? ws.sest.last.data()
+                              : ws.sest.outer.data() + (nb + i) * n * n;
+      std::copy(src, src + (acc.bridge_off[i + 1] - acc.bridge_off[i]),
+                acc.weight.data() + acc.bridge_off[i]);
+    }
+    fb::segment_expand(ws.seg, ctx.segments, acc);
+  }
 
   ws.old_pi = pi_;
   ws.old_a = a_;
   ws.old_c = c_;
 
-  const fb::SegmentEStep& acc = ws.sacc;
-  ws.new_pi.assign(m, 0.0);
-  if (ctx.first >= 0) ws.new_pi[static_cast<std::size_t>(ctx.first)] = 1.0;
+  ws.new_pi.assign(static_cast<std::size_t>(states()), 0.0);
+  if (ctx.first >= 0) {
+    const int d = ctx.first;
+    if (skeleton) {
+      for (std::size_t h = 0; h < n; ++h)
+        ws.new_pi[static_cast<std::size_t>(state_of(static_cast<int>(h), d))] =
+            ws.v0[h] * ws.sest.first[h];
+    } else {
+      ws.new_pi[static_cast<std::size_t>(d)] = 1.0;
+    }
+  }
   ws.a_num.fill(0.0);
-  for (const FitContext::Bigram& b : ctx.bigrams)
-    ws.a_num(static_cast<std::size_t>(b.from),
-             static_cast<std::size_t>(b.to)) += b.count;
-  // Boundary transitions: the state beside a segment is certain, so the
-  // xi of a left (right) boundary is the gamma of the segment's first
-  // (last) step.
+  for (std::size_t b = 0; b < nb; ++b) {
+    const FitContext::Bigram& bg = ctx.bigrams[b];
+    if (!skeleton) {
+      ws.a_num(static_cast<std::size_t>(bg.from),
+               static_cast<std::size_t>(bg.to)) += bg.count;
+      continue;
+    }
+    const double* o = ws.sest.outer.data() + b * n * n;
+    const double* blk = ws.blocks.data() + b * n * n;
+    for (std::size_t h = 0; h < n; ++h) {
+      double* a_row = ws.a_num.row(
+          static_cast<std::size_t>(state_of(static_cast<int>(h), bg.from)));
+      for (std::size_t k = 0; k < n; ++k)
+        a_row[static_cast<std::size_t>(state_of(static_cast<int>(k), bg.to))] +=
+            o[h * n + k] * blk[h * n + k];
+    }
+  }
+  // Boundary transitions: the xi from a left boundary state (the start:
+  // pi) into a segment's first step, and from its last step into a right
+  // boundary state.
   for (std::size_t e = 0; e < ctx.entry_sym.size(); ++e) {
     const int l = ctx.entry_sym[e];
-    const double* row = acc.entry_gamma.row(e);
-    for (std::size_t j = 0; j < n; ++j) {
-      const auto sj = static_cast<std::size_t>(ls[j]);
-      if (l < 0)
-        ws.new_pi[sj] = row[j];
-      else
-        ws.a_num(static_cast<std::size_t>(l), sj) += row[j];
+    for (std::size_t h = 0; h < ctx.entry_seeds[e]; ++h) {
+      const double* row = acc.entry_gamma.row(ws.seg.entry_begin[e] + h);
+      double* to = l < 0 ? ws.new_pi.data()
+                         : ws.a_num.row(static_cast<std::size_t>(
+                               state_of(static_cast<int>(h), l)));
+      for (std::size_t j = 0; j < width; ++j) {
+        const auto sj = static_cast<std::size_t>(ls[j]);
+        if (l < 0)
+          to[sj] = row[j];
+        else
+          to[sj] += row[j];
+      }
     }
   }
   for (std::size_t x = 0; x < ctx.exit_sym.size(); ++x) {
     const int r = ctx.exit_sym[x];
     if (r < 0) continue;
-    const double* row = acc.exit_gamma.row(x);
-    for (std::size_t i = 0; i < n; ++i)
-      ws.a_num(static_cast<std::size_t>(ls[i]), static_cast<std::size_t>(r)) +=
-          row[i];
+    for (std::size_t h = 0; h < ctx.exit_seeds[x]; ++h) {
+      const double* row = acc.exit_gamma.row(ws.seg.exit_begin[x] + h);
+      const auto to =
+          static_cast<std::size_t>(state_of(static_cast<int>(h), r));
+      for (std::size_t i = 0; i < width; ++i)
+        ws.a_num(static_cast<std::size_t>(ls[i]), to) += row[i];
+    }
   }
   // Loss -> loss xi: the summed outer products times the folded block.
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < width; ++i) {
     const double* o = acc.outer.row(i);
     const double* f = ws.seg.loss.row(i);
     double* a_row = ws.a_num.row(static_cast<std::size_t>(ls[i]));
-    for (std::size_t j = 0; j < n; ++j)
+    for (std::size_t j = 0; j < width; ++j)
       a_row[static_cast<std::size_t>(ls[j])] += o[j] * f[j];
   }
 
+  // Every received step's gamma is one unit on its symbol.
   ws.c_loss.assign(m, 0.0);
   ws.c_total = ctx.received;
-  for (std::size_t k = 0; k < n; ++k) {
-    const auto d = static_cast<std::size_t>(ls[k]);
-    ws.c_loss[d] = acc.gamma[k];
+  for (std::size_t k = 0; k < width; ++k) {
+    const auto d = static_cast<std::size_t>(symbol_of_state(ls[k]));
+    ws.c_loss[d] += acc.gamma[k];
     ws.c_total[d] += acc.gamma[k];
   }
   return {ll, m_step(ctx.use_prior ? &ctx.prior : nullptr, ws)};
@@ -981,7 +1019,7 @@ FitResult Mmhd::fit(const std::vector<int>& seq, const EmOptions& opts) {
       static_cast<double>(losses) / static_cast<double>(seq.size());
 
   const FitContext ctx =
-      make_context(seq, engine_for(n_, opts), opts.transition_prior);
+      make_context(seq, engine_for(opts), opts.transition_prior);
   // RNG streams are forked in restart order before dispatch, so every
   // restart sees the same stream for any thread count.
   auto rngs = detail::fork_restart_rngs(opts.seed, opts.restarts);
@@ -1040,8 +1078,7 @@ struct Mmhd::StagedFit::Impl {
       : target(&model),
         seq(&s),
         opts(o),
-        ctx(model.make_context(s, engine_for(model.n_, opts),
-                               opts.transition_prior)),
+        ctx(model.make_context(s, engine_for(opts), opts.transition_prior)),
         race(static_cast<std::size_t>(opts.restarts)) {
     for (int o : s) losses += (o == kLoss) ? 1 : 0;
     const double loss_rate =
@@ -1215,19 +1252,14 @@ std::vector<util::Pmf> Mmhd::per_loss_posteriors(
 }
 
 double Mmhd::log_likelihood(const std::vector<int>& seq) const {
-  // Likelihood-only evaluation goes through the block-chain kernel with
-  // run-length folding: a run of one class repeats its self block, and
-  // long runs collapse to a handful of memoized squared-power
-  // applications (fb::ScaledPowers).
+  // Likelihood-only evaluation is the default engine's forward half: the
+  // loss-run bridges, then the received-probe sweep (closed form when
+  // N = 1).
   DCL_ENSURE_MSG(!seq.empty(), "log_likelihood: empty sequence");
   // The prior only shapes the M-step.
-  const FitContext ctx = make_context(seq, Engine::kChain, 0.0);
+  const FitContext ctx = make_context(seq, Engine::kSegments, 0.0);
   Workspace ws;
-  build_chain(ctx, ws);
-  fb::RunLengthIndex runs;
-  runs.build(ctx.cls);
-  std::vector<fb::ScaledPowers> cache;
-  return fb::chain_log_likelihood(ws.chain, runs, ws.v0.data(), cache);
+  return segment_forward(ctx, ws);
 }
 
 std::vector<int> Mmhd::viterbi(const std::vector<int>& seq) const {
@@ -1336,13 +1368,8 @@ FitResult MmhdRefitter::refit(const std::vector<int>& seq) {
   model_.c_ = c0_;
 
   const Mmhd::FitContext ctx = model_.make_context(
-      seq, Mmhd::engine_for(model_.n_, opts_), opts_.transition_prior);
+      seq, Mmhd::engine_for(opts_), opts_.transition_prior);
   Mmhd::Workspace& ws = *ws_;
-  // The class adjacency differs per sequence, so rebuild the block layout
-  // here (build_chain's lazy init only covers the first sequence); the
-  // assign() calls inside reuse the previous replicate's storage.
-  if (ctx.engine == Mmhd::Engine::kChain)
-    ws.chain.init(ctx.widths, ctx.pair_used);
 
   FitResult res;
   double ll_last = -std::numeric_limits<double>::infinity();

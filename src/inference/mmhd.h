@@ -14,13 +14,15 @@
 // The EM algorithm follows the paper's Appendix B (scaled forward-backward
 // over the composite state space with missing-value emissions). When a
 // symbol is observed only the N states carrying that symbol are feasible,
-// so the trellis is iterated over per-step active state sets: an EM
-// iteration costs O(N^2) per received probe and O((N*S)^2) per lost one,
-// with S the number of symbols observed in the sequence, rather than
-// O(T * (N*M)^2). With N = 1 a received probe's state is certain, so the
-// default engine sweeps only the distinct loss runs: O(distinct runs x run
-// length x S^2) + O(M^2) per iteration, independent of the received count
-// (see fb::segment_estep).
+// and a loss can only sit on the N * S states of the S symbols observed in
+// the sequence. The default engine exploits both: it sweeps the received
+// probes only, with one N x N block per step (O(N^2) per received probe),
+// and bridges every loss run by a block that depends only on the run's
+// (left symbol, right symbol, length) key, so each distinct key costs
+// O(N * run length * (N * S)^2) per iteration however often it occurs
+// (see fb::segment_bridges). With N = 1 a received probe's state is
+// certain and the received-probe sweep reduces to fixed bigram counts, so
+// an iteration is independent of the received count.
 #pragma once
 
 #include <cstdint>
@@ -90,11 +92,11 @@ class Mmhd {
   struct Workspace;   // per-restart trellis, emission vectors, accumulators
   struct Runner;      // resumable per-restart EM state for drive_restarts
 
-  // Forward-backward engines, selected per fit from EmOptions and N:
-  // per-call reference, cached emission tables, block-chain kernels, and —
-  // for N = 1 under the kernel switch — the loss-segment kernels.
-  enum class Engine { kReference, kCached, kChain, kSegments };
-  static Engine engine_for(int hidden_states, const EmOptions& opts);
+  // Forward-backward engines, selected per fit from EmOptions: per-call
+  // reference, cached emission tables, and the loss-segment kernels (every
+  // N; see em_step_segments).
+  enum class Engine { kReference, kCached, kSegments };
+  static Engine engine_for(const EmOptions& opts);
 
   void random_init(util::Rng& rng, double observed_loss_rate);
   void clamp_parameters();
@@ -130,31 +132,29 @@ class Mmhd {
                                               Workspace& ws);
   std::pair<double, double> em_step_cached(const FitContext& ctx,
                                            Workspace& ws);
-  // Vectorized engine (EmOptions::kernels): folds the current parameters
-  // into per-class-pair transition blocks (fb::BlockChain) and runs the raw
-  // block-chain forward/backward kernels in each class's compact
-  // coordinates — no per-step active-set gathers, no per-step
-  // normalization. Classes: one per delay symbol plus a shared loss class
-  // over the supported states.
-  std::pair<double, double> em_step_kernel(const FitContext& ctx,
-                                           Workspace& ws);
-  // Exact N = 1 E-step over loss segments: received pairs contribute fixed
-  // counts, and each distinct loss run is evaluated once, weighted by its
-  // multiplicity (fb::segment_estep).
+  // Default engine (EmOptions::kernels): bridges each distinct loss run
+  // once (fb::segment_bridges), sweeps the received probes with N x N
+  // blocks (fb::skeleton_forward / skeleton_backward_estep; a closed form
+  // when N = 1 or nothing was received), and expands each run's boundary
+  // posterior into its loss steps (fb::segment_expand).
   std::pair<double, double> em_step_segments(const FitContext& ctx,
                                              Workspace& ws);
+  // The forward half of em_step_segments, also the likelihood-only path:
+  // folds the parameters into ws, builds the bridges and returns the log
+  // likelihood of the current parameters. When every received probe's
+  // state is certain, the expansion (which measures each loss run's mass)
+  // runs here too.
+  double segment_forward(const FitContext& ctx, Workspace& ws) const;
   // Folds the parameters into ws.seg for the segment kernels.
   void build_segment_chain(const FitContext& ctx, Workspace& ws) const;
+  // Folds the received-probe blocks into ws: adjacent-pair blocks, each
+  // bridge scaled to a maximum in [0.5, 1) (its exponent summed into
+  // ws.bridge_exp), and the rows at the two ends of the sequence.
+  void build_skeleton(const FitContext& ctx, Workspace& ws) const;
   // M-step tail shared by every engine: installs pi, A (plus `prior`) and C
   // from the workspace accumulators, clamps, records the eq. (5) numerator
   // and returns the largest change against the snapshot in ws.old_*.
   double m_step(const util::Matrix* prior, Workspace& ws);
-  // Composite state behind compact index k of class `cls` (an observed
-  // symbol's hidden index, or a position in the loss-class state list).
-  int class_state(const FitContext& ctx, std::size_t cls,
-                  std::size_t k) const;
-  // (Re)folds the parameters into ws.chain and the t = 0 init row ws.v0.
-  void build_chain(const FitContext& ctx, Workspace& ws) const;
   void build_emission_tables(Workspace& ws) const;
   double forward_backward_cached(const FitContext& ctx, Workspace& ws) const;
   // Paper eq. (5) from an already-computed trellis of this model.

@@ -1,10 +1,11 @@
 // Parity and stress tests for the vectorized forward-backward kernels
 // (EmOptions::kernels): randomized HMM and MMHD fits against the retained
-// per-call reference path (cache_emissions=false) — for the MMHD with one
-// hidden state (loss-segment engine) as well as two — engine agreement of the
-// PR 2 cached-table path, degenerate sequences (all-loss, single-symbol,
-// length-1), run-length folded likelihood evaluation, and a T=500k
-// underflow stress run guarding the power-cache scaling.
+// per-call reference path (cache_emissions=false) — the MMHD at one to four
+// hidden states, where the kernel engine sweeps received probes and bridges
+// loss runs — loss-run shapes that stress the bridges, engine agreement of
+// the cached-table path, degenerate sequences (all-loss, single-symbol,
+// length-1), likelihood-only evaluation against the fit, and a T=500k
+// underflow stress run guarding the raw recursions' renormalization.
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -24,8 +25,8 @@ namespace {
 constexpr int kLoss = inference::Discretizer::kLossSymbol;
 
 // Sticky symbol chain with symbol-dependent losses and optional loss
-// bursts (runs of consecutive losses, the shape that exercises the
-// run-length machinery).
+// bursts (runs of consecutive losses, the shape that exercises the loss-run
+// bridges).
 std::vector<int> synth_sequence(std::size_t t_len, int symbols,
                                 double loss_p_top, int burst_len,
                                 std::uint64_t seed) {
@@ -148,11 +149,11 @@ TEST(FbKernels, MmhdRandomizedParityWithNaivePath) {
   for (const auto& c : cases) {
     const auto seq = synth_sequence(c.t_len, c.symbols, c.loss_p, c.burst,
                                     c.seed);
-    // N = 2 runs the block-chain kernels, N = 1 the loss-segment engine.
-    // With one hidden state every restart climbs to the same optimum, so
-    // restart likelihoods tie to ~1e-15 and the winner index is engine
-    // noise: N = 1 parity runs a single restart.
-    for (int n : {2, 1}) {
+    // N >= 2 sweeps the received probes with N x N blocks; N = 1 only the
+    // loss runs. With one hidden state every restart climbs to the same
+    // optimum, so restart likelihoods tie to ~1e-15 and the winner index is
+    // engine noise: N = 1 parity runs a single restart.
+    for (int n : {4, 3, 2, 1}) {
       SCOPED_TRACE(::testing::Message() << "T=" << c.t_len << " M="
                                         << c.symbols << " N=" << n
                                         << " seed=" << c.seed);
@@ -162,37 +163,58 @@ TEST(FbKernels, MmhdRandomizedParityWithNaivePath) {
   }
 }
 
-// Loss-segment shapes for the N = 1 engine: boundary segments at both ends
-// of the sequence (entry from pi, exit to nothing), one run long enough to
-// need the raw-recursion renorms, and many repeats of few distinct
-// (left, right, length) keys, so the multiplicity weighting carries most
-// of the E-step. Single restart, as in the randomized N = 1 cases.
-TEST(FbKernels, MmhdSingleHiddenStateSegmentShapes) {
+// Loss-run shapes for the kernel engine at N = 1, 2, 3: boundary runs at
+// both ends of the sequence (entry from pi, exit to nothing), one run long
+// enough that its bridge needs a power-of-two exponent, many repeats of
+// few distinct (left, right, length) keys (the weight expansion carries
+// most of the E-step), received probes standing alone between two runs
+// (down to a sequence with a single one), and no loss at all (the
+// received-probe sweep alone). Single restart, as in the randomized N = 1
+// cases: degenerate shapes make restarts near-tie.
+TEST(FbKernels, MmhdSegmentShapes) {
   auto ends_lost = synth_sequence(900, 5, 0.3, 6, 401);
   for (std::size_t t = 0; t < 4; ++t) {
     ends_lost[t] = kLoss;
     ends_lost[ends_lost.size() - 1 - t] = kLoss;
   }
-  {
-    SCOPED_TRACE("starts and ends with a loss");
-    check_kernel_vs_naive<inference::Mmhd>(ends_lost, 5, 41, 1, 1);
-  }
-
   auto long_run = synth_sequence(1500, 6, 0.1, 3, 402);
   for (std::size_t t = 600; t < 860; ++t) long_run[t] = kLoss;
-  {
-    SCOPED_TRACE("one loss run of 260");
-    check_kernel_vs_naive<inference::Mmhd>(long_run, 6, 42, 1, 1);
-  }
-
   std::vector<int> repeated;
   const int pattern[] = {1, 2, kLoss, kLoss, 3, 2, kLoss, 1, 4, kLoss,
                          kLoss, kLoss, 4, 1};
   for (int rep = 0; rep < 150; ++rep)
     for (int o : pattern) repeated.push_back(o);
-  {
-    SCOPED_TRACE("many repeated segment keys");
-    check_kernel_vs_naive<inference::Mmhd>(repeated, 4, 43, 1, 1);
+  std::vector<int> lone;
+  util::Rng rng(404);
+  for (int rep = 0; rep < 120; ++rep) {
+    const auto run = static_cast<std::size_t>(rng.uniform_int(1, 7));
+    for (std::size_t k = 0; k < run; ++k) lone.push_back(kLoss);
+    lone.push_back(static_cast<int>(rng.uniform_int(1, 4)));
+  }
+  lone.push_back(kLoss);
+  const std::vector<int> single = {kLoss, kLoss, kLoss, 3, kLoss, kLoss};
+  const auto lossless = synth_sequence(800, 5, 0.0, 1, 405);
+
+  struct Shape {
+    const char* name;
+    const std::vector<int>* seq;
+    int symbols;
+  };
+  const Shape shapes[] = {
+      {"starts and ends with a loss", &ends_lost, 5},
+      {"one loss run of 260", &long_run, 6},
+      {"many repeated segment keys", &repeated, 4},
+      {"received probes alone between loss runs", &lone, 4},
+      {"a single received probe", &single, 3},
+      {"no loss at all", &lossless, 5},
+  };
+  for (int n : {1, 2, 3}) {
+    for (const Shape& shape : shapes) {
+      SCOPED_TRACE(::testing::Message() << shape.name << ", N=" << n);
+      check_kernel_vs_naive<inference::Mmhd>(*shape.seq, shape.symbols,
+                                             40 + static_cast<std::uint64_t>(n),
+                                             1, n);
+    }
   }
 }
 
@@ -220,8 +242,8 @@ TEST(FbKernels, AllLossSequenceParity) {
   // failure.
   const std::vector<int> seq(60, kLoss);
   check_kernel_vs_naive<inference::Hmm>(seq, 4, 11, 1);
+  // One segment from the sequence start to its end, nothing received.
   check_kernel_vs_naive<inference::Mmhd>(seq, 4, 11, 1);
-  // N = 1: one segment from the sequence start to its end.
   check_kernel_vs_naive<inference::Mmhd>(seq, 4, 11, 1, 1);
 }
 
@@ -231,8 +253,9 @@ TEST(FbKernels, SingleSymbolSequenceParity) {
   // all-loss case.
   const std::vector<int> seq(80, 2);
   check_kernel_vs_naive<inference::Hmm>(seq, 4, 13, 1);
+  // No segment at all: the received-probe sweep alone (N = 2), or only
+  // received-pair counts (N = 1).
   check_kernel_vs_naive<inference::Mmhd>(seq, 4, 13, 1);
-  // N = 1: no segment at all, only received-pair counts.
   check_kernel_vs_naive<inference::Mmhd>(seq, 4, 13, 1, 1);
 
   inference::Hmm model(2, 4);
@@ -243,7 +266,7 @@ TEST(FbKernels, SingleSymbolSequenceParity) {
 
 TEST(FbKernels, LengthOneLikelihoodMatchesHandComputed) {
   // fit() needs two observations, but likelihood evaluation goes through
-  // the run-length kernel for any length; at T=1 it must reduce to
+  // the kernels' forward sweeps for any length; at T=1 it must reduce to
   // log(sum_h pi[h] * emission(h, obs)).
   inference::Hmm hmm(2, 3);
   util::Matrix a(2, 2);
@@ -298,12 +321,13 @@ TEST(FbKernels, LengthOneLikelihoodMatchesHandComputed) {
 }
 
 // --------------------------------------------------------------------------
-// Run-length folding: likelihood-only evaluation folds runs through the
-// memoized power cache; it must agree with the per-step fit likelihood.
+// Likelihood-only evaluation — the forward sweep alone (for the MMHD: the
+// bridges and the received-probe forward sweep) — must agree with the fit
+// likelihood.
 
-TEST(FbKernels, FoldedLikelihoodMatchesFitOnBurstySequence) {
-  // Long single-symbol stretches and loss bursts well past the folding
-  // threshold, so the evaluation path actually exercises the power cache.
+TEST(FbKernels, LikelihoodOnlyMatchesFitOnBurstySequence) {
+  // Long single-symbol stretches and loss bursts of 40..120, so the raw
+  // recursions renormalize and the MMHD bridges need exponents.
   std::vector<int> seq;
   util::Rng rng(41);
   for (int block = 0; block < 12; ++block) {
@@ -332,7 +356,7 @@ TEST(FbKernels, FoldedLikelihoodMatchesFitOnBurstySequence) {
 
 // --------------------------------------------------------------------------
 // T=500k underflow stress: the raw (renormalize-on-demand) recursions and
-// the power cache must keep half a million steps finite and the eq. (5)
+// the bridges must keep half a million steps finite and the eq. (5)
 // posterior normalized.
 
 template <typename Model>
@@ -358,8 +382,8 @@ void stress_half_million(std::uint64_t seed) {
     sum += p;
   }
   EXPECT_NEAR(sum, 1.0, 1e-9);
-  // Likelihood-only evaluation folds the long loss bursts through the
-  // power cache; it must stay finite and match the installed parameters.
+  // Likelihood-only evaluation of the installed parameters must stay
+  // finite too.
   const double ll = model.log_likelihood(seq);
   ASSERT_TRUE(std::isfinite(ll));
 }
@@ -371,26 +395,29 @@ TEST(FbKernels, HmmHalfMillionStepsStayFinite) {
 TEST(FbKernels, MmhdHalfMillionStepsStayFinite) {
   stress_half_million<inference::Mmhd>(52);
 
-  // N = 1 (loss-segment engine) against the reference path. Over half a
-  // million strictly sequential steps the reference's own rounding reaches
-  // ~1e-12 relative (its iteration-0 likelihood, from identical parameters,
-  // differs from both kernel engines by 9e-13 while those two agree to
+  // N = 1 and N = 2 against the reference path. Over half a million
+  // strictly sequential steps the reference's own rounding reaches ~1e-12
+  // relative (its iteration-0 likelihood, from identical parameters,
+  // differed from both kernel engines by 9e-13 while those two agreed to
   // 1e-15), so the history tolerance here is 5e-12; the tight check is
-  // against the block-chain likelihood of the installed parameters.
+  // against likelihood-only evaluation of the installed parameters.
   const auto seq = synth_sequence(500000, 6, 0.3, 16, 53);
-  inference::EmOptions em = engine_options(true, true);
-  em.hidden_states = 1;
-  em.restarts = 1;
-  em.max_iterations = 3;
-  em.seed = 53;
-  inference::Mmhd model(1, 6);
-  const auto fit = model.fit(seq, em);
-  EXPECT_NEAR(fit.log_likelihood, model.log_likelihood(seq),
-              1e-13 * std::abs(fit.log_likelihood));
-  auto naive = em;
-  naive.cache_emissions = false;
-  inference::Mmhd reference(1, 6);
-  expect_fits_match(fit, reference.fit(seq, naive), 5e-12);
+  for (int n : {1, 2}) {
+    SCOPED_TRACE(::testing::Message() << "N=" << n);
+    inference::EmOptions em = engine_options(true, true);
+    em.hidden_states = n;
+    em.restarts = 1;
+    em.max_iterations = 3;
+    em.seed = 53;
+    inference::Mmhd model(n, 6);
+    const auto fit = model.fit(seq, em);
+    EXPECT_NEAR(fit.log_likelihood, model.log_likelihood(seq),
+                1e-13 * std::abs(fit.log_likelihood));
+    auto naive = em;
+    naive.cache_emissions = false;
+    inference::Mmhd reference(n, 6);
+    expect_fits_match(fit, reference.fit(seq, naive), 5e-12);
+  }
 }
 
 }  // namespace

@@ -599,11 +599,13 @@ TEST(WindowedInstruments, ConcurrentRecordAndSnapshot) {
   auto& wh = reg.windowed_histogram("lat");
   auto& wc = reg.windowed_counter("req");
   std::atomic<bool> stop{false};
+  // The writer records at least once: on a loaded host it may not be
+  // scheduled before the snapshot loop below finishes and stops it.
   std::thread writer([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
+    do {
       wh.record(1e-4);
       wc.add(1);
-    }
+    } while (!stop.load(std::memory_order_relaxed));
   });
   std::thread rotator([&] {
     for (int i = 0; i < 50; ++i) window::advance(1);

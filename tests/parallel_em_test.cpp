@@ -127,8 +127,9 @@ TEST(ParallelEm, HmmFitIsThreadCountInvariant) {
 
 TEST(ParallelEm, MmhdFitIsThreadCountInvariant) {
   const auto seq = synth_sequence(1500, 4, 7);
-  // N = 1 runs the loss-segment engine, N = 2 the block-chain kernels.
-  for (int n : {2, 1}) {
+  // N >= 2 sweeps the received probes with N x N blocks (specialized per N
+  // up to four); N = 1 needs no received-probe sweep.
+  for (int n : {3, 2, 1}) {
     SCOPED_TRACE(::testing::Message() << "N=" << n);
     auto em = base_options();
     em.hidden_states = n;
@@ -432,7 +433,7 @@ TEST(ParallelEm, RacingWithNoEliminationsReproducesPlainFitBitwise) {
   // pure re-chunking of the same EM trajectory: winner, histories, and
   // installed parameters bitwise equal to the non-racing fit.
   const auto seq = synth_sequence(1500, 4, 91);
-  for (int n : {2, 1}) {
+  for (int n : {3, 2, 1}) {
     SCOPED_TRACE(::testing::Message() << "N=" << n);
     auto em = base_options();
     em.restarts = 6;
