@@ -1,16 +1,15 @@
-// EM scaling benchmark: wall time of HMM and MMHD fits across the three
-// engines — per-call reference ("naive"), cached emission tables
-// ("cached", the PR 2 path), and the vectorized SoA kernels ("kernel",
-// the default) — plus the threaded restart engine at 1/2/4/8 workers on
-// the kernel path. The "mmhd_select" block times the largest hidden-state
-// candidate of model selection (N = 4, M = 10, the main sequence) and the
-// "mmhd_fine" block the fine-bound fit's shape (one hidden state, M = 50)
-// on two sequences — a congested one (~5% loss) and a loss-heavy one (~50%
-// loss in runs of up to ~150) — each with the three engines at one
-// thread. Each timing is the
+// EM scaling benchmark: wall time of HMM and MMHD fits on the two engines
+// — the per-call reference ("naive", EmOptions::cache_emissions = false)
+// and the vectorized kernels ("kernel", the default) — plus the threaded
+// restart engine at 1/2/4/8 workers on the kernel path. The "mmhd_select"
+// block times the largest hidden-state candidate of model selection
+// (N = 4, M = 10, the main sequence) and the "mmhd_fine" block the
+// fine-bound fit's shape (one hidden state, M = 50) on two sequences — a
+// congested one (~5% loss) and a loss-heavy one (~50% loss in runs of up
+// to ~150) — each with both engines at one thread. Each timing is the
 // median of DCL_EM_SCALING_SAMPLES runs after DCL_EM_SCALING_WARMUP warmup
 // runs (bench/common.h), with the min–max spread recorded so the JSON
-// shows whether a speedup clears the run-to-run noise; the cached and
+// shows whether a speedup clears the run-to-run noise; the naive and
 // one-thread kernel samples that the kernel-speedup gates compare are
 // taken in alternation. Fit results are asserted identical across thread
 // counts (bitwise by construction), making the benchmark double as a
@@ -25,9 +24,9 @@
 // Writes a single-line JSON record to the first non-flag argument
 // (default "BENCH_em_scaling.json") and mirrors a human-readable summary
 // to stdout. `--min-kernel-speedup X` exits nonzero when either model's
-// single-thread kernel-over-cached speedup (or the selection candidate's,
-// or either fine shape's) falls below X — the hook the check.sh perf smoke
-// stage uses.
+// single-thread kernel-over-naive speedup (kernel_vs_naive_1t; or the
+// selection candidate's, or either fine shape's) falls below X — the hook
+// the check.sh perf smoke stage uses.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -115,10 +114,9 @@ std::vector<int> fine_sequence(std::size_t t_len, bool loss_heavy,
   return seq;
 }
 
-// The three engines (em_options.h): naive recomputes emissions per
-// (t, state); cached is the PR 2 emission-table path; kernel is the SoA
-// vectorized path.
-enum class Engine { kNaive, kCached, kKernel };
+// The two engines (em_options.h): naive recomputes emissions per
+// (t, state); kernel is the SoA vectorized path.
+enum class Engine { kNaive, kKernel };
 
 inference::EmOptions options(int threads, Engine engine,
                              int hidden_states = 2) {
@@ -129,8 +127,7 @@ inference::EmOptions options(int threads, Engine engine,
   em.tolerance = 0.0;  // fixed iteration count: measures raw E+M cost
   em.seed = 42;
   em.threads = threads;
-  em.cache_emissions = engine != Engine::kNaive;
-  em.kernels = engine == Engine::kKernel;
+  em.cache_emissions = engine == Engine::kKernel;
   return em;
 }
 
@@ -138,7 +135,7 @@ struct FitTiming {
   bench::TimingStats wall;
   double log_likelihood = 0.0;
   int iterations = 0;  // EM iterations of the winning restart, per run
-  int restarts = 0;    // restarts that ran to completion (none pruned here)
+  int restarts = 0;    // restarts that ran to completion (none raced here)
 };
 
 // One fit of `Model` per call, recording its outcome into `out`.
@@ -167,12 +164,10 @@ FitTiming time_fit(const std::vector<int>& seq, int hidden_states,
 struct ModelScaling {
   int hidden_states = 0;
   FitTiming naive_1t;
-  FitTiming cached_1t;
   std::vector<int> threads;
-  std::vector<FitTiming> kernel;        // kernel engine per thread count
-  double emission_cache_speedup = 0.0;  // naive 1t / cached 1t
-  double kernel_speedup_1t = 0.0;       // cached 1t / kernel 1t
-  double speedup_4t = 0.0;              // kernel 1t / kernel 4t
+  std::vector<FitTiming> kernel;     // kernel engine per thread count
+  double kernel_vs_naive_1t = 0.0;   // naive 1t / kernel 1t
+  double speedup_4t = 0.0;           // kernel 1t / kernel 4t
 };
 
 void print_row(const char* name, int n, const char* engine, int threads,
@@ -192,19 +187,16 @@ ModelScaling run_model(const char* name, const std::vector<int>& seq,
   out.hidden_states = hidden_states;
   out.threads = {1, 2, 4, 8};
 
-  out.naive_1t = time_fit<Model>(seq, hidden_states,
-                                 options(1, Engine::kNaive), samples, warmup);
-  print_row(name, hidden_states, "naive", 1, out.naive_1t);
-  // Cached and one-thread kernel alternate sample by sample: their ratio
+  // Naive and one-thread kernel alternate sample by sample: their ratio
   // is gated (see bench::time_median_pair_ms).
   out.kernel.resize(out.threads.size());
-  std::tie(out.cached_1t.wall, out.kernel[0].wall) = bench::time_median_pair_ms(
+  std::tie(out.naive_1t.wall, out.kernel[0].wall) = bench::time_median_pair_ms(
       fit_once<Model>(seq, hidden_states, kSymbols,
-                      options(1, Engine::kCached), out.cached_1t),
+                      options(1, Engine::kNaive), out.naive_1t),
       fit_once<Model>(seq, hidden_states, kSymbols,
                       options(1, Engine::kKernel), out.kernel[0]),
       samples, warmup);
-  print_row(name, hidden_states, "cached", 1, out.cached_1t);
+  print_row(name, hidden_states, "naive", 1, out.naive_1t);
 
   for (std::size_t i = 0; i < out.threads.size(); ++i) {
     if (i > 0)
@@ -222,33 +214,26 @@ ModelScaling run_model(const char* name, const std::vector<int>& seq,
   // relative check still catches a broken engine before it pollutes the
   // timing series.
   const double ll_ref = out.naive_1t.log_likelihood;
-  DCL_ENSURE_MSG(std::abs(out.cached_1t.log_likelihood - ll_ref) <=
-                         1e-6 * std::abs(ll_ref) &&
-                     std::abs(out.kernel[0].log_likelihood - ll_ref) <=
-                         1e-6 * std::abs(ll_ref),
+  DCL_ENSURE_MSG(std::abs(out.kernel[0].log_likelihood - ll_ref) <=
+                     1e-6 * std::abs(ll_ref),
                  "fit log likelihood differs across engines");
 
-  out.emission_cache_speedup =
-      out.naive_1t.wall.median_ms / out.cached_1t.wall.median_ms;
-  out.kernel_speedup_1t =
-      out.cached_1t.wall.median_ms / out.kernel[0].wall.median_ms;
+  out.kernel_vs_naive_1t =
+      out.naive_1t.wall.median_ms / out.kernel[0].wall.median_ms;
   out.speedup_4t = out.kernel[0].wall.median_ms / out.kernel[2].wall.median_ms;
-  std::printf(
-      "%-5s N=%d  cache %5.2fx   kernel/cached %5.2fx   4-thread %5.2fx\n",
-      name, hidden_states, out.emission_cache_speedup, out.kernel_speedup_1t,
-      out.speedup_4t);
+  std::printf("%-5s N=%d  kernel/naive %5.2fx   4-thread %5.2fx\n", name,
+              hidden_states, out.kernel_vs_naive_1t, out.speedup_4t);
   return out;
 }
 
-// One single-thread row: the three engines at one thread on one sequence.
+// One single-thread row: both engines at one thread on one sequence.
 struct ShapeRow {
   const char* name = "";
   int hidden_states = 0;
   double loss_frac = 0.0;
   std::size_t longest_run = 0;
-  FitTiming naive_1t, cached_1t, kernel_1t;
-  double emission_cache_speedup = 0.0;  // naive 1t / cached 1t
-  double kernel_speedup_1t = 0.0;       // cached 1t / kernel 1t
+  FitTiming naive_1t, kernel_1t;
+  double kernel_vs_naive_1t = 0.0;  // naive 1t / kernel 1t
 };
 
 // `minima` gates on the fastest samples rather than the medians (see the
@@ -272,30 +257,22 @@ ShapeRow run_shape(const char* label, const char* name,
     em.restarts = restarts;
     return fit_once<inference::Mmhd>(seq, hidden_states, symbols, em, t);
   };
-  out.naive_1t.wall = bench::time_median_ms(fit(Engine::kNaive, out.naive_1t),
-                                            samples, warmup);
-  print_row(label, hidden_states, "naive", 1, out.naive_1t);
-  // Cached and kernel alternate sample by sample: their ratio is gated.
-  std::tie(out.cached_1t.wall, out.kernel_1t.wall) = bench::time_median_pair_ms(
-      fit(Engine::kCached, out.cached_1t), fit(Engine::kKernel, out.kernel_1t),
+  // Naive and kernel alternate sample by sample: their ratio is gated.
+  std::tie(out.naive_1t.wall, out.kernel_1t.wall) = bench::time_median_pair_ms(
+      fit(Engine::kNaive, out.naive_1t), fit(Engine::kKernel, out.kernel_1t),
       samples, warmup);
-  print_row(label, hidden_states, "cached", 1, out.cached_1t);
+  print_row(label, hidden_states, "naive", 1, out.naive_1t);
   print_row(label, hidden_states, "kernel", 1, out.kernel_1t);
   const double ll_ref = out.naive_1t.log_likelihood;
-  DCL_ENSURE_MSG(std::abs(out.cached_1t.log_likelihood - ll_ref) <=
-                         1e-6 * std::abs(ll_ref) &&
-                     std::abs(out.kernel_1t.log_likelihood - ll_ref) <=
-                         1e-6 * std::abs(ll_ref),
+  DCL_ENSURE_MSG(std::abs(out.kernel_1t.log_likelihood - ll_ref) <=
+                     1e-6 * std::abs(ll_ref),
                  "fit log likelihood differs across engines");
-  out.emission_cache_speedup =
-      out.naive_1t.wall.median_ms / out.cached_1t.wall.median_ms;
-  out.kernel_speedup_1t =
-      minima ? out.cached_1t.wall.min_ms / out.kernel_1t.wall.min_ms
-             : out.cached_1t.wall.median_ms / out.kernel_1t.wall.median_ms;
-  std::printf("%-5s N=%d  loss %.3f (longest run %zu)  cache %5.2fx   "
-              "kernel/cached %5.2fx\n",
+  out.kernel_vs_naive_1t =
+      minima ? out.naive_1t.wall.min_ms / out.kernel_1t.wall.min_ms
+             : out.naive_1t.wall.median_ms / out.kernel_1t.wall.median_ms;
+  std::printf("%-5s N=%d  loss %.3f (longest run %zu)  kernel/naive %5.2fx\n",
               label, hidden_states, out.loss_frac, out.longest_run,
-              out.emission_cache_speedup, out.kernel_speedup_1t);
+              out.kernel_vs_naive_1t);
   return out;
 }
 
@@ -361,13 +338,11 @@ std::string json_block(const char* name, const ModelScaling& s) {
                 s.hidden_states);
   out += buf;
   out += "\"naive_1t\":" + json_timing(s.naive_1t) + ",";
-  out += "\"cached_1t\":" + json_timing(s.cached_1t) + ",";
   out += "\"kernel\":" + kernel + ",";
   std::snprintf(buf, sizeof(buf),
-                "\"emission_cache_speedup\":%.3f,\"kernel_speedup_1t\":%.3f,"
+                "\"kernel_vs_naive_1t\":%.3f,"
                 "\"speedup_4t\":%.3f,\"speedup_4t_oversubscribed\":%s}",
-                s.emission_cache_speedup, s.kernel_speedup_1t, s.speedup_4t,
-                hw < 4 ? "true" : "false");
+                s.kernel_vs_naive_1t, s.speedup_4t, hw < 4 ? "true" : "false");
   out += buf;
   return out;
 }
@@ -378,11 +353,9 @@ std::string json_shape_body(const ShapeRow& f) {
                 f.loss_frac, f.longest_run);
   std::string out = buf;
   out += "\"naive_1t\":" + json_timing(f.naive_1t) + ",";
-  out += "\"cached_1t\":" + json_timing(f.cached_1t) + ",";
   out += "\"kernel_1t\":" + json_timing(f.kernel_1t) + ",";
-  std::snprintf(buf, sizeof(buf),
-                "\"emission_cache_speedup\":%.3f,\"kernel_speedup_1t\":%.3f",
-                f.emission_cache_speedup, f.kernel_speedup_1t);
+  std::snprintf(buf, sizeof(buf), "\"kernel_vs_naive_1t\":%.3f",
+                f.kernel_vs_naive_1t);
   return out + buf;
 }
 
@@ -473,10 +446,10 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", out_path.c_str());
 
   if (min_kernel_speedup > 0.0) {
-    double worst = std::min({hmm.kernel_speedup_1t, mmhd.kernel_speedup_1t,
-                             select.kernel_speedup_1t});
+    double worst = std::min({hmm.kernel_vs_naive_1t, mmhd.kernel_vs_naive_1t,
+                             select.kernel_vs_naive_1t});
     for (const ShapeRow& f : fine)
-      worst = std::min(worst, f.kernel_speedup_1t);
+      worst = std::min(worst, f.kernel_vs_naive_1t);
     if (worst < min_kernel_speedup) {
       std::fprintf(stderr, "FAIL: kernel speedup %.2fx below required %.2fx\n",
                    worst, min_kernel_speedup);

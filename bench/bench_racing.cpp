@@ -1,8 +1,7 @@
 // Restart-racing benchmark: wall time of an 8-restart MMHD fit under the
-// three restart-budget policies — full (every restart runs all
-// iterations), pruned (the single prune point of --prune-warmup), and
-// raced (the successive-halving schedule of --race-warmup) — at one
-// thread, so the speedups measure schedule savings, not parallelism.
+// two restart-budget policies — full (every restart runs all iterations)
+// and raced (the successive-halving schedule of --race-warmup) — at one
+// thread, so the speedup measures schedule savings, not parallelism.
 // Each timing is the median of DCL_RACING_SAMPLES runs after
 // DCL_RACING_WARMUP warmup runs (bench/common.h).
 //
@@ -12,10 +11,9 @@
 // only ever reported for policy-equivalent fits.
 //
 // Writes a single-line JSON record to the first non-flag argument
-// (default "BENCH_racing.json") with racing_speedup_vs_pruned /
-// racing_speedup_vs_full. `--min-racing-speedup X` exits nonzero when the
-// racing-over-pruned speedup falls below X — the hook for the check.sh
-// racing regression gate.
+// (default "BENCH_racing.json") with racing_speedup_vs_full.
+// `--min-racing-speedup X` exits nonzero when that speedup falls below X —
+// the hook for the check.sh racing regression gate.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -42,8 +40,8 @@ constexpr int kSymbols = 10;
 constexpr int kHidden = 2;
 constexpr int kRestarts = 8;
 // Deep enough that trailing restarts have real budget left to save:
-// racing's progressive rungs beat the single prune point only when
-// elimination decisions compound over many remaining iterations.
+// racing's progressive rungs pay off when elimination decisions compound
+// over many remaining iterations.
 constexpr int kIterations = 60;
 constexpr double kEpsL = 0.06;
 constexpr double kEpsD = 0.0;
@@ -68,9 +66,7 @@ std::vector<int> synth_sequence(std::size_t t_len, int symbols,
   return seq;
 }
 
-enum class Policy { kFull, kPruned, kRaced };
-
-inference::EmOptions options(Policy policy) {
+inference::EmOptions options(bool raced) {
   inference::EmOptions em;
   em.hidden_states = kHidden;
   em.restarts = kRestarts;
@@ -78,16 +74,7 @@ inference::EmOptions options(Policy policy) {
   em.tolerance = 0.0;  // fixed depth: the policies differ only in schedule
   em.seed = 42;
   em.threads = 1;
-  switch (policy) {
-    case Policy::kFull:
-      break;
-    case Policy::kPruned:
-      em.prune_warmup = 5;  // one cut at the racing schedule's first rung
-      break;
-    case Policy::kRaced:
-      em.race_warmup = 5;
-      break;
-  }
+  if (raced) em.race_warmup = 5;
   return em;
 }
 
@@ -169,29 +156,21 @@ int main(int argc, char** argv) {
       "restart racing: T=%d M=%d N=%d restarts=%d iterations=%d 1t "
       "(%zu hw threads, median of %d after %d warmup)\n",
       kTLen, kSymbols, kHidden, kRestarts, kIterations, hw, samples, warmup);
-  const auto full =
-      run_policy("full", seq, options(Policy::kFull), samples, warmup);
-  const auto pruned =
-      run_policy("pruned", seq, options(Policy::kPruned), samples, warmup);
-  const auto raced =
-      run_policy("raced", seq, options(Policy::kRaced), samples, warmup);
+  const auto full = run_policy("full", seq, options(false), samples, warmup);
+  const auto raced = run_policy("raced", seq, options(true), samples, warmup);
 
   // Verdict parity before any speedup is reported: a racing schedule that
   // flips the SDCL/WDCL answer is a correctness bug, not a perf win.
-  if (raced.sdcl != full.sdcl || raced.wdcl != full.wdcl ||
-      pruned.sdcl != full.sdcl || pruned.wdcl != full.wdcl) {
+  if (raced.sdcl != full.sdcl || raced.wdcl != full.wdcl) {
     std::fprintf(stderr,
                  "FAIL: verdicts diverge across policies (full %d/%d, "
-                 "pruned %d/%d, raced %d/%d)\n",
-                 full.sdcl, full.wdcl, pruned.sdcl, pruned.wdcl, raced.sdcl,
-                 raced.wdcl);
+                 "raced %d/%d)\n",
+                 full.sdcl, full.wdcl, raced.sdcl, raced.wdcl);
     return 1;
   }
 
-  const double vs_pruned = pruned.wall.median_ms / raced.wall.median_ms;
   const double vs_full = full.wall.median_ms / raced.wall.median_ms;
-  std::printf("racing speedup: %.2fx vs pruned, %.2fx vs full\n", vs_pruned,
-              vs_full);
+  std::printf("racing speedup: %.2fx vs full\n", vs_full);
 
   char head[256];
   std::snprintf(head, sizeof(head),
@@ -203,26 +182,24 @@ int main(int argc, char** argv) {
                 samples, warmup);
   char tail[160];
   std::snprintf(tail, sizeof(tail),
-                "\"racing_speedup_vs_pruned\":%.3f,"
                 "\"racing_speedup_vs_full\":%.3f,\"verdict_parity\":true}",
-                vs_pruned, vs_full);
+                vs_full);
   const std::string line = std::string(head) + "\"manifest\":" +
                            obs::manifest("racing").to_json() + "," +
                            "\"full\":" + json_policy(full) + "," +
-                           "\"pruned\":" + json_policy(pruned) + "," +
                            "\"raced\":" + json_policy(raced) + "," + tail;
   std::ofstream out(out_path);
   DCL_ENSURE_MSG(out.good(), "cannot open benchmark output file");
   out << line << "\n";
   std::printf("wrote %s\n", out_path.c_str());
 
-  if (min_racing_speedup > 0.0 && vs_pruned < min_racing_speedup) {
+  if (min_racing_speedup > 0.0 && vs_full < min_racing_speedup) {
     std::fprintf(stderr, "FAIL: racing speedup %.2fx below required %.2fx\n",
-                 vs_pruned, min_racing_speedup);
+                 vs_full, min_racing_speedup);
     return 1;
   }
   if (min_racing_speedup > 0.0)
-    std::printf("racing speedup %.2fx >= %.2fx required\n", vs_pruned,
+    std::printf("racing speedup %.2fx >= %.2fx required\n", vs_full,
                 min_racing_speedup);
   return 0;
 }

@@ -30,8 +30,8 @@
 //   --synth N              analyze an in-process N-path synthetic mesh
 //                          instead of files (bench/smoke workload)
 //   --synth-probes T       probes per synthetic path (default 1200)
-//   -M/--symbols, -N/--hidden, --model, --restarts, --seed, --prune-*,
-//   --race-*, --eps-l, --eps-d, --deadline, --no-sanitize,
+//   -M/--symbols, -N/--hidden, --model, --restarts, --seed, --race-*,
+//   --eps-l, --eps-d, --deadline, --no-sanitize,
 //   --no-skew-correction   per-trace pipeline knobs, as in dclid (the
 //                          restart-budget set is shared via cli/em_flags.h)
 //   --serve ADDR           live ops HTTP server for mid-run scraping:
@@ -363,7 +363,7 @@ int main(int argc, char** argv) {
       else usage(argv[0], 2);
     } else if (dcl::cli::parse_em_flag("dclfleet", a, need,
                                        cfg.pipeline.identifier.em))
-      ;  // --restarts/--seed/--prune-*/--race-*, shared with dclid
+      ;  // --restarts/--seed/--race-*, shared with dclid
     else if (a == "--eps-l")
       cfg.pipeline.identifier.eps_l = parse_double(need("--eps-l"), "--eps-l");
     else if (a == "--eps-d")
@@ -425,24 +425,27 @@ int main(int argc, char** argv) {
   if (resume && out_path.empty())
     config_error("--resume requires --out (the file to continue)");
 
+  // The per-trace configuration — what makes two runs comparable — for
+  // both manifest digests below.
+  const auto& em = cfg.pipeline.identifier.em;
+  const std::string per_trace_key =
+      "seed=" + std::to_string(em.seed) +
+      ";restarts=" + std::to_string(em.restarts) + ';' +
+      dcl::cli::em_digest_fields(em) +
+      "symbols=" + std::to_string(cfg.pipeline.identifier.symbols) +
+      ";hidden=" + std::to_string(cfg.pipeline.identifier.hidden_states);
+
   if (print_manifest) {
     // Ops parity with dclid --print-manifest: the RunManifest this
     // invocation would stamp on its exports, before any job discovery —
     // so no traces/threading-plan keys, and the digest covers only the
-    // per-trace configuration (which is what makes runs comparable).
+    // per-trace configuration.
     auto man = dcl::obs::manifest("dclfleet");
-    man.seed = cfg.pipeline.identifier.em.seed;
+    man.seed = em.seed;
     man.add("input", synth_paths > 0 ? "synth:" + std::to_string(synth_paths)
                      : input.empty() ? "none"
                                      : input);
-    man.config_digest = dcl::obs::digest_hex(
-        "seed=" + std::to_string(man.seed) +
-        ";restarts=" + std::to_string(cfg.pipeline.identifier.em.restarts) +
-        ";prune_warmup=" +
-        std::to_string(cfg.pipeline.identifier.em.prune_warmup) + ';' +
-        dcl::cli::em_digest_fields(cfg.pipeline.identifier.em) +
-        "symbols=" + std::to_string(cfg.pipeline.identifier.symbols) +
-        ";hidden=" + std::to_string(cfg.pipeline.identifier.hidden_states));
+    man.config_digest = dcl::obs::digest_hex(per_trace_key);
     std::printf("%s\n", man.to_json().c_str());
     return 0;
   }
@@ -506,14 +509,7 @@ int main(int argc, char** argv) {
     man.add("inner_threads", std::to_string(plan.inner));
     man.add("mode", dcl::fleet::to_string(plan.mode));
     man.config_digest = dcl::obs::digest_hex(
-        "traces=" + std::to_string(jobs.size()) +
-        ";seed=" + std::to_string(man.seed) +
-        ";restarts=" + std::to_string(cfg.pipeline.identifier.em.restarts) +
-        ";prune_warmup=" +
-        std::to_string(cfg.pipeline.identifier.em.prune_warmup) + ';' +
-        dcl::cli::em_digest_fields(cfg.pipeline.identifier.em) +
-        "symbols=" + std::to_string(cfg.pipeline.identifier.symbols) +
-        ";hidden=" + std::to_string(cfg.pipeline.identifier.hidden_states));
+        "traces=" + std::to_string(jobs.size()) + ';' + per_trace_key);
     if (verbose) log::infof("manifest", "%s", man.to_json().c_str());
 
     std::unique_ptr<dcl::obs::serve::Server> server;

@@ -31,12 +31,8 @@
 //   --bootstrap-refit      sequence bootstrap with warm-started EM refits
 //                          instead of posterior resampling
 //   --select-N MAX         choose the hidden-state count by BIC in 1..MAX
-//   --prune-warmup K       abandon trailing EM restarts after K iterations
-//                          (0 = off)
-//   --prune-margin X       log-likelihood margin for restart pruning (25)
 //   --race-warmup K        successive-halving restart racing: first rung
-//                          after K iterations (0 = off; supersedes
-//                          --prune-*)
+//                          after K iterations (0 = off)
 //   --race-keep F          fraction of restarts kept per rung (0.5)
 //   --race-grow X          per-rung budget growth factor (1.0)
 //   --race-overtake X      overtake-bound optimism retaining trailing
@@ -309,7 +305,6 @@ dcl::obs::RunManifest make_manifest(const dcl::core::PipelineConfig& cfg,
   key += "eps_d=" + std::to_string(id.eps_d) + ';';
   key += "bound_symbols=" + std::to_string(id.bound_symbols) + ';';
   key += "bootstrap=" + std::to_string(id.bootstrap_replicates) + ';';
-  key += "prune_warmup=" + std::to_string(id.em.prune_warmup) + ';';
   key += dcl::cli::em_digest_fields(id.em);
   key += "select_N=" + std::to_string(id.auto_hidden_max) + ';';
   key += "skew=" + std::to_string(cfg.correct_clock_skew ? 1 : 0) + ';';
@@ -384,7 +379,7 @@ int main(int argc, char** argv) {
       cfg.identifier.auto_hidden_max =
           parse_int(need("--select-N"), "--select-N");
     else if (dcl::cli::parse_em_flag("dclid", a, need, cfg.identifier.em))
-      ;  // --restarts/--seed/--prune-*/--race-*, shared with dclfleet
+      ;  // --restarts/--seed/--race-*, shared with dclfleet
     else if (a == "--threads")
       cfg.identifier.em.threads = parse_int(need("--threads"), "--threads");
     else if (a == "--scenario")

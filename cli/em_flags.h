@@ -1,10 +1,9 @@
 // Shared EM restart-budget flag handling for the dcl CLIs.
 //
 // dclid and dclfleet expose the same knobs for the multi-restart EM fit —
-// restart count, seed, single-point pruning (--prune-*), and
-// successive-halving racing (--race-*) — and drifting parsers were how
-// dclfleet ended up without --prune-* at all. One header now owns the
-// value parsers, the flag dispatch, the validation, and the usage text;
+// restart count, seed, and successive-halving racing (--race-*) — so one
+// header owns the value parsers, the flag dispatch, the validation, and
+// the usage text;
 // each CLI passes its program name so error messages keep their familiar
 // "<prog>: ..." prefix, and wraps the parsers locally for its
 // program-specific flags.
@@ -75,12 +74,8 @@ inline std::uint64_t parse_u64(const char* prog, const char* v,
 inline constexpr const char* kEmFlagsUsage =
     "  --restarts R           independent EM restarts (default 1)\n"
     "  --seed N               base RNG seed (default 1)\n"
-    "  --prune-warmup K       abandon trailing EM restarts after K\n"
-    "                         iterations (default 0 = off)\n"
-    "  --prune-margin X       log-likelihood margin for pruning (25)\n"
     "  --race-warmup K        race restarts with successive halving: first\n"
-    "                         rung after K iterations (default 0 = off;\n"
-    "                         supersedes --prune-*)\n"
+    "                         rung after K iterations (default 0 = off)\n"
     "  --race-keep F          fraction of restarts kept per rung (0.5)\n"
     "  --race-grow X          per-rung budget growth factor (1.0)\n"
     "  --race-overtake X      optimism of the overtake bound that retains\n"
@@ -96,12 +91,6 @@ bool parse_em_flag(const char* prog, const std::string& a, NeedFn&& need,
     em.restarts = parse_int(prog, need("--restarts"), "--restarts");
   else if (a == "--seed")
     em.seed = parse_u64(prog, need("--seed"), "--seed");
-  else if (a == "--prune-warmup")
-    em.prune_warmup =
-        parse_int(prog, need("--prune-warmup"), "--prune-warmup");
-  else if (a == "--prune-margin")
-    em.prune_margin =
-        parse_double(prog, need("--prune-margin"), "--prune-margin");
   else if (a == "--race-warmup")
     em.race_warmup = parse_int(prog, need("--race-warmup"), "--race-warmup");
   else if (a == "--race-keep")
@@ -119,9 +108,6 @@ bool parse_em_flag(const char* prog, const std::string& a, NeedFn&& need,
 // Range checks for the shared knobs; exits 2 with a one-line message.
 inline void validate_em(const char* prog, const inference::EmOptions& em) {
   if (em.restarts < 1) config_error(prog, "--restarts must be >= 1");
-  if (em.prune_warmup < 0) config_error(prog, "--prune-warmup must be >= 0");
-  if (em.prune_margin < 0.0)
-    config_error(prog, "--prune-margin must be >= 0");
   if (em.race_warmup < 0) config_error(prog, "--race-warmup must be >= 0");
   if (em.race_keep <= 0.0 || em.race_keep > 1.0)
     config_error(prog, "--race-keep must be in (0, 1]");
@@ -131,7 +117,7 @@ inline void validate_em(const char* prog, const inference::EmOptions& em) {
 }
 
 // The racing knobs that change the numeric result, for the CLIs' manifest
-// config digests (prune/restarts/seed are already in both digests).
+// config digests (restarts/seed are already in both digests).
 inline std::string em_digest_fields(const inference::EmOptions& em) {
   return "race_warmup=" + std::to_string(em.race_warmup) +
          ";race_keep=" + std::to_string(em.race_keep) +

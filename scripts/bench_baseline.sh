@@ -33,10 +33,10 @@ echo "==> bench_fleet (1000-path synthetic mesh, outer 1/2/4/8)"
 ./build-release/bench/bench_fleet BENCH_fleet.json --samples 5
 fleet="$(cat BENCH_fleet.json)"
 
-echo "==> bench_racing (restart racing vs prune vs full, 1t)"
+echo "==> bench_racing (raced vs full restarts, 1t)"
 # --samples pinned for the same reason as bench_em_scaling: the series'
 # noise floor must not drift with the shell environment. The benchmark
-# asserts SDCL/WDCL verdict parity across policies before reporting.
+# asserts SDCL/WDCL verdict parity between the policies before reporting.
 ./build-release/bench/bench_racing BENCH_racing.json --samples 5
 racing="$(cat BENCH_racing.json)"
 

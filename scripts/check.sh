@@ -21,19 +21,25 @@
 #
 # The final stage (unless DCL_CHECK_SKIP_PERF=1) builds bench_em_scaling
 # in Release and fails when the kernel engine's single-thread speedup over
-# the cached path drops below 90% of the last committed BENCH_baseline.jsonl
-# entry — a ratio, so the gate holds on machines of any absolute speed.
-# The same stage gates the restart-racing speedup (bench_racing,
-# racing_speedup_vs_pruned >= 1.5x absolute and >= 90% of baseline) unless
-# DCL_CHECK_SKIP_RACING=1; the racing determinism suites themselves run
-# under TSan via the parallel_em_test/selection_bootstrap_test labels
-# already in the TSan stage.
+# the per-call reference path (kernel_vs_naive_1t) drops below 1.3x or
+# below 90% of the last committed BENCH_baseline.jsonl entry — a ratio, so
+# the gate holds on machines of any absolute speed. The same stage gates
+# the restart-racing speedup (bench_racing, racing_speedup_vs_full >= 1.3x
+# absolute and >= 90% of baseline) unless DCL_CHECK_SKIP_RACING=1; the
+# racing determinism suites themselves run under TSan via the
+# parallel_em_test/selection_bootstrap_test labels already in the TSan
+# stage.
+#
+# Every stage registers its temporary files in `tmpfiles`; one EXIT trap
+# removes them all, however the script ends.
 #
 # Runs from the repo root regardless of the invocation directory.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 4)"
+tmpfiles=()
+trap 'rm -f "${tmpfiles[@]}"' EXIT
 
 # run_suite <build_dir> <ctest_label_regex_or_empty> [cmake args...]
 # An empty label regex runs the full suite; otherwise only tests whose
@@ -89,8 +95,7 @@ fi
 if [[ "${DCL_CHECK_SKIP_TRACE:-0}" != "1" ]]; then
   echo "==> trace smoke (flight-recorded dclid run)"
   cmake --build build -j "${JOBS}" --target dclid_cli
-  trace_json="$(mktemp)"
-  trap 'rm -f "${trace_json:-}" "${fresh:-}"' EXIT
+  trace_json="$(mktemp)"; tmpfiles+=("${trace_json}")
   ./build/cli/dclid --scenario wdcl --duration 60 --threads 4 --restarts 4 \
     --trace-out "${trace_json}" > /dev/null
   if command -v python3 >/dev/null 2>&1; then
@@ -133,8 +138,7 @@ fi
 if [[ "${DCL_CHECK_SKIP_SERVE:-0}" != "1" ]]; then
   echo "==> serve smoke (dclid --serve, live scrape)"
   cmake --build build -j "${JOBS}" --target dclid_cli
-  serve_log="$(mktemp)"
-  trap 'rm -f "${trace_json:-}" "${serve_log:-}"' EXIT
+  serve_log="$(mktemp)"; tmpfiles+=("${serve_log}")
   ./build/cli/dclid --scenario wdcl --duration 60 \
     --serve 127.0.0.1:0 --serve-linger 60 > /dev/null 2> "${serve_log}" &
   serve_pid=$!
@@ -207,8 +211,8 @@ fi
 if [[ "${DCL_CHECK_SKIP_FLEET:-0}" != "1" ]]; then
   echo "==> fleet smoke (dclfleet --synth 50, split determinism)"
   cmake --build build -j "${JOBS}" --target dclfleet_cli
-  fleet_a="$(mktemp)"; fleet_b="$(mktemp)"
-  trap 'rm -f "${trace_json:-}" "${serve_log:-}" "${fleet_a:-}" "${fleet_b:-}"' EXIT
+  fleet_a="$(mktemp)"; tmpfiles+=("${fleet_a}")
+  fleet_b="$(mktemp)"; tmpfiles+=("${fleet_b}")
   # Exit 1 just means some traces degraded (expected on a synthetic
   # mesh); 2/3 are invocation/internal failures and abort the smoke.
   rc=0
@@ -251,8 +255,7 @@ fi
 if [[ "${DCL_CHECK_SKIP_PROF:-0}" != "1" ]]; then
   echo "==> profile smoke (dclid --profile-out, speedscope validation)"
   cmake --build build -j "${JOBS}" --target dclid_cli
-  prof_json="$(mktemp --suffix=.speedscope.json)"
-  trap 'rm -f "${trace_json:-}" "${serve_log:-}" "${fleet_a:-}" "${fleet_b:-}" "${prof_json:-}"' EXIT
+  prof_json="$(mktemp --suffix=.speedscope.json)"; tmpfiles+=("${prof_json}")
   ./build/cli/dclid --scenario sdcl --duration 300 --restarts 4 \
     --profile-out "${prof_json}" --profile-hz 500 > /dev/null
   if command -v python3 >/dev/null 2>&1; then
@@ -268,15 +271,14 @@ if [[ "${DCL_CHECK_SKIP_PERF:-0}" != "1" ]]; then
   cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build build-release -j "${JOBS}" \
     --target bench_em_scaling bench_fleet bench_racing bench_micro
-  fresh="$(mktemp)"
-  trap 'rm -f "${trace_json:-}" "${serve_log:-}" "${fresh:-}"' EXIT
+  fresh="$(mktemp)"; tmpfiles+=("${fresh}")
   echo "==> bench_em_scaling perf smoke"
   # The bench's own floor catches an outright broken kernel path even when
-  # the baseline predates the kernel JSON schema. --samples 7 matches
-  # bench_baseline.sh, so the fresh ratios are medians of as many
-  # alternating cached/kernel samples as the baseline's.
+  # the baseline predates the kernel_vs_naive_1t schema. --samples 7
+  # matches bench_baseline.sh, so the fresh ratios are medians of as many
+  # alternating naive/kernel samples as the baseline's.
   ./build-release/bench/bench_em_scaling "${fresh}" --samples 7 \
-    --min-kernel-speedup 1.2
+    --min-kernel-speedup 1.3
   if command -v python3 >/dev/null 2>&1 && [[ -s BENCH_baseline.jsonl ]]; then
     python3 - "${fresh}" BENCH_baseline.jsonl <<'PY'
 import json, sys
@@ -296,14 +298,14 @@ for name, path in rows:
     for key in path:
         ref_block = ref_block.get(key, {})
         got_block = got_block[key]
-    ref = ref_block.get("kernel_speedup_1t")
-    got = got_block["kernel_speedup_1t"]
+    ref = ref_block.get("kernel_vs_naive_1t")
+    got = got_block["kernel_vs_naive_1t"]
     if ref is None:
-        print(f"{name}: baseline predates kernel_speedup_1t; ratio check skipped")
+        print(f"{name}: baseline predates kernel_vs_naive_1t; ratio check skipped")
         continue
     floor = 0.9 * ref
     verdict = "ok" if got >= floor else "REGRESSION"
-    print(f"{name}: kernel_speedup_1t {got:.2f} vs baseline {ref:.2f} "
+    print(f"{name}: kernel_vs_naive_1t {got:.2f} vs baseline {ref:.2f} "
           f"(floor {floor:.2f}) {verdict}")
     ok = ok and got >= floor
 sys.exit(0 if ok else 1)
@@ -318,8 +320,7 @@ PY
   # baseline holds on hardware of any absolute speed.
   if [[ "${DCL_CHECK_SKIP_FLEET:-0}" != "1" ]]; then
     echo "==> bench_fleet perf smoke (batch-engine overhead gate)"
-    fleet_fresh="$(mktemp)"
-    trap 'rm -f "${trace_json:-}" "${serve_log:-}" "${fleet_a:-}" "${fleet_b:-}" "${fresh:-}" "${fleet_fresh:-}"' EXIT
+    fleet_fresh="$(mktemp)"; tmpfiles+=("${fleet_fresh}")
     # The bench's own floor catches an outright broken engine even when
     # the baseline predates the fleet JSON schema.
     # --samples 5, as in bench_baseline.sh: one sample of the efficiency
@@ -350,17 +351,16 @@ PY
       echo "==> python3 or BENCH_baseline.jsonl missing; fleet ratio check skipped"
     fi
   fi
-  # Restart-racing gate: successive halving must keep beating the single
-  # prune point. The benchmark itself enforces the 1.5x absolute floor and
-  # SDCL/WDCL verdict parity across the three policies; the python step
+  # Restart-racing gate: successive halving must keep beating full
+  # restarts. The benchmark itself enforces the 1.3x absolute floor and
+  # SDCL/WDCL verdict parity between the two policies; the python step
   # then ratio-gates against the committed baseline so a gradual schedule
-  # regression is caught even on machines where 1.5x clears easily.
+  # regression is caught even on machines where 1.3x clears easily.
   if [[ "${DCL_CHECK_SKIP_RACING:-0}" != "1" ]]; then
     echo "==> bench_racing perf smoke (restart-racing gate)"
-    racing_fresh="$(mktemp)"
-    trap 'rm -f "${trace_json:-}" "${serve_log:-}" "${fleet_a:-}" "${fleet_b:-}" "${fresh:-}" "${fleet_fresh:-}" "${racing_fresh:-}"' EXIT
+    racing_fresh="$(mktemp)"; tmpfiles+=("${racing_fresh}")
     ./build-release/bench/bench_racing "${racing_fresh}" --samples 5 \
-      --min-racing-speedup 1.5
+      --min-racing-speedup 1.3
     if command -v python3 >/dev/null 2>&1 && [[ -s BENCH_baseline.jsonl ]]; then
       python3 - "${racing_fresh}" BENCH_baseline.jsonl <<'PY'
 import json, sys
@@ -368,17 +368,16 @@ import json, sys
 fresh = json.load(open(sys.argv[1]))
 lines = [l for l in open(sys.argv[2]) if l.strip()]
 base = json.loads(lines[-1]).get("racing", {})
-ref = base.get("racing_speedup_vs_pruned")
-got = fresh["racing_speedup_vs_pruned"]
+ref = base.get("racing_speedup_vs_full")
+got = fresh["racing_speedup_vs_full"]
 if ref is None:
-    print(f"racing: speedup_vs_pruned {got:.2f}x; "
+    print(f"racing: speedup_vs_full {got:.2f}x; "
           "baseline predates the racing bench; ratio check skipped")
     sys.exit(0)
 floor = 0.9 * ref
 verdict = "ok" if got >= floor else "REGRESSION"
-print(f"racing: speedup_vs_pruned {got:.2f}x vs baseline {ref:.2f}x "
-      f"(floor {floor:.2f}x, vs full {fresh['racing_speedup_vs_full']:.2f}x) "
-      f"{verdict}")
+print(f"racing: speedup_vs_full {got:.2f}x vs baseline {ref:.2f}x "
+      f"(floor {floor:.2f}x) {verdict}")
 sys.exit(0 if got >= floor else 1)
 PY
     else
@@ -386,8 +385,7 @@ PY
     fi
   fi
   echo "==> obs overhead smoke (disabled emit/tag + windowed record cost)"
-  micro_json="$(mktemp)"
-  trap 'rm -f "${trace_json:-}" "${serve_log:-}" "${fresh:-}" "${micro_json:-}"' EXIT
+  micro_json="$(mktemp)"; tmpfiles+=("${micro_json}")
   ./build-release/bench/bench_micro \
     --benchmark_filter='BM_(TraceEventDisabled|ProfTagDisabled|HistogramRecord)' \
     --benchmark_out="${micro_json}" --benchmark_out_format=json > /dev/null

@@ -74,7 +74,7 @@ BootstrapResult bootstrap_wdcl(
 // WDCL precondition of a lossy trace this is vanishingly rare. Results
 // are identical for any cfg.threads (per-replicate forked RNG streams,
 // replicate-ordered reduction). `em` supplies the engine/convergence
-// options (restarts/pruning/observer are ignored; see MmhdRefitter).
+// options (restarts/racing/observer are ignored; see MmhdRefitter).
 BootstrapResult bootstrap_wdcl_refit(const std::vector<int>& seq,
                                      const inference::Mmhd& point_fit,
                                      const inference::EmOptions& em,

@@ -1,6 +1,5 @@
-// Shared machinery of the parallel EM drivers in hmm.cpp and mmhd.cpp:
-// the buffered observer events recorded inside restart workers and the
-// deterministic join-point reduction that replays them. Internal to
+// The multi-restart EM driver shared by Hmm and Mmhd (RestartSet below)
+// and its successive-halving rung bookkeeping (RaceState). Internal to
 // src/inference — not part of the public API.
 #pragma once
 
@@ -9,10 +8,14 @@
 #include <cstddef>
 #include <functional>
 #include <limits>
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "inference/discretizer.h"
 #include "inference/em_options.h"
+#include "obs/prof.h"
 #include "obs/trace.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -20,72 +23,17 @@
 
 namespace dcl::inference::detail {
 
-// One EmObserver::on_iteration call, recorded by a restart worker and
-// replayed at the join point so observers never run concurrently.
-struct IterEvent {
-  int iteration = 0;
-  double log_likelihood = 0.0;
-  double max_param_delta = 0.0;
-};
-
-// Child RNG streams for `restarts` restarts, forked in restart order from
-// a parent seeded with `seed` — the exact streams the serial loop drew, so
-// parallel dispatch cannot perturb them.
-inline std::vector<util::Rng> fork_restart_rngs(std::uint64_t seed,
-                                                int restarts) {
-  util::Rng parent(seed);
-  std::vector<util::Rng> children;
-  children.reserve(static_cast<std::size_t>(restarts));
-  for (int r = 0; r < restarts; ++r) children.push_back(parent.fork());
-  return children;
-}
-
-// Deterministic winner reduction over completed restarts, in restart order:
-// replay each restart's buffered iteration events, notify on_restart with
-// the incrementally recomputed new_best flag (strict '>' comparison, so
-// ties resolve to the lowest restart index), and invoke `install(outcome)`
-// whenever the lead changes so the caller can capture that restart's
-// parameters. Outcome must expose `.res` (FitResult) and `.events`
-// (std::vector<IterEvent>). Exactly reproduces the serial observer call
-// order and winner choice for any thread count.
-template <typename Outcome, typename InstallFn>
-FitResult reduce_restarts(std::vector<Outcome>& outcomes, EmObserver* observer,
-                          InstallFn&& install) {
-  FitResult best;
-  best.log_likelihood = -std::numeric_limits<double>::infinity();
-  bool have_best = false;
-  for (std::size_t r = 0; r < outcomes.size(); ++r) {
-    Outcome& o = outcomes[r];
-    if (observer != nullptr)
-      for (const IterEvent& e : o.events)
-        observer->on_iteration(static_cast<int>(r), e.iteration,
-                               e.log_likelihood, e.max_param_delta);
-    const bool new_best = o.res.log_likelihood > best.log_likelihood;
-    if (observer != nullptr)
-      observer->on_restart(static_cast<int>(r), o.res, new_best);
-    if (new_best) {
-      best = std::move(o.res);
-      install(o);
-      have_best = true;
-    }
-  }
-  DCL_ENSURE_MSG(have_best,
-                 "EM fit produced no usable restart: every restart returned "
-                 "a non-finite log likelihood");
-  return best;
-}
-
-// Successive-halving rung bookkeeping shared by the racing restart driver
-// below and the models' StagedFit drivers (model-structure racing advances
-// restarts on externally supplied shared-rung boundaries). Tracks the
-// per-restart likelihood and iteration count at the previous rung boundary
-// so a trailer's mean per-iteration gain — the slope of the overtake
+// Successive-halving rung bookkeeping of RestartSet below, whose rungs are
+// either its own schedule (fit()) or boundaries supplied by a
+// model-structure race (StagedFit). Tracks the per-restart likelihood and
+// iteration count at the previous rung boundary so a trailer's mean
+// per-iteration gain — the slope of the overtake
 // bound — is available at the next reduction. Every method runs on the
 // calling thread and scans restarts in index order, so each decision is a
 // deterministic function of per-restart values: the surviving set, and
-// therefore the winner, is bitwise identical for any thread count. In
-// addition to the Runner interface used by drive_restarts the Runner must
-// expose `int iterations() const` and `bool pruned() const`.
+// therefore the winner, is bitwise identical for any thread count. The
+// Runner exposes last_ll(), iterations(), finished(), pruned() and
+// mark_pruned().
 struct RaceState {
   std::vector<double> prev_ll;
   std::vector<int> prev_iters;
@@ -118,7 +66,7 @@ struct RaceState {
   // gain, projected over the remaining iteration budget. EM iteration
   // gains are non-increasing in practice, so overtake = 1 keeps this an
   // honest reachable-likelihood bound. Infinite until a gain estimate
-  // exists (see the one-iteration probe in drive_race).
+  // exists (see the one-iteration probe in RestartSet::advance).
   template <typename Runner>
   double ll_bound(const Runner& run, std::size_t r, int max_iterations,
                   double overtake) const {
@@ -209,97 +157,263 @@ struct RaceState {
   }
 };
 
-// Racing restart driver: all restarts run one probe iteration (so the
-// first rung has finite gain estimates), then rungs of parallel advances
-// with an index-ordered RaceState::reduce between them, until one
-// contender remains or max_iterations is exhausted. Returns the number of
-// rung reductions executed. Chunked advances produce the same per-restart
-// numbers as one straight run — the Runner is resumable — so racing with
-// no eliminations (race_keep = 1) reproduces the unpruned fit bitwise.
-template <typename Runner>
-int drive_race(util::ThreadPool* pool, const EmOptions& opts,
-               std::vector<Runner>& runs) {
-  const std::size_t n = runs.size();
-  RaceState race(n);
-  util::parallel_indexed(pool, n, [&](std::size_t r) { runs[r].advance(1); });
-  race.snapshot(runs);
-  int target = std::min(opts.race_warmup, opts.max_iterations);
-  while (true) {
-    util::parallel_indexed(pool, n,
-                           [&](std::size_t r) { runs[r].advance(target); });
-    if (target >= opts.max_iterations) break;
-    if (RaceState::live_count(runs) == 0) break;  // everyone converged
-    race.reduce(opts, runs, target);
-    const int live = RaceState::live_count(runs);
-    if (live == 0) break;
-    race.snapshot(runs);
-    target = RaceState::next_target(opts, target, n, live);
+// Resumable multi-restart EM fit, shared by Hmm and Mmhd: the restart set
+// with its pre-forked RNG streams, the worker pool, the racing rung
+// reductions and the winner reduction. Model::fit() runs it to completion
+// (run()); Model::StagedFit advances it on rung boundaries supplied by a
+// model-structure race. Model grants friendship and supplies, privately:
+//   FitContext, Workspace     immutable per-fit inputs / per-restart state
+//   kProfStage, kRestartScope, kIterScope   profiler and trace stage names
+//   FitContext make_context(seq, opts) const
+//   void random_init(util::Rng&, double observed_loss_rate)
+//   void Workspace::prepare(const Model&)
+//   std::pair<double, double> em_step(seq, ctx, ws)    {ll entering, delta}
+//   void install_entering(Workspace&)   adopt the parameters entering the
+//                                       last em_step (their ll is reported)
+//   util::Pmf fitted_posterior(seq, ctx, ws, losses) const
+// `target` and `seq` must outlive the set, and the set must not move (the
+// StagedFit handles own it through a pointer).
+template <typename Model>
+class RestartSet {
+ public:
+  RestartSet(Model& target, const std::vector<int>& seq, const EmOptions& o)
+      : target_(&target),
+        seq_(&seq),
+        opts_(checked(seq, o)),
+        ctx_(target.make_context(seq, opts_)),
+        race_(static_cast<std::size_t>(opts_.restarts)) {
+    for (int s : seq) losses_ += (s == Discretizer::kLossSymbol) ? 1 : 0;
+    loss_rate_ =
+        static_cast<double>(losses_) / static_cast<double>(seq.size());
+    // RNG streams are forked in restart order before dispatch, so every
+    // restart sees the same stream for any thread count.
+    util::Rng parent(opts_.seed);
+    runs_.reserve(static_cast<std::size_t>(opts_.restarts));
+    for (int r = 0; r < opts_.restarts; ++r)
+      runs_.emplace_back(target, parent.fork(), r);
+    const std::size_t workers = std::min(
+        util::ThreadPool::resolve(opts_.threads), runs_.size());
+    if (workers > 1) pool_ = std::make_unique<util::ThreadPool>(workers);
   }
-  util::parallel_indexed(pool, n, [&](std::size_t r) { runs[r].finalize(); });
-  return race.rungs;
-}
+  RestartSet(const RestartSet&) = delete;
+  RestartSet& operator=(const RestartSet&) = delete;
 
-// Restart driver with deterministic budget control. Runner is the
-// per-restart state owned by the model (local model copy, workspace,
-// buffered events) and must expose:
-//   void advance(int upto)   run EM until `upto` iterations are done (or
-//                            convergence); resumable
-//   void finalize()          install winning-convention parameters/posterior
-//   double last_ll() const   log likelihood after the latest iteration
-//   int iterations() const   EM iterations completed so far
-//   bool finished() const    converged or exhausted max_iterations
-//   bool pruned() const      abandoned by pruning/racing
-//   void mark_pruned()       abandon this restart
-//
-// Three regimes, in precedence order. Racing (race_warmup > 0, more than
-// one restart): the successive-halving schedule of drive_race above; the
-// single prune point is superseded (prune_warmup/prune_margin are
-// ignored). Pruning (prune_warmup > 0, margin > 0): all restarts run
-// `prune_warmup` iterations, the warmup-best log likelihood is found by an
-// index-ordered scan on the calling thread, and restarts trailing it by
-// more than `prune_margin` are abandoned. Otherwise every runner advances
-// straight to max_iterations — the same per-restart computation as the
-// single-phase driver, bitwise. In every regime the surviving set is a
-// deterministic function of per-restart values, so the fit stays bitwise
-// identical across thread counts, and the best restart is never abandoned
-// so at least one survives. Returns the racing rung-reduction count (0
-// outside the racing regime).
-template <typename Runner>
-int drive_restarts(util::ThreadPool* pool, const EmOptions& opts,
-                   std::vector<Runner>& runs) {
-  const int restarts = static_cast<int>(runs.size());
-  if (opts.race_warmup > 0 && restarts > 1)
-    return drive_race(pool, opts, runs);
-  const bool prune =
-      opts.prune_warmup > 0 && opts.prune_margin > 0.0 && restarts > 1;
-  if (!prune) {
-    util::parallel_indexed(pool, static_cast<std::size_t>(restarts),
-                           [&](std::size_t r) {
-                             runs[r].advance(opts.max_iterations);
-                             runs[r].finalize();
-                           });
-    return 0;
-  }
-  const int warmup = std::min(opts.prune_warmup, opts.max_iterations);
-  util::parallel_indexed(pool, static_cast<std::size_t>(restarts),
-                         [&](std::size_t r) { runs[r].advance(warmup); });
-  double best = -std::numeric_limits<double>::infinity();
-  for (const Runner& run : runs)
-    if (run.last_ll() > best) best = run.last_ll();
-  for (std::size_t r = 0; r < runs.size(); ++r) {
-    Runner& run = runs[r];
-    if (!run.finished() && run.last_ll() < best - opts.prune_margin) {
-      run.mark_pruned();
-      // Flight-recorder marker; value = abandoned restart's index.
-      obs::trace::instant("em.prune", static_cast<double>(r));
+  // Advances every surviving restart to `upto` cumulative EM iterations
+  // (capped at max_iterations), then applies the racing rung reduction at
+  // this boundary. The first call runs a one-iteration probe first, so
+  // per-iteration gain estimates are finite from the first rung on.
+  void advance(int upto) {
+    const std::size_t n = runs_.size();
+    const int cap = std::min(upto, opts_.max_iterations);
+    if (!probed_) {
+      util::parallel_indexed(pool_.get(), n,
+                             [&](std::size_t r) { step(runs_[r], 1); });
+      race_.snapshot(runs_);
+      probed_ = true;
     }
+    util::parallel_indexed(pool_.get(), n,
+                           [&](std::size_t r) { step(runs_[r], cap); });
+    if (opts_.race_warmup > 0 && n > 1 && cap < opts_.max_iterations &&
+        RaceState::live_count(runs_) > 0)
+      race_.reduce(opts_, runs_, cap);
+    race_.snapshot(runs_);
   }
-  util::parallel_indexed(pool, static_cast<std::size_t>(restarts),
-                         [&](std::size_t r) {
-                           runs[r].advance(opts.max_iterations);
-                           runs[r].finalize();
-                         });
-  return 0;
-}
+
+  // Every surviving restart converged or exhausted.
+  bool finished() const { return RaceState::live_count(runs_) == 0; }
+
+  // Most iterations any surviving restart has run.
+  int iterations() const {
+    int most = 0;
+    for (const Runner& run : runs_)
+      if (!run.pruned()) most = std::max(most, run.iterations());
+    return most;
+  }
+
+  // The current leader's log likelihood (index-ordered).
+  double best_ll() const {
+    double best = -std::numeric_limits<double>::infinity();
+    for (const Runner& run : runs_)
+      if (!run.pruned() && run.last_ll() > best) best = run.last_ll();
+    return best;
+  }
+
+  // Upper bound on the final log likelihood any surviving restart can
+  // still reach (RaceState::ll_bound).
+  double ll_upper_bound(double overtake) const {
+    double bound = -std::numeric_limits<double>::infinity();
+    for (std::size_t r = 0; r < runs_.size(); ++r) {
+      if (runs_[r].pruned()) continue;
+      bound = std::max(bound, race_.ll_bound(runs_[r], r, opts_.max_iterations,
+                                             overtake));
+    }
+    return bound;
+  }
+
+  // Finalizes every restart, then reduces in restart order: replays each
+  // restart's buffered iteration events, notifies on_restart with the
+  // incrementally recomputed new_best flag (strict '>', so ties resolve to
+  // the lowest index), and installs each new leader into the target model
+  // — the serial observer call order and winner for any thread count.
+  // Fires on_winner last. Call once.
+  FitResult finish() {
+    util::parallel_indexed(pool_.get(), runs_.size(),
+                           [&](std::size_t r) { finalize(runs_[r]); });
+    EmObserver* observer = opts_.observer;
+    FitResult best;
+    best.log_likelihood = -std::numeric_limits<double>::infinity();
+    bool have_best = false;
+    int pruned_count = 0;
+    for (std::size_t r = 0; r < runs_.size(); ++r) {
+      Runner& run = runs_[r];
+      pruned_count += run.pruned() ? 1 : 0;
+      if (observer != nullptr)
+        for (const IterEvent& e : run.events)
+          observer->on_iteration(static_cast<int>(r), e.iteration,
+                                 e.log_likelihood, e.max_param_delta);
+      const bool new_best = run.res.log_likelihood > best.log_likelihood;
+      if (observer != nullptr)
+        observer->on_restart(static_cast<int>(r), run.res, new_best);
+      if (new_best) {
+        best = std::move(run.res);
+        *target_ = std::move(run.model);
+        have_best = true;
+      }
+    }
+    DCL_ENSURE_MSG(have_best,
+                   "EM fit produced no usable restart: every restart "
+                   "returned a non-finite log likelihood");
+    best.losses = losses_;
+    best.pruned_restarts = pruned_count;
+    best.race_rungs = race_.rungs;
+    if (observer != nullptr) observer->on_winner(best.winning_restart, best);
+    return best;
+  }
+
+  // The whole fit: rungs on the successive-halving schedule until one
+  // contender remains or max_iterations is reached — with racing off (or
+  // a single restart) one rung straight to max_iterations — then finish().
+  // Advancing in rungs gives the same per-restart numbers as one straight
+  // run, so racing that eliminates nothing reproduces the plain fit
+  // bitwise.
+  FitResult run() {
+    const bool racing = opts_.race_warmup > 0 && runs_.size() > 1;
+    int target = racing ? std::min(opts_.race_warmup, opts_.max_iterations)
+                        : opts_.max_iterations;
+    while (true) {
+      advance(target);
+      const int live = RaceState::live_count(runs_);
+      if (target >= opts_.max_iterations || live == 0) break;
+      target = RaceState::next_target(opts_, target, runs_.size(), live);
+    }
+    return finish();
+  }
+
+ private:
+  // One EmObserver::on_iteration call, buffered by a restart worker and
+  // replayed in finish() so observers never run concurrently.
+  struct IterEvent {
+    int iteration = 0;
+    double log_likelihood = 0.0;
+    double max_param_delta = 0.0;
+  };
+
+  // One restart: a local model, its RNG stream, workspace and outcome.
+  struct Runner {
+    Model model;
+    util::Rng rng;
+    typename Model::Workspace ws;
+    FitResult res;
+    std::vector<IterEvent> events;
+    bool inited = false;
+    bool done = false;
+    bool pruned_flag = false;
+    double ll_last = -std::numeric_limits<double>::infinity();
+    const char* ll_track = nullptr;  // interned trace counter name, lazy
+
+    Runner(const Model& proto, util::Rng r, int restart)
+        : model(proto.hidden_states(), proto.symbols()), rng(r) {
+      res.winning_restart = restart;
+    }
+    double last_ll() const { return ll_last; }
+    int iterations() const { return res.iterations; }
+    bool finished() const { return done; }
+    bool pruned() const { return pruned_flag; }
+    void mark_pruned() {
+      pruned_flag = true;
+      done = true;
+    }
+  };
+
+  static const EmOptions& checked(const std::vector<int>& seq,
+                                  const EmOptions& opts) {
+    DCL_ENSURE_MSG(seq.size() >= 2, "need at least two observations to fit");
+    DCL_ENSURE(opts.restarts >= 1 && opts.max_iterations >= 1);
+    return opts;
+  }
+
+  // Runs EM on one restart until `upto` iterations are done or it
+  // converges; resumable.
+  void step(Runner& run, int upto) {
+    if (run.done) return;
+    // Profiler stage tag: EM restarts run on pool workers with no
+    // enclosing DCL_SPAN, so samples here would otherwise be untagged.
+    DCL_PROF_STAGE(Model::kProfStage);
+    // Restart scope + per-restart log-likelihood counter track; the work
+    // runs on whichever pool worker picked this restart up, so the trace
+    // shows the actual thread-to-restart assignment.
+    obs::trace::Scope restart_scope(
+        Model::kRestartScope, static_cast<double>(run.res.winning_restart));
+    if (obs::trace::enabled() && run.ll_track == nullptr)
+      run.ll_track = obs::trace::intern(
+          std::string(Model::kRestartScope) +
+          std::to_string(run.res.winning_restart) + ".ll");
+    if (!run.inited) {
+      run.model.random_init(run.rng, loss_rate_);
+      run.ws.prepare(run.model);
+      run.inited = true;
+    }
+    const int cap = std::min(upto, opts_.max_iterations);
+    while (run.res.iterations < cap) {
+      DCL_TRACE_SCOPE(Model::kIterScope);
+      const int it = run.res.iterations;
+      const auto [ll, delta] = run.model.em_step(*seq_, ctx_, run.ws);
+      run.res.log_likelihood_history.push_back(ll);
+      run.ll_last = ll;
+      run.res.iterations = it + 1;
+      if (run.ll_track != nullptr) obs::trace::counter(run.ll_track, ll);
+      if (opts_.observer != nullptr) run.events.push_back({it, ll, delta});
+      if (delta < opts_.tolerance) {
+        run.res.converged = true;
+        run.done = true;
+        break;
+      }
+    }
+    if (run.res.iterations >= opts_.max_iterations) run.done = true;
+  }
+
+  // Installs the parameters *entering* the final step: ll_last is exactly
+  // their likelihood, and the retained trellis/accumulators were computed
+  // from them, so the posterior costs no extra forward-backward pass.
+  void finalize(Runner& run) {
+    run.model.install_entering(run.ws);
+    run.res.log_likelihood = run.ll_last;
+    run.res.pruned = run.pruned_flag;
+    if (run.pruned_flag) return;  // cannot win; skip the posterior
+    run.res.virtual_delay_pmf =
+        run.model.fitted_posterior(*seq_, ctx_, run.ws, losses_);
+  }
+
+  Model* target_;
+  const std::vector<int>* seq_;
+  EmOptions opts_;
+  typename Model::FitContext ctx_;
+  std::size_t losses_ = 0;
+  double loss_rate_ = 0.0;
+  std::vector<Runner> runs_;
+  std::unique_ptr<util::ThreadPool> pool_;
+  RaceState race_;
+  bool probed_ = false;
+};
 
 }  // namespace dcl::inference::detail

@@ -75,43 +75,25 @@ struct EmOptions {
   // an isolated computation over a pre-forked RNG, and the winner is a
   // deterministic index-ordered reduction — so this only changes wall time.
   int threads = 0;
-  // Reference-path switch for regression tests and baseline benchmarks:
-  // when false, the fit recomputes emissions per (t, state) as the original
-  // implementation did instead of indexing a per-iteration emission table.
-  // Equal results to floating-point accuracy; substantially slower.
+  // Engine switch: true (the default) runs the vectorized forward-backward
+  // kernels of src/inference/fb_kernels.h (HMM: folded transition x
+  // emission blocks and a fused backward + E-step sweep; MMHD: the
+  // loss-segment engine). false runs the original per-call reference path,
+  // kept as the regression oracle the kernels are tested against; the two
+  // agree to floating-point accuracy (see fb_kernels_test), not bitwise,
+  // and the reference is substantially slower.
   bool cache_emissions = true;
-  // Engine switch for the vectorized SoA forward-backward kernels
-  // (src/inference/fb_kernels.h): padded/aligned state rows, per-iteration
-  // folded transition x emission blocks, fused backward + E-step sweep.
-  // With kernels=false the fit runs the PR 2 cached-emission-table path
-  // bit-for-bit; cache_emissions=false overrides both and runs the original
-  // per-call reference path. Kernel results match the other engines to
-  // floating-point accuracy (see fb_kernels_test), not bitwise.
-  bool kernels = true;
-  // Likelihood-based restart pruning: after `prune_warmup` EM iterations,
-  // restarts whose log likelihood trails the warmup-best by more than
-  // `prune_margin` are abandoned (their entering parameters are kept for
-  // the observer, flagged FitResult::pruned). The warmup-best is found by
-  // an index-ordered reduction, so the surviving set — and therefore the
-  // winner — is identical for every thread count. Because EM likelihood is
-  // non-decreasing, a pruned restart can only have won if its final
-  // likelihood lay within the margin, so a generous margin keeps the
-  // winner exact in practice. prune_warmup = 0 (the default) disables
-  // pruning and reproduces the unpruned results bitwise.
-  int prune_warmup = 0;
-  double prune_margin = 25.0;
-  // Successive-halving restart racing (supersedes the single prune point
-  // above when enabled): every restart runs `race_warmup` iterations, a
-  // rung reduction keeps the top `race_keep` fraction of the likelihood
-  // ranking — plus any trailer whose likelihood upper bound (see
+  // Successive-halving restart racing: every restart runs `race_warmup`
+  // iterations, a rung reduction keeps the top `race_keep` fraction of the
+  // likelihood ranking — plus any trailer whose likelihood upper bound (see
   // race_overtake) can still overtake the leader — and the eliminated
   // contenders' per-rung iteration budget is reallocated to the survivors,
   // so rung depth grows as the field shrinks. Rungs repeat until one
   // contender remains or max_iterations is exhausted. Every reduction is
   // an index-ordered scan on the calling thread over per-restart values,
   // so the surviving set — and the winner — is bitwise identical for any
-  // thread count. race_warmup = 0 (the default) disables racing and leaves
-  // the pruned/unpruned drivers byte-for-byte untouched.
+  // thread count. race_warmup = 0 (the default) disables racing: every
+  // restart runs straight to max_iterations.
   int race_warmup = 0;
   // Fraction of the contenders kept by each rung's rank cut (ties at the
   // cut survive). 0.5 is classic successive halving.
@@ -146,11 +128,12 @@ struct FitResult {
   // P(D = d | loss): the paper's virtual queuing delay PMF, eq. (5).
   util::Pmf virtual_delay_pmf;
   std::size_t losses = 0;
-  // True when this restart was abandoned by likelihood pruning (only ever
-  // seen through EmObserver::on_restart — a pruned restart cannot win).
+  // True when a racing rung reduction eliminated this restart (only ever
+  // seen through EmObserver::on_restart — an eliminated restart cannot
+  // win).
   bool pruned = false;
-  // On the winning fit result: how many restarts of this fit were pruned
-  // (by the single prune point or by racing rung reductions).
+  // On the winning fit result: how many restarts of this fit racing rung
+  // reductions eliminated.
   int pruned_restarts = 0;
   // On the winning fit result: racing rung reductions executed (0 when
   // racing was off or never reached a reduction).

@@ -2,16 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <memory>
 
 #include "inference/discretizer.h"
 #include "inference/em_internal.h"
 #include "inference/fb_kernels.h"
-#include "obs/prof.h"
-#include "obs/trace.h"
 #include "util/error.h"
-#include "util/thread_pool.h"
 
 namespace dcl::inference {
 
@@ -34,21 +30,12 @@ struct Hmm::Trellis {
     beta = util::Matrix(t, n);
     scale.assign(t, 0.0);
   }
-
-  // Reuse-friendly variant for the cached path: keeps the existing storage
-  // when the shape already matches (every cell is overwritten per pass).
-  void ensure(std::size_t t, std::size_t n) {
-    if (alpha.rows() != t || alpha.cols() != n) {
-      alpha = util::Matrix(t, n);
-      beta = util::Matrix(t, n);
-    }
-    if (scale.size() != t) scale.resize(t);
-  }
 };
 
 // Immutable per-fit inputs, computed once and shared (read-only) by every
 // restart worker.
 struct Hmm::FitContext {
+  bool reference = false;  // EmOptions::cache_emissions == false
   std::vector<char> support;
   // Emission-table column per step: the 0-based symbol, or M for a loss.
   std::vector<int> col;
@@ -58,32 +45,30 @@ struct Hmm::FitContext {
 // Owned by the restart worker; sized once, then reused across iterations so
 // the inner loops allocate nothing.
 struct Hmm::Workspace {
-  Trellis w;
-  util::Matrix emit;  // N x (M+1); column M = loss emission
-  // Hoisted em_step accumulators.
-  std::vector<double> new_pi, gamma_sum, c_loss, c_total, gamma;
-  util::Matrix a_num, b_num;
+  Trellis w;  // reference engine
+  // Hoisted kernel-engine M-step accumulators.
+  std::vector<double> gamma_sum, c_loss, c_total;
   // Parameters entering the most recent em_step — the values the restart
   // installs at the end, since the step's reported likelihood is theirs.
   std::vector<double> old_pi, old_c;
   util::Matrix old_a, old_b;
-  // Vectorized-engine state (EmOptions::kernels): folded blocks, padded
-  // forward trellis, fused E-step accumulators, the per-iteration loss
-  // posterior split W(h,d) = B[h][d] C[d] / loss_emit(h), and the retained
-  // loss-column numerator that doubles as the virtual-delay posterior.
+  // Kernel-engine state: the N x (M+1) emission table (column M = loss
+  // emission), folded blocks, padded forward trellis, fused E-step
+  // accumulators, the per-iteration loss posterior split
+  // W(h,d) = B[h][d] C[d] / loss_emit(h), and the retained loss-column
+  // numerator that doubles as the virtual-delay posterior.
+  util::Matrix emit;
   fb::FoldedMatrices folded;
   fb::Trellis ktr;
   fb::EStep acc;
   util::Matrix wsplit;
   std::vector<double> kpmf;
 
-  void prepare(std::size_t n, std::size_t m) {
-    if (emit.rows() != n || emit.cols() != m + 1)
-      emit = util::Matrix(n, m + 1);
-    if (a_num.rows() != n || a_num.cols() != n) a_num = util::Matrix(n, n);
-    if (b_num.rows() != n || b_num.cols() != m) b_num = util::Matrix(n, m);
-    if (wsplit.rows() != n || wsplit.cols() != m) wsplit = util::Matrix(n, m);
-    gamma.resize(n);
+  void prepare(const Hmm& model) {
+    const auto n = static_cast<std::size_t>(model.n_);
+    const auto m = static_cast<std::size_t>(model.m_);
+    emit = util::Matrix(n, m + 1);
+    wsplit = util::Matrix(n, m);
   }
 };
 
@@ -158,8 +143,10 @@ std::vector<char> Hmm::observed_support(const std::vector<int>& seq) const {
   return support;
 }
 
-Hmm::FitContext Hmm::make_context(const std::vector<int>& seq) const {
+Hmm::FitContext Hmm::make_context(const std::vector<int>& seq,
+                                  const EmOptions& opts) const {
   FitContext ctx;
+  ctx.reference = !opts.cache_emissions;
   ctx.support = observed_support(seq);
   ctx.col.resize(seq.size());
   for (std::size_t t = 0; t < seq.size(); ++t) {
@@ -247,62 +234,13 @@ double Hmm::forward_backward(const std::vector<int>& seq, Trellis& w) const {
   return ll;
 }
 
-double Hmm::forward_backward_cached(const FitContext& ctx,
-                                    Workspace& ws) const {
-  const std::size_t t_len = ctx.col.size();
-  const auto n = static_cast<std::size_t>(n_);
-  Trellis& w = ws.w;
-  w.ensure(t_len, n);
-  const util::Matrix& emit = ws.emit;
-
-  double sum = 0.0;
-  {
-    const int c0 = ctx.col[0];
-    for (std::size_t h = 0; h < n; ++h) {
-      const double v = pi_[h] * emit(h, c0);
-      w.alpha(0, h) = v;
-      sum += v;
-    }
-  }
-  DCL_ENSURE_MSG(sum > 0.0, "impossible observation at t=0");
-  w.scale[0] = sum;
-  for (std::size_t h = 0; h < n; ++h) w.alpha(0, h) /= sum;
-
-  for (std::size_t t = 1; t < t_len; ++t) {
-    const int ct = ctx.col[t];
-    sum = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      double acc = 0.0;
-      for (std::size_t i = 0; i < n; ++i) acc += w.alpha(t - 1, i) * a_(i, j);
-      const double v = acc * emit(j, ct);
-      w.alpha(t, j) = v;
-      sum += v;
-    }
-    DCL_ENSURE_MSG(sum > 0.0, "impossible observation at t=" << t);
-    w.scale[t] = sum;
-    for (std::size_t j = 0; j < n; ++j) w.alpha(t, j) /= sum;
-  }
-
-  for (std::size_t h = 0; h < n; ++h) w.beta(t_len - 1, h) = 1.0;
-  for (std::size_t t = t_len - 1; t-- > 0;) {
-    const int cn = ctx.col[t + 1];
-    for (std::size_t i = 0; i < n; ++i) {
-      double acc = 0.0;
-      for (std::size_t j = 0; j < n; ++j)
-        acc += a_(i, j) * emit(j, cn) * w.beta(t + 1, j);
-      w.beta(t, i) = acc / w.scale[t + 1];
-    }
-  }
-
-  double ll = 0.0;
-  for (double c : w.scale) ll += std::log(c);
-  return ll;
+std::pair<double, double> Hmm::em_step(const std::vector<int>& seq,
+                                       const FitContext& ctx, Workspace& ws) {
+  return ctx.reference ? em_step_reference(seq, ws) : em_step_kernel(ctx, ws);
 }
 
-std::pair<double, double> Hmm::em_step(const std::vector<int>& seq,
-                                       Workspace& ws) {
-  // Reference path (EmOptions::cache_emissions == false): per-call
-  // emission() evaluation and per-step allocations, as originally written.
+std::pair<double, double> Hmm::em_step_reference(const std::vector<int>& seq,
+                                                 Workspace& ws) {
   const std::size_t t_len = seq.size();
   Trellis& w = ws.w;
   const double ll = forward_backward(seq, w);
@@ -399,99 +337,6 @@ std::pair<double, double> Hmm::em_step(const std::vector<int>& seq,
   return {ll, delta};
 }
 
-std::pair<double, double> Hmm::em_step_cached(const std::vector<int>& seq,
-                                              const FitContext& ctx,
-                                              Workspace& ws) {
-  const std::size_t t_len = seq.size();
-  const auto n = static_cast<std::size_t>(n_);
-  const auto m = static_cast<std::size_t>(m_);
-
-  build_emission_table(ctx.support, ws.emit);
-  const double ll = forward_backward_cached(ctx, ws);
-
-  // Snapshot the entering parameters (the E-step reads, never writes them).
-  ws.old_pi = pi_;
-  ws.old_a = a_;
-  ws.old_b = b_;
-  ws.old_c = c_;
-
-  ws.new_pi.assign(n, 0.0);
-  ws.a_num.fill(0.0);
-  ws.b_num.fill(0.0);
-  ws.gamma_sum.assign(n, 0.0);
-  ws.c_loss.assign(m, 0.0);
-  ws.c_total.assign(m, 0.0);
-
-  const Trellis& w = ws.w;
-  const util::Matrix& emit = ws.emit;
-
-  for (std::size_t t = 0; t < t_len; ++t) {
-    double gsum = 0.0;
-    for (std::size_t h = 0; h < n; ++h) {
-      ws.gamma[h] = w.alpha(t, h) * w.beta(t, h);
-      gsum += ws.gamma[h];
-    }
-    DCL_ENSURE(gsum > 0.0);
-    for (std::size_t h = 0; h < n; ++h) ws.gamma[h] /= gsum;
-
-    if (t == 0)
-      for (std::size_t h = 0; h < n; ++h) ws.new_pi[h] = ws.gamma[h];
-
-    const int d = sym(seq[t]);
-    for (std::size_t h = 0; h < n; ++h) {
-      const double g = ws.gamma[h];
-      ws.gamma_sum[h] += g;
-      if (d >= 0) {
-        ws.b_num(h, static_cast<std::size_t>(d)) += g;
-        ws.c_total[static_cast<std::size_t>(d)] += g;
-      } else {
-        const double denom = emit(h, m);  // loss column
-        for (std::size_t dd = 0; dd < m; ++dd) {
-          if (!ctx.support[dd]) continue;
-          const double p = g * b_(h, dd) * c_[dd] / denom;
-          ws.b_num(h, dd) += p;
-          ws.c_loss[dd] += p;
-          ws.c_total[dd] += p;
-        }
-      }
-    }
-
-    if (t + 1 < t_len) {
-      const int cn = ctx.col[t + 1];
-      for (std::size_t i = 0; i < n; ++i) {
-        const double ai = w.alpha(t, i);
-        for (std::size_t j = 0; j < n; ++j) {
-          ws.a_num(i, j) +=
-              ai * a_(i, j) * emit(j, cn) * w.beta(t + 1, j) / w.scale[t + 1];
-        }
-      }
-    }
-  }
-
-  // M-step from the workspace accumulators (vector/matrix copy-assignments
-  // below reuse the existing storage — no allocations in steady state).
-  pi_ = ws.new_pi;
-  a_ = ws.a_num;
-  a_.normalize_rows();
-  for (std::size_t h = 0; h < n; ++h)
-    for (std::size_t d = 0; d < m; ++d)
-      b_(h, d) = ws.gamma_sum[h] > 0.0
-                     ? ws.b_num(h, d) / ws.gamma_sum[h]
-                     : 1.0 / static_cast<double>(m_);
-  for (std::size_t d = 0; d < m; ++d)
-    if (ws.c_total[d] > 0.0) c_[d] = ws.c_loss[d] / ws.c_total[d];
-  clamp_parameters();
-
-  double delta = 0.0;
-  for (std::size_t h = 0; h < n; ++h)
-    delta = std::max(delta, std::abs(pi_[h] - ws.old_pi[h]));
-  delta = std::max(delta, util::Matrix::max_abs_diff(a_, ws.old_a));
-  delta = std::max(delta, util::Matrix::max_abs_diff(b_, ws.old_b));
-  for (std::size_t d = 0; d < m; ++d)
-    delta = std::max(delta, std::abs(c_[d] - ws.old_c[d]));
-  return {ll, delta};
-}
-
 std::pair<double, double> Hmm::em_step_kernel(const FitContext& ctx,
                                               Workspace& ws) {
   const auto n = static_cast<std::size_t>(n_);
@@ -567,281 +412,41 @@ std::pair<double, double> Hmm::em_step_kernel(const FitContext& ctx,
   return {ll, delta};
 }
 
-// Resumable per-restart EM state for detail::drive_restarts: a local model
-// copy plus everything run_restart used to keep on its stack, so a restart
-// can pause at the pruning checkpoint and continue (or be abandoned)
-// without redoing work.
-struct Hmm::Runner {
-  Hmm model;
-  const std::vector<int>* seq = nullptr;
-  const FitContext* ctx = nullptr;
-  const EmOptions* opts = nullptr;
-  util::Rng rng;
-  double loss_rate = 0.0;
-  std::size_t losses = 0;
-  Workspace ws;
-  FitResult res;
-  std::vector<detail::IterEvent> events;
-  bool inited = false;
-  bool done = false;
-  bool pruned_flag = false;
-  double ll_last = -std::numeric_limits<double>::infinity();
-  const char* ll_track = nullptr;  // interned trace counter name, lazy
-
-  Runner(const Hmm& proto, const std::vector<int>& s, const FitContext& c,
-         const EmOptions& o, util::Rng r, int restart, double rate,
-         std::size_t loss_count)
-      : model(proto.n_, proto.m_),
-        seq(&s),
-        ctx(&c),
-        opts(&o),
-        rng(r),
-        loss_rate(rate),
-        losses(loss_count) {
-    res.winning_restart = restart;
-  }
-
-  double last_ll() const { return ll_last; }
-  int iterations() const { return res.iterations; }
-  bool finished() const { return done; }
-  bool pruned() const { return pruned_flag; }
-  void mark_pruned() {
-    pruned_flag = true;
-    done = true;
-  }
-
-  void advance(int upto) {
-    if (done) return;
-    // Profiler stage tag: EM restarts run on pool workers with no
-    // enclosing DCL_SPAN, so samples here would otherwise be untagged.
-    DCL_PROF_STAGE("em.hmm");
-    // Restart scope + per-restart log-likelihood counter track; the work
-    // runs on whichever pool worker picked this restart up, so the trace
-    // shows the actual thread-to-restart assignment.
-    obs::trace::Scope restart_scope(
-        "hmm.restart", static_cast<double>(res.winning_restart));
-    if (obs::trace::enabled() && ll_track == nullptr)
-      ll_track = obs::trace::intern(
-          "hmm.restart" + std::to_string(res.winning_restart) + ".ll");
-    if (!inited) {
-      model.random_init(rng, loss_rate);
-      ws.prepare(static_cast<std::size_t>(model.n_),
-                 static_cast<std::size_t>(model.m_));
-      inited = true;
-    }
-    const int cap = std::min(upto, opts->max_iterations);
-    while (res.iterations < cap) {
-      DCL_TRACE_SCOPE("hmm.iter");
-      const int it = res.iterations;
-      const auto [ll, delta] =
-          !opts->cache_emissions ? model.em_step(*seq, ws)
-          : opts->kernels        ? model.em_step_kernel(*ctx, ws)
-                                 : model.em_step_cached(*seq, *ctx, ws);
-      res.log_likelihood_history.push_back(ll);
-      ll_last = ll;
-      res.iterations = it + 1;
-      if (ll_track != nullptr) obs::trace::counter(ll_track, ll);
-      if (opts->observer != nullptr) events.push_back({it, ll, delta});
-      if (delta < opts->tolerance) {
-        res.converged = true;
-        done = true;
-        break;
-      }
-    }
-    if (res.iterations >= opts->max_iterations) done = true;
-  }
-
-  void finalize() {
-    // Install the parameters *entering* the final step: ll_last is exactly
-    // their likelihood, and the retained trellis/accumulators were computed
-    // from them, so the posterior costs no extra forward-backward pass.
-    model.pi_ = std::move(ws.old_pi);
-    model.a_ = std::move(ws.old_a);
-    model.b_ = std::move(ws.old_b);
-    model.c_ = std::move(ws.old_c);
-    res.log_likelihood = ll_last;
-    res.pruned = pruned_flag;
-    if (pruned_flag) return;  // cannot win; skip the posterior
-    if (opts->cache_emissions && opts->kernels) {
-      util::Pmf pmf(ws.kpmf.begin(), ws.kpmf.end());
-      if (losses > 0)
-        for (auto& p : pmf) p /= static_cast<double>(losses);
-      res.virtual_delay_pmf = std::move(pmf);
-    } else {
-      res.virtual_delay_pmf =
-          model.posterior_from_trellis(*seq, ctx->support, ws.w);
-    }
-  }
-};
-
-FitResult Hmm::fit(const std::vector<int>& seq, const EmOptions& opts) {
-  DCL_ENSURE_MSG(seq.size() >= 2, "need at least two observations to fit");
-  DCL_ENSURE(opts.restarts >= 1 && opts.max_iterations >= 1);
-  std::size_t losses = 0;
-  for (int o : seq) losses += (o == kLoss) ? 1 : 0;
-  const double loss_rate =
-      static_cast<double>(losses) / static_cast<double>(seq.size());
-
-  const FitContext ctx = make_context(seq);
-  // RNG streams are forked in restart order before dispatch, so every
-  // restart sees the same stream for any thread count.
-  auto rngs = detail::fork_restart_rngs(opts.seed, opts.restarts);
-
-  std::vector<Runner> runs;
-  runs.reserve(static_cast<std::size_t>(opts.restarts));
-  for (int r = 0; r < opts.restarts; ++r)
-    runs.emplace_back(*this, seq, ctx, opts,
-                      rngs[static_cast<std::size_t>(r)], r, loss_rate, losses);
-
-  const std::size_t workers =
-      std::min(util::ThreadPool::resolve(opts.threads),
-               static_cast<std::size_t>(opts.restarts));
-  std::unique_ptr<util::ThreadPool> pool;
-  if (workers > 1) pool = std::make_unique<util::ThreadPool>(workers);
-  const int race_rungs = detail::drive_restarts(pool.get(), opts, runs);
-
-  int pruned_count = 0;
-  for (const Runner& run : runs) pruned_count += run.pruned_flag ? 1 : 0;
-
-  FitResult best =
-      detail::reduce_restarts(runs, opts.observer, [&](Runner& o) {
-        pi_ = std::move(o.model.pi_);
-        a_ = std::move(o.model.a_);
-        b_ = std::move(o.model.b_);
-        c_ = std::move(o.model.c_);
-      });
-  best.losses = losses;
-  best.pruned_restarts = pruned_count;
-  best.race_rungs = race_rungs;
-  if (opts.observer != nullptr)
-    opts.observer->on_winner(best.winning_restart, best);
-  return best;
+void Hmm::install_entering(Workspace& ws) {
+  pi_ = std::move(ws.old_pi);
+  a_ = std::move(ws.old_a);
+  b_ = std::move(ws.old_b);
+  c_ = std::move(ws.old_c);
 }
 
-// ---------------------------------------------------------------------------
-// StagedFit: the fit() setup (context, forked RNGs, runners, pool) held
-// open so the restarts advance in externally driven increments — the
-// substrate of the HMM-vs-MMHD structure race in core::Identifier. See
-// Mmhd::StagedFit for the full contract; the two implementations mirror
-// each other.
+util::Pmf Hmm::fitted_posterior(const std::vector<int>& seq,
+                                const FitContext& ctx, const Workspace& ws,
+                                std::size_t losses) const {
+  if (ctx.reference) return posterior_from_trellis(seq, ctx.support, ws.w);
+  util::Pmf pmf(ws.kpmf.begin(), ws.kpmf.end());
+  if (losses > 0)
+    for (auto& p : pmf) p /= static_cast<double>(losses);
+  return pmf;
+}
 
-struct Hmm::StagedFit::Impl {
-  Hmm* target;
-  const std::vector<int>* seq;
-  EmOptions opts;  // stable copy: every Runner points into it
-  std::size_t losses = 0;
-  FitContext ctx;
-  std::vector<Runner> runs;
-  std::unique_ptr<util::ThreadPool> pool;
-  detail::RaceState race;
-  bool probed = false;
-
-  Impl(Hmm& model, const std::vector<int>& s, const EmOptions& o)
-      : target(&model),
-        seq(&s),
-        opts(o),
-        ctx(model.make_context(s)),
-        race(static_cast<std::size_t>(opts.restarts)) {
-    for (int sym : s) losses += (sym == kLoss) ? 1 : 0;
-    const double loss_rate =
-        static_cast<double>(losses) / static_cast<double>(s.size());
-    auto rngs = detail::fork_restart_rngs(opts.seed, opts.restarts);
-    runs.reserve(static_cast<std::size_t>(opts.restarts));
-    for (int r = 0; r < opts.restarts; ++r)
-      runs.emplace_back(model, *seq, ctx, opts,
-                        rngs[static_cast<std::size_t>(r)], r, loss_rate,
-                        losses);
-    const std::size_t workers =
-        std::min(util::ThreadPool::resolve(opts.threads),
-                 static_cast<std::size_t>(opts.restarts));
-    if (workers > 1) pool = std::make_unique<util::ThreadPool>(workers);
-  }
-};
+FitResult Hmm::fit(const std::vector<int>& seq, const EmOptions& opts) {
+  return detail::RestartSet<Hmm>(*this, seq, opts).run();
+}
 
 Hmm::StagedFit::StagedFit(Hmm& model, const std::vector<int>& seq,
                           const EmOptions& opts)
-    : impl_(std::make_unique<Impl>(model, seq, opts)) {
-  DCL_ENSURE_MSG(seq.size() >= 2, "need at least two observations to fit");
-  DCL_ENSURE(opts.restarts >= 1 && opts.max_iterations >= 1);
-}
-
+    : impl_(std::make_unique<detail::RestartSet<Hmm>>(model, seq, opts)) {}
 Hmm::StagedFit::~StagedFit() = default;
 Hmm::StagedFit::StagedFit(StagedFit&&) noexcept = default;
 Hmm::StagedFit& Hmm::StagedFit::operator=(StagedFit&&) noexcept = default;
-
-void Hmm::StagedFit::advance(int upto) {
-  Impl& im = *impl_;
-  const std::size_t n = im.runs.size();
-  const int cap = std::min(upto, im.opts.max_iterations);
-  if (!im.probed) {
-    // One probe iteration so gain estimates — and therefore
-    // ll_upper_bound — are finite from the first shared rung on.
-    util::parallel_indexed(im.pool.get(), n,
-                           [&](std::size_t r) { im.runs[r].advance(1); });
-    im.race.snapshot(im.runs);
-    im.probed = true;
-  }
-  util::parallel_indexed(im.pool.get(), n,
-                         [&](std::size_t r) { im.runs[r].advance(cap); });
-  if (im.opts.race_warmup > 0 && n > 1 && cap < im.opts.max_iterations &&
-      detail::RaceState::live_count(im.runs) > 0)
-    im.race.reduce(im.opts, im.runs, cap);
-  im.race.snapshot(im.runs);
-}
-
-bool Hmm::StagedFit::finished() const {
-  for (const Runner& run : impl_->runs)
-    if (!run.pruned() && !run.finished()) return false;
-  return true;
-}
-
-int Hmm::StagedFit::iterations() const {
-  int most = 0;
-  for (const Runner& run : impl_->runs)
-    if (!run.pruned()) most = std::max(most, run.iterations());
-  return most;
-}
-
-double Hmm::StagedFit::best_ll() const {
-  double best = -std::numeric_limits<double>::infinity();
-  for (const Runner& run : impl_->runs)
-    if (!run.pruned() && run.last_ll() > best) best = run.last_ll();
-  return best;
-}
-
+void Hmm::StagedFit::advance(int upto) { impl_->advance(upto); }
+bool Hmm::StagedFit::finished() const { return impl_->finished(); }
+int Hmm::StagedFit::iterations() const { return impl_->iterations(); }
+double Hmm::StagedFit::best_ll() const { return impl_->best_ll(); }
 double Hmm::StagedFit::ll_upper_bound(double overtake) const {
-  const Impl& im = *impl_;
-  double bound = -std::numeric_limits<double>::infinity();
-  for (std::size_t r = 0; r < im.runs.size(); ++r) {
-    const Runner& run = im.runs[r];
-    if (run.pruned()) continue;
-    bound = std::max(bound, im.race.ll_bound(run, r, im.opts.max_iterations,
-                                             overtake));
-  }
-  return bound;
+  return impl_->ll_upper_bound(overtake);
 }
-
-FitResult Hmm::StagedFit::finish() {
-  Impl& im = *impl_;
-  util::parallel_indexed(im.pool.get(), im.runs.size(),
-                         [&](std::size_t r) { im.runs[r].finalize(); });
-  int pruned_count = 0;
-  for (const Runner& run : im.runs) pruned_count += run.pruned() ? 1 : 0;
-  Hmm& model = *im.target;
-  FitResult best =
-      detail::reduce_restarts(im.runs, im.opts.observer, [&](Runner& o) {
-        model.pi_ = std::move(o.model.pi_);
-        model.a_ = std::move(o.model.a_);
-        model.b_ = std::move(o.model.b_);
-        model.c_ = std::move(o.model.c_);
-      });
-  best.losses = im.losses;
-  best.pruned_restarts = pruned_count;
-  best.race_rungs = im.race.rungs;
-  if (im.opts.observer != nullptr)
-    im.opts.observer->on_winner(best.winning_restart, best);
-  return best;
-}
+FitResult Hmm::StagedFit::finish() { return impl_->finish(); }
 
 util::Pmf Hmm::posterior_from_trellis(const std::vector<int>& seq,
                                       const std::vector<char>& support,
@@ -910,7 +515,7 @@ double Hmm::log_likelihood(const std::vector<int>& seq) const {
   // raw recursion renormalizes by exact powers of two and telescopes the
   // likelihood, so 500k-step sequences stay finite.
   DCL_ENSURE_MSG(!seq.empty(), "log_likelihood of an empty sequence");
-  const FitContext ctx = make_context(seq);
+  const FitContext ctx = make_context(seq, EmOptions{});
   util::Matrix emit(static_cast<std::size_t>(n_),
                     static_cast<std::size_t>(m_) + 1);
   build_emission_table(ctx.support, emit);

@@ -27,7 +27,8 @@
 namespace dcl::inference {
 
 namespace detail {
-struct IterEvent;  // buffered observer event, see em_internal.h
+template <typename Model>
+class RestartSet;  // the shared restart driver, see em_internal.h
 }
 
 class Hmm {
@@ -64,36 +65,45 @@ class Hmm {
                       std::vector<double> c);
 
  private:
+  friend class detail::RestartSet<Hmm>;
+  static constexpr const char* kProfStage = "em.hmm";
+  static constexpr const char* kRestartScope = "hmm.restart";
+  static constexpr const char* kIterScope = "hmm.iter";
+
   struct Trellis;     // scaled alpha/beta workspace
   struct FitContext;  // immutable per-fit inputs shared by every restart
   struct Workspace;   // per-restart trellis, emission table, accumulators
-  struct Runner;      // resumable per-restart EM state for drive_restarts
 
   void random_init(util::Rng& rng, double observed_loss_rate);
   void clamp_parameters();
-  FitContext make_context(const std::vector<int>& seq) const;
+  FitContext make_context(const std::vector<int>& seq,
+                          const EmOptions& opts) const;
   double forward_backward(const std::vector<int>& seq, Trellis& w) const;
-  // One EM step in place; returns (log likelihood of the parameters
-  // *entering* the step, max absolute parameter change). Both variants
-  // snapshot the entering parameters into the workspace so run_restart can
-  // install them afterwards; the cached variant indexes the workspace's
-  // N x (M+1) emission table instead of calling emission() per (t, state).
+  // One EM step in place with the context's engine; returns (log likelihood
+  // of the parameters *entering* the step, max absolute parameter change).
+  // Both engines snapshot the entering parameters into the workspace so the
+  // restart can install them afterwards (install_entering).
   std::pair<double, double> em_step(const std::vector<int>& seq,
-                                    Workspace& ws);
-  std::pair<double, double> em_step_cached(const std::vector<int>& seq,
-                                           const FitContext& ctx,
-                                           Workspace& ws);
-  // Vectorized engine (EmOptions::kernels): folded transition x emission
-  // blocks + fused backward/E-step sweep from fb_kernels.h. Equal to the
-  // other variants to floating-point accuracy; the loss-step posterior
-  // falls out of the E-step accumulators, so no beta trellis is kept.
+                                    const FitContext& ctx, Workspace& ws);
+  // Reference engine (EmOptions::cache_emissions = false): per-call
+  // emission() evaluation over a full alpha/beta trellis.
+  std::pair<double, double> em_step_reference(const std::vector<int>& seq,
+                                              Workspace& ws);
+  // Default engine: folded transition x emission blocks + fused
+  // backward/E-step sweep from fb_kernels.h. Equal to the reference to
+  // floating-point accuracy; the loss-step posterior falls out of the
+  // E-step accumulators, so no beta trellis is kept.
   std::pair<double, double> em_step_kernel(const FitContext& ctx,
                                            Workspace& ws);
+  void install_entering(Workspace& ws);
+  // Eq. (5) for the parameters entering the last em_step on ws.
+  util::Pmf fitted_posterior(const std::vector<int>& seq,
+                             const FitContext& ctx, const Workspace& ws,
+                             std::size_t losses) const;
   // Fills `emit` (N x (M+1)) from the current parameters: column d holds
   // B[h][d]*(1-C[d]), column M the loss emission over `support`.
   void build_emission_table(const std::vector<char>& support,
                             util::Matrix& emit) const;
-  double forward_backward_cached(const FitContext& ctx, Workspace& ws) const;
   // Paper eq. (5) from an already-computed trellis of this model.
   util::Pmf posterior_from_trellis(const std::vector<int>& seq,
                                    const std::vector<char>& support,
@@ -115,13 +125,14 @@ class Hmm {
 };
 
 // Resumable multi-restart fit: the same restart set, forked RNG streams,
-// and racing/winner reductions as Hmm::fit, but advanced in externally
-// driven increments so candidate model *structures* can race each other on
-// shared rungs (the HMM-vs-MMHD race in core::Identifier). See
-// Mmhd::StagedFit for the full contract: reductions are index-ordered on
-// the calling thread (bitwise identical for any opts.threads), `model` and
-// `seq` must outlive the StagedFit, and finish() — which installs the
-// winner into `model` — must be called exactly once.
+// and racing/winner reductions as Hmm::fit (both run
+// detail::RestartSet<Hmm>), but advanced in externally driven increments
+// so candidate model *structures* can race each other on shared rungs (the
+// HMM-vs-MMHD race in core::Identifier). See Mmhd::StagedFit for the full
+// contract: reductions are index-ordered on the calling thread (bitwise
+// identical for any opts.threads), `model` and `seq` must outlive the
+// StagedFit, and finish() — which installs the winner into `model` — must
+// be called exactly once.
 class Hmm::StagedFit {
  public:
   StagedFit(Hmm& model, const std::vector<int>& seq, const EmOptions& opts);
@@ -141,8 +152,7 @@ class Hmm::StagedFit {
   FitResult finish();
 
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  std::unique_ptr<detail::RestartSet<Hmm>> impl_;
 };
 
 }  // namespace dcl::inference

@@ -9,10 +9,7 @@
 #include "inference/discretizer.h"
 #include "inference/em_internal.h"
 #include "inference/fb_kernels.h"
-#include "obs/prof.h"
-#include "obs/trace.h"
 #include "util/error.h"
-#include "util/thread_pool.h"
 
 namespace dcl::inference {
 
@@ -20,6 +17,16 @@ namespace {
 constexpr double kFloor = 1e-12;
 constexpr int kLoss = Discretizer::kLossSymbol;
 inline int sym(int obs) { return obs == kLoss ? -1 : obs - 1; }
+
+// Paper eq. (5): the average of the per-loss posteriors.
+util::Pmf mean_pmf(const std::vector<util::Pmf>& per_loss, int symbols) {
+  util::Pmf pmf(static_cast<std::size_t>(symbols), 0.0);
+  for (const auto& p : per_loss)
+    for (std::size_t d = 0; d < pmf.size(); ++d) pmf[d] += p[d];
+  if (!per_loss.empty())
+    for (auto& p : pmf) p /= static_cast<double>(per_loss.size());
+  return pmf;
+}
 }  // namespace
 
 struct Mmhd::Trellis {
@@ -33,33 +40,16 @@ struct Mmhd::Trellis {
 
   const int* begin(std::size_t t) const { return active.data() + offset[t]; }
   const int* end(std::size_t t) const { return active.data() + offset[t + 1]; }
-
-  // Reuse-friendly sizing for the cached path, which reads and writes only
-  // inside the (fit-constant) active sets of the FitContext: stale values
-  // at never-active cells are harmless, so the storage is kept when the
-  // shape already matches.
-  void ensure(std::size_t t, std::size_t s) {
-    if (alpha.rows() != t || alpha.cols() != s) {
-      alpha = util::Matrix(t, s);
-      beta = util::Matrix(t, s);
-    }
-    if (scale.size() != t) scale.resize(t);
-  }
 };
 
 // Immutable per-fit inputs, computed once and shared (read-only) by every
-// restart worker: the support mask, the transition prior, and what the
-// fit's engine reads. The per-step engines get per-step loss flags and
-// active state sets (these depend only on the sequence, not the parameters
-// — the old code rebuilt them inside every forward_backward call); the
-// loss-segment engine gets the received-pair counts, the segment table and
-// the received-probe step list.
+// restart worker: the support mask, the transition prior, and — for the
+// loss-segment engine — the received-pair counts, the segment table and
+// the received-probe step list. The reference engine builds its own active
+// sets inside every forward_backward call.
 struct Mmhd::FitContext {
-  Engine engine = Engine::kSegments;
+  bool reference = false;  // EmOptions::cache_emissions == false
   std::vector<char> support;
-  std::vector<char> is_loss;        // per step
-  std::vector<int> active;          // flattened active sets
-  std::vector<std::size_t> offset;  // size T+1
   util::Matrix prior;
   bool use_prior = false;
 
@@ -88,21 +78,13 @@ struct Mmhd::FitContext {
   std::vector<int> steps;
   int head = -1;
   int tail = -1;
-
-  const int* begin(std::size_t t) const { return active.data() + offset[t]; }
-  const int* end(std::size_t t) const { return active.data() + offset[t + 1]; }
 };
 
-// Per-restart mutable state besides the parameters: the trellis, the
-// per-state emission vectors rebuilt once per iteration, and the hoisted
-// em_step accumulators. Sized once, reused across iterations.
+// Per-restart mutable state besides the parameters: the reference
+// engine's trellis, the segment engine's state, and the hoisted em_step
+// accumulators. Sized once, reused across iterations.
 struct Mmhd::Workspace {
   Trellis w;
-  // emit_obs[s] = 1 - C[sym(s)] (emission of s's own symbol when observed);
-  // emit_loss[s] = C[sym(s)]. Observed steps only ever evaluate states
-  // carrying the observed symbol (the active set), so one value per state
-  // suffices for both the loss and the observed case.
-  std::vector<double> emit_obs, emit_loss;
   std::vector<double> new_pi, c_loss, c_total;
   util::Matrix a_num;
   // Parameters entering the most recent em_step — the values the runner
@@ -124,11 +106,9 @@ struct Mmhd::Workspace {
   fb::SkeletonTrellis skel;
   fb::SkeletonEStep sest;
 
-  void prepare(std::size_t s_count) {
-    if (a_num.rows() != s_count || a_num.cols() != s_count)
-      a_num = util::Matrix(s_count, s_count);
-    emit_obs.resize(s_count);
-    emit_loss.resize(s_count);
+  void prepare(const Mmhd& model) {
+    const auto s_count = static_cast<std::size_t>(model.states());
+    a_num = util::Matrix(s_count, s_count);
   }
 };
 
@@ -201,27 +181,10 @@ double Mmhd::emission(int s, int obs) const {
   return ds == d ? 1.0 - c_[static_cast<std::size_t>(d)] : 0.0;
 }
 
-void Mmhd::build_emission_tables(Workspace& ws) const {
-  const int s_count = states();
-  for (int s = 0; s < s_count; ++s) {
-    const double cd = c_[static_cast<std::size_t>(symbol_of_state(s))];
-    ws.emit_obs[static_cast<std::size_t>(s)] = 1.0 - cd;
-    ws.emit_loss[static_cast<std::size_t>(s)] = cd;
-  }
-}
-
-Mmhd::Engine Mmhd::engine_for(const EmOptions& opts) {
-  if (!opts.cache_emissions) return Engine::kReference;
-  if (!opts.kernels) return Engine::kCached;
-  return Engine::kSegments;
-}
-
 Mmhd::FitContext Mmhd::make_context(const std::vector<int>& seq,
-                                    Engine engine,
-                                    double transition_prior) const {
+                                    const EmOptions& opts) const {
   FitContext ctx;
-  ctx.engine = engine;
-  const std::size_t t_len = seq.size();
+  ctx.reference = !opts.cache_emissions;
   ctx.support.assign(static_cast<std::size_t>(m_), 0);
   bool any_observed = false;
   for (int o : seq) {
@@ -231,30 +194,18 @@ Mmhd::FitContext Mmhd::make_context(const std::vector<int>& seq,
     }
   }
   if (!any_observed) ctx.support.assign(static_cast<std::size_t>(m_), 1);
-  if (transition_prior > 0.0) {
-    ctx.prior = build_transition_prior(seq, transition_prior);
+  if (opts.transition_prior > 0.0) {
+    ctx.prior = build_transition_prior(seq, opts.transition_prior);
     ctx.use_prior = true;
   }
-  if (engine == Engine::kSegments) {
-    // The supported states, ascending — the same order active_states
-    // produces for a loss step — so compact loss coordinates match the
-    // per-step engines'.
-    for (int s = 0; s < states(); ++s)
-      if (ctx.support[static_cast<std::size_t>(symbol_of_state(s))])
-        ctx.loss_states.push_back(s);
-    build_segments(seq, ctx);
-    return ctx;
-  }
-
-  ctx.is_loss.resize(t_len);
-  ctx.offset.assign(t_len + 1, 0);
-  std::vector<int> act;
-  for (std::size_t t = 0; t < t_len; ++t) {
-    ctx.is_loss[t] = sym(seq[t]) < 0 ? 1 : 0;
-    active_states(seq[t], ctx.support, act);
-    ctx.active.insert(ctx.active.end(), act.begin(), act.end());
-    ctx.offset[t + 1] = ctx.active.size();
-  }
+  if (ctx.reference) return ctx;
+  // The supported states, ascending — the same order active_states
+  // produces for a loss step — so compact loss coordinates match the
+  // reference engine's.
+  for (int s = 0; s < states(); ++s)
+    if (ctx.support[static_cast<std::size_t>(symbol_of_state(s))])
+      ctx.loss_states.push_back(s);
+  build_segments(seq, ctx);
   return ctx;
 }
 
@@ -440,67 +391,6 @@ double Mmhd::forward_backward(const std::vector<int>& seq,
   return ll;
 }
 
-double Mmhd::forward_backward_cached(const FitContext& ctx,
-                                     Workspace& ws) const {
-  const std::size_t t_len = ctx.is_loss.size();
-  const auto s_count = static_cast<std::size_t>(states());
-  Trellis& w = ws.w;
-  w.ensure(t_len, s_count);
-
-  const double* emit0 =
-      ctx.is_loss[0] ? ws.emit_loss.data() : ws.emit_obs.data();
-  double sum = 0.0;
-  for (const int* s = ctx.begin(0); s != ctx.end(0); ++s) {
-    const double v = pi_[static_cast<std::size_t>(*s)] *
-                     emit0[static_cast<std::size_t>(*s)];
-    w.alpha(0, static_cast<std::size_t>(*s)) = v;
-    sum += v;
-  }
-  DCL_ENSURE_MSG(sum > 0.0, "impossible observation at t=0");
-  w.scale[0] = sum;
-  for (const int* s = ctx.begin(0); s != ctx.end(0); ++s)
-    w.alpha(0, static_cast<std::size_t>(*s)) /= sum;
-
-  for (std::size_t t = 1; t < t_len; ++t) {
-    const double* emit_t =
-        ctx.is_loss[t] ? ws.emit_loss.data() : ws.emit_obs.data();
-    sum = 0.0;
-    for (const int* j = ctx.begin(t); j != ctx.end(t); ++j) {
-      double acc = 0.0;
-      for (const int* i = ctx.begin(t - 1); i != ctx.end(t - 1); ++i)
-        acc += w.alpha(t - 1, static_cast<std::size_t>(*i)) *
-               a_(static_cast<std::size_t>(*i), static_cast<std::size_t>(*j));
-      const double v = acc * emit_t[static_cast<std::size_t>(*j)];
-      w.alpha(t, static_cast<std::size_t>(*j)) = v;
-      sum += v;
-    }
-    DCL_ENSURE_MSG(sum > 0.0, "impossible observation at t=" << t);
-    w.scale[t] = sum;
-    for (const int* j = ctx.begin(t); j != ctx.end(t); ++j)
-      w.alpha(t, static_cast<std::size_t>(*j)) /= sum;
-  }
-
-  for (const int* s = ctx.begin(t_len - 1); s != ctx.end(t_len - 1); ++s)
-    w.beta(t_len - 1, static_cast<std::size_t>(*s)) = 1.0;
-  for (std::size_t t = t_len - 1; t-- > 0;) {
-    const double* emit_n =
-        ctx.is_loss[t + 1] ? ws.emit_loss.data() : ws.emit_obs.data();
-    for (const int* i = ctx.begin(t); i != ctx.end(t); ++i) {
-      double acc = 0.0;
-      for (const int* j = ctx.begin(t + 1); j != ctx.end(t + 1); ++j)
-        acc += a_(static_cast<std::size_t>(*i),
-                  static_cast<std::size_t>(*j)) *
-               emit_n[static_cast<std::size_t>(*j)] *
-               w.beta(t + 1, static_cast<std::size_t>(*j));
-      w.beta(t, static_cast<std::size_t>(*i)) = acc / w.scale[t + 1];
-    }
-  }
-
-  double ll = 0.0;
-  for (double c : w.scale) ll += std::log(c);
-  return ll;
-}
-
 util::Matrix Mmhd::build_transition_prior(const std::vector<int>& seq,
                                           double strength) const {
   const auto s_count = static_cast<std::size_t>(states());
@@ -524,8 +414,6 @@ util::Matrix Mmhd::build_transition_prior(const std::vector<int>& seq,
 
 std::pair<double, double> Mmhd::em_step_reference(
     const std::vector<int>& seq, const util::Matrix* prior, Workspace& ws) {
-  // Reference path (EmOptions::cache_emissions == false): per-call
-  // emission() and active-set construction, as originally written.
   const std::size_t t_len = seq.size();
   const auto s_count = static_cast<std::size_t>(states());
   Trellis& w = ws.w;
@@ -590,8 +478,8 @@ double Mmhd::m_step(const util::Matrix* prior, Workspace& ws) {
     if (ws.c_total[d] > 0.0) c_[d] = ws.c_loss[d] / ws.c_total[d];
   clamp_parameters();
   // The loss-step gamma sums, divided by the loss count, are the paper's
-  // eq. (5) posterior for the entering parameters — the kernel engines
-  // never retain a beta trellis for it.
+  // eq. (5) posterior for the entering parameters — the kernel engine
+  // never retains a beta trellis for it.
   ws.kpmf = ws.c_loss;
 
   double delta = 0.0;
@@ -606,73 +494,9 @@ double Mmhd::m_step(const util::Matrix* prior, Workspace& ws) {
 std::pair<double, double> Mmhd::em_step(const std::vector<int>& seq,
                                         const FitContext& ctx,
                                         Workspace& ws) {
-  switch (ctx.engine) {
-    case Engine::kReference:
-      return em_step_reference(seq, ctx.use_prior ? &ctx.prior : nullptr, ws);
-    case Engine::kCached:
-      return em_step_cached(ctx, ws);
-    case Engine::kSegments:
-      return em_step_segments(ctx, ws);
-  }
-  DCL_ENSURE_MSG(false, "unknown EM engine");
-  return {0.0, 0.0};
-}
-
-std::pair<double, double> Mmhd::em_step_cached(const FitContext& ctx,
-                                               Workspace& ws) {
-  const std::size_t t_len = ctx.is_loss.size();
-  const auto s_count = static_cast<std::size_t>(states());
-
-  build_emission_tables(ws);
-  const double ll = forward_backward_cached(ctx, ws);
-
-  // Snapshot the entering parameters (the E-step reads, never writes them).
-  ws.old_pi = pi_;
-  ws.old_a = a_;
-  ws.old_c = c_;
-
-  ws.new_pi.assign(s_count, 0.0);
-  ws.a_num.fill(0.0);
-  ws.c_loss.assign(static_cast<std::size_t>(m_), 0.0);
-  ws.c_total.assign(static_cast<std::size_t>(m_), 0.0);
-
-  const Trellis& w = ws.w;
-
-  for (std::size_t t = 0; t < t_len; ++t) {
-    double gsum = 0.0;
-    for (const int* s = ctx.begin(t); s != ctx.end(t); ++s)
-      gsum += w.alpha(t, static_cast<std::size_t>(*s)) *
-              w.beta(t, static_cast<std::size_t>(*s));
-    DCL_ENSURE(gsum > 0.0);
-
-    const bool is_loss = ctx.is_loss[t] != 0;
-    for (const int* s = ctx.begin(t); s != ctx.end(t); ++s) {
-      const auto si = static_cast<std::size_t>(*s);
-      const double g = w.alpha(t, si) * w.beta(t, si) / gsum;
-      if (t == 0) ws.new_pi[si] = g;
-      const auto d = static_cast<std::size_t>(symbol_of_state(*s));
-      if (is_loss) ws.c_loss[d] += g;
-      ws.c_total[d] += g;
-    }
-
-    if (t + 1 < t_len) {
-      const double* emit_n =
-          ctx.is_loss[t + 1] ? ws.emit_loss.data() : ws.emit_obs.data();
-      for (const int* i = ctx.begin(t); i != ctx.end(t); ++i) {
-        const auto ii = static_cast<std::size_t>(*i);
-        const double ai = w.alpha(t, ii);
-        if (ai == 0.0) continue;
-        for (const int* j = ctx.begin(t + 1); j != ctx.end(t + 1); ++j) {
-          const auto jj = static_cast<std::size_t>(*j);
-          ws.a_num(ii, jj) +=
-              ai * a_(ii, jj) * emit_n[jj] * w.beta(t + 1, jj) /
-              w.scale[t + 1];
-        }
-      }
-    }
-  }
-
-  return {ll, m_step(ctx.use_prior ? &ctx.prior : nullptr, ws)};
+  if (ctx.reference)
+    return em_step_reference(seq, ctx.use_prior ? &ctx.prior : nullptr, ws);
+  return em_step_segments(ctx, ws);
 }
 
 void Mmhd::build_segment_chain(const FitContext& ctx, Workspace& ws) const {
@@ -916,324 +740,57 @@ std::pair<double, double> Mmhd::em_step_segments(const FitContext& ctx,
   return {ll, m_step(ctx.use_prior ? &ctx.prior : nullptr, ws)};
 }
 
-// Resumable per-restart EM state for detail::drive_restarts: a local model
-// copy plus everything the old run_restart kept on its stack, so a restart
-// can pause at the pruning checkpoint and continue (or be abandoned)
-// without redoing work.
-struct Mmhd::Runner {
-  Mmhd model;
-  const std::vector<int>* seq = nullptr;
-  const FitContext* ctx = nullptr;
-  const EmOptions* opts = nullptr;
-  util::Rng rng;
-  double loss_rate = 0.0;
-  std::size_t losses = 0;
-  Workspace ws;
-  FitResult res;
-  std::vector<detail::IterEvent> events;
-  bool inited = false;
-  bool done = false;
-  bool pruned_flag = false;
-  double ll_last = -std::numeric_limits<double>::infinity();
-  const char* ll_track = nullptr;  // interned trace counter name, lazy
-
-  Runner(const Mmhd& proto, const std::vector<int>& s, const FitContext& c,
-         const EmOptions& o, util::Rng r, int restart, double rate,
-         std::size_t loss_count)
-      : model(proto.n_, proto.m_),
-        seq(&s),
-        ctx(&c),
-        opts(&o),
-        rng(r),
-        loss_rate(rate),
-        losses(loss_count) {
-    res.winning_restart = restart;
-  }
-
-  double last_ll() const { return ll_last; }
-  int iterations() const { return res.iterations; }
-  bool finished() const { return done; }
-  bool pruned() const { return pruned_flag; }
-  void mark_pruned() {
-    pruned_flag = true;
-    done = true;
-  }
-
-  void advance(int upto) {
-    if (done) return;
-    // Profiler stage tag: EM restarts run on pool workers with no
-    // enclosing DCL_SPAN, so samples here would otherwise be untagged.
-    DCL_PROF_STAGE("em.mmhd");
-    // Restart scope + per-restart log-likelihood counter track; the work
-    // runs on whichever pool worker picked this restart up, so the trace
-    // shows the actual thread-to-restart assignment.
-    obs::trace::Scope restart_scope(
-        "mmhd.restart", static_cast<double>(res.winning_restart));
-    if (obs::trace::enabled() && ll_track == nullptr)
-      ll_track = obs::trace::intern(
-          "mmhd.restart" + std::to_string(res.winning_restart) + ".ll");
-    if (!inited) {
-      model.random_init(rng, loss_rate);
-      ws.prepare(static_cast<std::size_t>(model.states()));
-      inited = true;
-    }
-    const int cap = std::min(upto, opts->max_iterations);
-    while (res.iterations < cap) {
-      DCL_TRACE_SCOPE("mmhd.iter");
-      const int it = res.iterations;
-      const auto [ll, delta] = model.em_step(*seq, *ctx, ws);
-      res.log_likelihood_history.push_back(ll);
-      ll_last = ll;
-      res.iterations = it + 1;
-      if (ll_track != nullptr) obs::trace::counter(ll_track, ll);
-      if (opts->observer != nullptr) events.push_back({it, ll, delta});
-      if (delta < opts->tolerance) {
-        res.converged = true;
-        done = true;
-        break;
-      }
-    }
-    if (res.iterations >= opts->max_iterations) done = true;
-  }
-
-  void finalize() {
-    // Install the parameters *entering* the final step: ll_last is exactly
-    // their likelihood, and the retained trellis/accumulators were computed
-    // from them, so the posterior costs no extra forward-backward pass.
-    model.pi_ = std::move(ws.old_pi);
-    model.a_ = std::move(ws.old_a);
-    model.c_ = std::move(ws.old_c);
-    res.log_likelihood = ll_last;
-    res.pruned = pruned_flag;
-    if (pruned_flag) return;  // cannot win; skip the posterior
-    res.virtual_delay_pmf = model.fitted_posterior(*ctx, ws, losses);
-  }
-};
-
-FitResult Mmhd::fit(const std::vector<int>& seq, const EmOptions& opts) {
-  DCL_ENSURE_MSG(seq.size() >= 2, "need at least two observations to fit");
-  DCL_ENSURE(opts.restarts >= 1 && opts.max_iterations >= 1);
-  std::size_t losses = 0;
-  for (int o : seq) losses += (o == kLoss) ? 1 : 0;
-  const double loss_rate =
-      static_cast<double>(losses) / static_cast<double>(seq.size());
-
-  const FitContext ctx =
-      make_context(seq, engine_for(opts), opts.transition_prior);
-  // RNG streams are forked in restart order before dispatch, so every
-  // restart sees the same stream for any thread count.
-  auto rngs = detail::fork_restart_rngs(opts.seed, opts.restarts);
-
-  std::vector<Runner> runs;
-  runs.reserve(static_cast<std::size_t>(opts.restarts));
-  for (int r = 0; r < opts.restarts; ++r)
-    runs.emplace_back(*this, seq, ctx, opts,
-                      rngs[static_cast<std::size_t>(r)], r, loss_rate,
-                      losses);
-
-  const std::size_t workers =
-      std::min(util::ThreadPool::resolve(opts.threads),
-               static_cast<std::size_t>(opts.restarts));
-  std::unique_ptr<util::ThreadPool> pool;
-  if (workers > 1) pool = std::make_unique<util::ThreadPool>(workers);
-  const int race_rungs = detail::drive_restarts(pool.get(), opts, runs);
-
-  int pruned_count = 0;
-  for (const Runner& run : runs) pruned_count += run.pruned_flag ? 1 : 0;
-
-  FitResult best =
-      detail::reduce_restarts(runs, opts.observer, [&](Runner& o) {
-        pi_ = std::move(o.model.pi_);
-        a_ = std::move(o.model.a_);
-        c_ = std::move(o.model.c_);
-      });
-  best.losses = losses;
-  best.pruned_restarts = pruned_count;
-  best.race_rungs = race_rungs;
-  if (opts.observer != nullptr)
-    opts.observer->on_winner(best.winning_restart, best);
-  return best;
+void Mmhd::install_entering(Workspace& ws) {
+  pi_ = std::move(ws.old_pi);
+  a_ = std::move(ws.old_a);
+  c_ = std::move(ws.old_c);
 }
 
-// ---------------------------------------------------------------------------
-// StagedFit: the fit() setup (context, forked RNGs, runners, pool) held
-// open so the restarts advance in externally driven increments — the
-// substrate of the model-structure races in model_selection.cpp and
-// core::Identifier. Reductions reuse detail::RaceState, so restart-level
-// racing behaves exactly as in drive_race, just at the caller's rung
-// boundaries.
-
-struct Mmhd::StagedFit::Impl {
-  Mmhd* target;
-  const std::vector<int>* seq;
-  EmOptions opts;  // stable copy: every Runner points into it
-  std::size_t losses = 0;
-  FitContext ctx;
-  std::vector<Runner> runs;
-  std::unique_ptr<util::ThreadPool> pool;
-  detail::RaceState race;
-  bool probed = false;
-
-  Impl(Mmhd& model, const std::vector<int>& s, const EmOptions& o)
-      : target(&model),
-        seq(&s),
-        opts(o),
-        ctx(model.make_context(s, engine_for(opts), opts.transition_prior)),
-        race(static_cast<std::size_t>(opts.restarts)) {
-    for (int o : s) losses += (o == kLoss) ? 1 : 0;
-    const double loss_rate =
-        static_cast<double>(losses) / static_cast<double>(s.size());
-    auto rngs = detail::fork_restart_rngs(opts.seed, opts.restarts);
-    runs.reserve(static_cast<std::size_t>(opts.restarts));
-    for (int r = 0; r < opts.restarts; ++r)
-      runs.emplace_back(model, *seq, ctx, opts,
-                        rngs[static_cast<std::size_t>(r)], r, loss_rate,
-                        losses);
-    const std::size_t workers =
-        std::min(util::ThreadPool::resolve(opts.threads),
-                 static_cast<std::size_t>(opts.restarts));
-    if (workers > 1) pool = std::make_unique<util::ThreadPool>(workers);
-  }
-};
+FitResult Mmhd::fit(const std::vector<int>& seq, const EmOptions& opts) {
+  return detail::RestartSet<Mmhd>(*this, seq, opts).run();
+}
 
 Mmhd::StagedFit::StagedFit(Mmhd& model, const std::vector<int>& seq,
                            const EmOptions& opts)
-    : impl_(std::make_unique<Impl>(model, seq, opts)) {
-  DCL_ENSURE_MSG(seq.size() >= 2, "need at least two observations to fit");
-  DCL_ENSURE(opts.restarts >= 1 && opts.max_iterations >= 1);
-}
-
+    : impl_(std::make_unique<detail::RestartSet<Mmhd>>(model, seq, opts)) {}
 Mmhd::StagedFit::~StagedFit() = default;
 Mmhd::StagedFit::StagedFit(StagedFit&&) noexcept = default;
 Mmhd::StagedFit& Mmhd::StagedFit::operator=(StagedFit&&) noexcept = default;
-
-void Mmhd::StagedFit::advance(int upto) {
-  Impl& im = *impl_;
-  const std::size_t n = im.runs.size();
-  const int cap = std::min(upto, im.opts.max_iterations);
-  if (!im.probed) {
-    // One probe iteration so gain estimates — and therefore
-    // ll_upper_bound — are finite from the first shared rung on.
-    util::parallel_indexed(im.pool.get(), n,
-                           [&](std::size_t r) { im.runs[r].advance(1); });
-    im.race.snapshot(im.runs);
-    im.probed = true;
-  }
-  util::parallel_indexed(im.pool.get(), n,
-                         [&](std::size_t r) { im.runs[r].advance(cap); });
-  if (im.opts.race_warmup > 0 && n > 1 && cap < im.opts.max_iterations &&
-      detail::RaceState::live_count(im.runs) > 0)
-    im.race.reduce(im.opts, im.runs, cap);
-  im.race.snapshot(im.runs);
-}
-
-bool Mmhd::StagedFit::finished() const {
-  for (const Runner& run : impl_->runs)
-    if (!run.pruned() && !run.finished()) return false;
-  return true;
-}
-
-int Mmhd::StagedFit::iterations() const {
-  int most = 0;
-  for (const Runner& run : impl_->runs)
-    if (!run.pruned()) most = std::max(most, run.iterations());
-  return most;
-}
-
-double Mmhd::StagedFit::best_ll() const {
-  double best = -std::numeric_limits<double>::infinity();
-  for (const Runner& run : impl_->runs)
-    if (!run.pruned() && run.last_ll() > best) best = run.last_ll();
-  return best;
-}
-
+void Mmhd::StagedFit::advance(int upto) { impl_->advance(upto); }
+bool Mmhd::StagedFit::finished() const { return impl_->finished(); }
+int Mmhd::StagedFit::iterations() const { return impl_->iterations(); }
+double Mmhd::StagedFit::best_ll() const { return impl_->best_ll(); }
 double Mmhd::StagedFit::ll_upper_bound(double overtake) const {
-  const Impl& im = *impl_;
-  double bound = -std::numeric_limits<double>::infinity();
-  for (std::size_t r = 0; r < im.runs.size(); ++r) {
-    const Runner& run = im.runs[r];
-    if (run.pruned()) continue;
-    bound = std::max(bound, im.race.ll_bound(run, r, im.opts.max_iterations,
-                                             overtake));
-  }
-  return bound;
+  return impl_->ll_upper_bound(overtake);
 }
+FitResult Mmhd::StagedFit::finish() { return impl_->finish(); }
 
-FitResult Mmhd::StagedFit::finish() {
-  Impl& im = *impl_;
-  util::parallel_indexed(im.pool.get(), im.runs.size(),
-                         [&](std::size_t r) { im.runs[r].finalize(); });
-  int pruned_count = 0;
-  for (const Runner& run : im.runs) pruned_count += run.pruned() ? 1 : 0;
-  Mmhd& model = *im.target;
-  FitResult best =
-      detail::reduce_restarts(im.runs, im.opts.observer, [&](Runner& o) {
-        model.pi_ = std::move(o.model.pi_);
-        model.a_ = std::move(o.model.a_);
-        model.c_ = std::move(o.model.c_);
-      });
-  best.losses = im.losses;
-  best.pruned_restarts = pruned_count;
-  best.race_rungs = im.race.rungs;
-  if (im.opts.observer != nullptr)
-    im.opts.observer->on_winner(best.winning_restart, best);
-  return best;
-}
-
-util::Pmf Mmhd::fitted_posterior(const FitContext& ctx, const Workspace& ws,
+util::Pmf Mmhd::fitted_posterior(const std::vector<int>& seq,
+                                 const FitContext& ctx, const Workspace& ws,
                                  std::size_t losses) const {
-  if (ctx.engine == Engine::kReference || ctx.engine == Engine::kCached)
-    return posterior_from_trellis(ctx, ws.w);
+  if (ctx.reference) return mean_pmf(loss_posteriors(seq, ws.w), m_);
   util::Pmf pmf(ws.kpmf.begin(), ws.kpmf.end());
   if (losses > 0)
     for (auto& p : pmf) p /= static_cast<double>(losses);
   return pmf;
 }
 
-util::Pmf Mmhd::posterior_from_trellis(const FitContext& ctx,
-                                       const Trellis& w) const {
-  // P(D = d | loss): smoothed posterior over the composite states at the
-  // loss steps, marginalized to the symbol dimension (paper eq. (5)) —
-  // the average of the per-loss posteriors.
-  util::Pmf pmf(static_cast<std::size_t>(m_), 0.0);
-  util::Pmf p(static_cast<std::size_t>(m_), 0.0);
-  std::size_t losses = 0;
-  const std::size_t t_len = ctx.is_loss.size();
-  for (std::size_t t = 0; t < t_len; ++t) {
-    if (!ctx.is_loss[t]) continue;
-    ++losses;
-    double gsum = 0.0;
-    for (const int* s = ctx.begin(t); s != ctx.end(t); ++s)
-      gsum += w.alpha(t, static_cast<std::size_t>(*s)) *
-              w.beta(t, static_cast<std::size_t>(*s));
-    std::fill(p.begin(), p.end(), 0.0);
-    for (const int* s = ctx.begin(t); s != ctx.end(t); ++s) {
-      const auto si = static_cast<std::size_t>(*s);
-      p[static_cast<std::size_t>(symbol_of_state(*s))] +=
-          w.alpha(t, si) * w.beta(t, si) / gsum;
-    }
-    for (std::size_t d = 0; d < pmf.size(); ++d) pmf[d] += p[d];
-  }
-  if (losses > 0)
-    for (auto& x : pmf) x /= static_cast<double>(losses);
-  return pmf;
-}
-
 util::Pmf Mmhd::virtual_delay_pmf(const std::vector<int>& seq) const {
-  util::Pmf pmf(static_cast<std::size_t>(m_), 0.0);
-  const auto per_loss = per_loss_posteriors(seq);
-  for (const auto& p : per_loss)
-    for (std::size_t d = 0; d < pmf.size(); ++d) pmf[d] += p[d];
-  if (!per_loss.empty())
-    for (auto& p : pmf) p /= static_cast<double>(per_loss.size());
-  return pmf;
+  return mean_pmf(per_loss_posteriors(seq), m_);
 }
 
 std::vector<util::Pmf> Mmhd::per_loss_posteriors(
     const std::vector<int>& seq) const {
-  std::vector<util::Pmf> out;
   Trellis w;
   forward_backward(seq, w);
+  return loss_posteriors(seq, w);
+}
+
+std::vector<util::Pmf> Mmhd::loss_posteriors(const std::vector<int>& seq,
+                                             const Trellis& w) const {
+  // P(D = d | loss) at each loss step: the smoothed posterior over the
+  // active composite states, marginalized to the symbol dimension.
+  std::vector<util::Pmf> out;
   for (std::size_t t = 0; t < seq.size(); ++t) {
     if (sym(seq[t]) >= 0) continue;
     util::Pmf pmf(static_cast<std::size_t>(m_), 0.0);
@@ -1256,8 +813,9 @@ double Mmhd::log_likelihood(const std::vector<int>& seq) const {
   // loss-run bridges, then the received-probe sweep (closed form when
   // N = 1).
   DCL_ENSURE_MSG(!seq.empty(), "log_likelihood: empty sequence");
-  // The prior only shapes the M-step.
-  const FitContext ctx = make_context(seq, Engine::kSegments, 0.0);
+  EmOptions engine;  // the default engine; the prior only shapes the M-step
+  engine.transition_prior = 0.0;
+  const FitContext ctx = make_context(seq, engine);
   Workspace ws;
   return segment_forward(ctx, ws);
 }
@@ -1342,14 +900,13 @@ MmhdRefitter::MmhdRefitter(const Mmhd& fitted, const EmOptions& opts)
       ws_(std::make_unique<Mmhd::Workspace>()) {
   DCL_ENSURE(opts_.max_iterations >= 1);
   // A refit is one warm EM run inside a replicate loop: no restarts to
-  // prune, race, or parallelize, and per-iteration telemetry would swamp
-  // any observer attached for the point fit.
+  // race or parallelize, and per-iteration telemetry would swamp any
+  // observer attached for the point fit.
   opts_.restarts = 1;
   opts_.threads = 1;
-  opts_.prune_warmup = 0;
   opts_.race_warmup = 0;
   opts_.observer = nullptr;
-  ws_->prepare(static_cast<std::size_t>(model_.states()));
+  ws_->prepare(model_);
 }
 
 MmhdRefitter::~MmhdRefitter() = default;
@@ -1367,8 +924,7 @@ FitResult MmhdRefitter::refit(const std::vector<int>& seq) {
   model_.a_ = a0_;
   model_.c_ = c0_;
 
-  const Mmhd::FitContext ctx = model_.make_context(
-      seq, Mmhd::engine_for(opts_), opts_.transition_prior);
+  const Mmhd::FitContext ctx = model_.make_context(seq, opts_);
   Mmhd::Workspace& ws = *ws_;
 
   FitResult res;
@@ -1384,15 +940,13 @@ FitResult MmhdRefitter::refit(const std::vector<int>& seq) {
     }
   }
 
-  // Same conventions as Runner::finalize: install the parameters entering
+  // Same conventions as a fit's restarts: install the parameters entering
   // the final step (ll_last is their likelihood) and reuse the retained
-  // trellis for the posterior.
-  model_.pi_ = std::move(ws.old_pi);
-  model_.a_ = std::move(ws.old_a);
-  model_.c_ = std::move(ws.old_c);
+  // trellis or accumulators for the posterior.
+  model_.install_entering(ws);
   res.log_likelihood = ll_last;
   res.losses = losses;
-  res.virtual_delay_pmf = model_.fitted_posterior(ctx, ws, losses);
+  res.virtual_delay_pmf = model_.fitted_posterior(seq, ctx, ws, losses);
   return res;
 }
 

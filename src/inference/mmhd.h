@@ -37,7 +37,8 @@
 namespace dcl::inference {
 
 namespace detail {
-struct IterEvent;  // buffered observer event, see em_internal.h
+template <typename Model>
+class RestartSet;  // the shared restart driver, see em_internal.h
 }
 
 class MmhdRefitter;
@@ -86,22 +87,21 @@ class Mmhd {
 
  private:
   friend class MmhdRefitter;  // warm-started EM over a reused workspace
+  friend class detail::RestartSet<Mmhd>;
+  static constexpr const char* kProfStage = "em.mmhd";
+  static constexpr const char* kRestartScope = "mmhd.restart";
+  static constexpr const char* kIterScope = "mmhd.iter";
 
   struct Trellis;
   struct FitContext;  // immutable per-fit inputs shared by every restart
-  struct Workspace;   // per-restart trellis, emission vectors, accumulators
-  struct Runner;      // resumable per-restart EM state for drive_restarts
-
-  // Forward-backward engines, selected per fit from EmOptions: per-call
-  // reference, cached emission tables, and the loss-segment kernels (every
-  // N; see em_step_segments).
-  enum class Engine { kReference, kCached, kSegments };
-  static Engine engine_for(const EmOptions& opts);
+  struct Workspace;   // per-restart trellis, segment state, accumulators
 
   void random_init(util::Rng& rng, double observed_loss_rate);
   void clamp_parameters();
-  FitContext make_context(const std::vector<int>& seq, Engine engine,
-                          double transition_prior) const;
+  // The fit's engine follows EmOptions::cache_emissions: the loss-segment
+  // kernels (default) or the per-call reference.
+  FitContext make_context(const std::vector<int>& seq,
+                          const EmOptions& opts) const;
   // Loss-segment engine inputs: received-pair and per-symbol counts, and
   // the distinct (left, right, length) loss runs with their multiplicities.
   void build_segments(const std::vector<int>& seq, FitContext& ctx) const;
@@ -118,24 +118,21 @@ class Mmhd {
                      std::vector<int>& out) const;
   double emission(int s, int obs) const;
   double forward_backward(const std::vector<int>& seq, Trellis& w) const;
-  // One EM step in place with the context's engine; every engine
-  // snapshots the parameters *entering* the step into the workspace (their
+  // One EM step in place with the context's engine; both engines snapshot
+  // the parameters *entering* the step into the workspace (their
   // likelihood is the one reported). Returns {log likelihood, largest
   // parameter change}.
   std::pair<double, double> em_step(const std::vector<int>& seq,
                                     const FitContext& ctx, Workspace& ws);
-  // The cached variant reads per-state emission vectors rebuilt once per
-  // iteration and the active sets precomputed in the FitContext instead of
-  // evaluating emission() and active_states() per step.
+  // Reference engine (EmOptions::cache_emissions = false): per-call
+  // emission() and per-step active sets.
   std::pair<double, double> em_step_reference(const std::vector<int>& seq,
                                               const util::Matrix* prior,
                                               Workspace& ws);
-  std::pair<double, double> em_step_cached(const FitContext& ctx,
-                                           Workspace& ws);
-  // Default engine (EmOptions::kernels): bridges each distinct loss run
-  // once (fb::segment_bridges), sweeps the received probes with N x N
-  // blocks (fb::skeleton_forward / skeleton_backward_estep; a closed form
-  // when N = 1 or nothing was received), and expands each run's boundary
+  // Default engine: bridges each distinct loss run once
+  // (fb::segment_bridges), sweeps the received probes with N x N blocks
+  // (fb::skeleton_forward / skeleton_backward_estep; a closed form when
+  // N = 1 or nothing was received), and expands each run's boundary
   // posterior into its loss steps (fb::segment_expand).
   std::pair<double, double> em_step_segments(const FitContext& ctx,
                                              Workspace& ws);
@@ -151,17 +148,18 @@ class Mmhd {
   // bridge scaled to a maximum in [0.5, 1) (its exponent summed into
   // ws.bridge_exp), and the rows at the two ends of the sequence.
   void build_skeleton(const FitContext& ctx, Workspace& ws) const;
-  // M-step tail shared by every engine: installs pi, A (plus `prior`) and C
+  // M-step tail shared by both engines: installs pi, A (plus `prior`) and C
   // from the workspace accumulators, clamps, records the eq. (5) numerator
   // and returns the largest change against the snapshot in ws.old_*.
   double m_step(const util::Matrix* prior, Workspace& ws);
-  void build_emission_tables(Workspace& ws) const;
-  double forward_backward_cached(const FitContext& ctx, Workspace& ws) const;
-  // Paper eq. (5) from an already-computed trellis of this model.
-  util::Pmf posterior_from_trellis(const FitContext& ctx,
-                                   const Trellis& w) const;
+  void install_entering(Workspace& ws);
+  // The summands of eq. (5) from a trellis forward_backward filled for
+  // `seq`: one posterior over the delay symbols per loss step.
+  std::vector<util::Pmf> loss_posteriors(const std::vector<int>& seq,
+                                         const Trellis& w) const;
   // Eq. (5) for the parameters entering the last em_step on ws.
-  util::Pmf fitted_posterior(const FitContext& ctx, const Workspace& ws,
+  util::Pmf fitted_posterior(const std::vector<int>& seq,
+                             const FitContext& ctx, const Workspace& ws,
                              std::size_t losses) const;
 
   int n_;
@@ -172,13 +170,14 @@ class Mmhd {
 };
 
 // Resumable multi-restart fit: the same restart set, forked RNG streams,
-// and racing/winner reductions as Mmhd::fit, but advanced in externally
-// driven increments so candidate model *structures* can race each other on
-// shared rungs (model_selection.cpp, core::Identifier). Between advances
-// the restart-level successive-halving reduction of EmOptions::race_*
-// applies at each caller-supplied boundary; all reductions stay
-// index-ordered on the calling thread, so results are bitwise identical
-// for any opts.threads. `model` and `seq` must outlive the StagedFit;
+// and racing/winner reductions as Mmhd::fit (both run
+// detail::RestartSet<Mmhd>), but advanced in externally driven increments
+// so candidate model *structures* can race each other on shared rungs
+// (model_selection.cpp, core::Identifier). Between advances the
+// restart-level successive-halving reduction of EmOptions::race_* applies
+// at each caller-supplied boundary; all reductions stay index-ordered on
+// the calling thread, so results are bitwise identical for any
+// opts.threads. `model` and `seq` must outlive the StagedFit;
 // finish() installs the winning restart's parameters into `model` and must
 // be called exactly once, after which the StagedFit is spent.
 class Mmhd::StagedFit {
@@ -205,8 +204,7 @@ class Mmhd::StagedFit {
   FitResult finish();
 
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  std::unique_ptr<detail::RestartSet<Mmhd>> impl_;
 };
 
 // Warm-started EM refits for the sequence bootstrap: snapshots a fitted
@@ -214,9 +212,9 @@ class Mmhd::StagedFit {
 // sequence starting from that snapshot instead of cold random restarts.
 // One Workspace/Trellis is allocated at construction and reused across
 // every refit, so a replicate loop allocates nothing per replicate in
-// steady state. The EmOptions engine switches (cache_emissions, kernels)
-// and the convergence/prior settings apply as in Mmhd::fit; restarts,
-// pruning and the observer are ignored — a refit is a single warm run.
+// steady state. The EmOptions engine switch (cache_emissions) and the
+// convergence/prior settings apply as in Mmhd::fit; restarts, racing and
+// the observer are ignored — a refit is a single warm run.
 // Not thread-safe: use one refitter per worker thread.
 class MmhdRefitter {
  public:

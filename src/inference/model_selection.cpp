@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "inference/discretizer.h"
+#include "inference/em_internal.h"
 #include "inference/mmhd.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
@@ -117,13 +118,8 @@ ModelSelectionResult select_mmhd_hidden_states(const std::vector<int>& seq,
             !fits[static_cast<std::size_t>(idx)]->finished())
           all_done = false;
       if (all_done) break;
-      const double budget = base.race_grow *
-                            static_cast<double>(base.race_warmup) *
-                            static_cast<double>(count);
-      const int step =
-          std::max(1, static_cast<int>(budget / static_cast<double>(live)));
-      target = target > base.max_iterations - step ? base.max_iterations
-                                                   : target + step;
+      target = detail::RaceState::next_target(
+          base, target, static_cast<std::size_t>(count), live);
     }
     // Survivors run out their budget; every candidate is then finalized in
     // ascending N so observer callbacks replay in the serial call order.

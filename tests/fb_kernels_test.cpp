@@ -1,11 +1,11 @@
-// Parity and stress tests for the vectorized forward-backward kernels
-// (EmOptions::kernels): randomized HMM and MMHD fits against the retained
+// Parity and stress tests for the vectorized forward-backward kernels (the
+// default engine): randomized HMM and MMHD fits against the retained
 // per-call reference path (cache_emissions=false) — the MMHD at one to four
 // hidden states, where the kernel engine sweeps received probes and bridges
-// loss runs — loss-run shapes that stress the bridges, engine agreement of
-// the cached-table path, degenerate sequences (all-loss, single-symbol,
-// length-1), likelihood-only evaluation against the fit, and a T=500k
-// underflow stress run guarding the raw recursions' renormalization.
+// loss runs — loss-run shapes that stress the bridges, degenerate sequences
+// (all-loss, single-symbol, length-1), likelihood-only evaluation against
+// the fit, and a T=500k underflow stress run guarding the raw recursions'
+// renormalization.
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -53,7 +53,7 @@ std::vector<int> synth_sequence(std::size_t t_len, int symbols,
   return seq;
 }
 
-inference::EmOptions engine_options(bool cache, bool kernels) {
+inference::EmOptions engine_options(bool kernels) {
   inference::EmOptions em;
   em.hidden_states = 2;
   em.restarts = 3;
@@ -61,8 +61,7 @@ inference::EmOptions engine_options(bool cache, bool kernels) {
   em.tolerance = 0.0;  // fixed iteration count: histories align exactly
   em.seed = 31;
   em.threads = 1;
-  em.cache_emissions = cache;
-  em.kernels = kernels;
+  em.cache_emissions = kernels;
   return em;
 }
 
@@ -93,8 +92,8 @@ template <typename Model>
 void check_kernel_vs_naive(const std::vector<int>& seq, int symbols,
                            std::uint64_t em_seed, int restarts = 3,
                            int hidden_states = 2) {
-  auto kernel = engine_options(true, true);
-  auto naive = engine_options(false, false);
+  auto kernel = engine_options(true);
+  auto naive = engine_options(false);
   kernel.seed = naive.seed = em_seed;
   kernel.restarts = naive.restarts = restarts;
   kernel.hidden_states = naive.hidden_states = hidden_states;
@@ -218,19 +217,6 @@ TEST(FbKernels, MmhdSegmentShapes) {
   }
 }
 
-// The middle engine — PR 2's cached emission tables (kernels=false) — must
-// also agree with the kernels, so all three engines are interchangeable.
-TEST(FbKernels, CachedEngineAgreesWithKernels) {
-  const auto seq = synth_sequence(1200, 6, 0.2, 3, 301);
-  auto kernel = engine_options(true, true);
-  auto cached = engine_options(true, false);
-
-  inference::Hmm hk(2, 6), hc(2, 6);
-  expect_fits_match(hk.fit(seq, kernel), hc.fit(seq, cached));
-  inference::Mmhd mk(2, 6), mc(2, 6);
-  expect_fits_match(mk.fit(seq, kernel), mc.fit(seq, cached));
-}
-
 // --------------------------------------------------------------------------
 // Degenerate sequences
 
@@ -259,7 +245,7 @@ TEST(FbKernels, SingleSymbolSequenceParity) {
   check_kernel_vs_naive<inference::Mmhd>(seq, 4, 13, 1, 1);
 
   inference::Hmm model(2, 4);
-  const auto fit = model.fit(seq, engine_options(true, true));
+  const auto fit = model.fit(seq, engine_options(true));
   EXPECT_EQ(fit.losses, 0u);
   for (double p : fit.virtual_delay_pmf) EXPECT_EQ(p, 0.0);
 }
@@ -308,7 +294,7 @@ TEST(FbKernels, LengthOneLikelihoodMatchesHandComputed) {
   const int m = 3;
   inference::Mmhd mmhd(2, m);
   const auto seq2 = synth_sequence(400, m, 0.3, 2, 33);
-  mmhd.fit(seq2, engine_options(true, true));
+  mmhd.fit(seq2, engine_options(true));
   const auto& mpi = mmhd.initial();
   const auto& mc = mmhd.loss_given_symbol();
   const int d = 2;
@@ -340,7 +326,7 @@ TEST(FbKernels, LikelihoodOnlyMatchesFitOnBurstySequence) {
   seq.front() = 1;
   seq.back() = 1;
 
-  auto em = engine_options(true, true);
+  auto em = engine_options(true);
   em.tolerance = 1e-4;
 
   inference::Hmm hmm(2, 4);
@@ -398,13 +384,13 @@ TEST(FbKernels, MmhdHalfMillionStepsStayFinite) {
   // N = 1 and N = 2 against the reference path. Over half a million
   // strictly sequential steps the reference's own rounding reaches ~1e-12
   // relative (its iteration-0 likelihood, from identical parameters,
-  // differed from both kernel engines by 9e-13 while those two agreed to
-  // 1e-15), so the history tolerance here is 5e-12; the tight check is
+  // differed from the kernel engine's by 9e-13), so the history tolerance
+  // here is 5e-12; the tight check is
   // against likelihood-only evaluation of the installed parameters.
   const auto seq = synth_sequence(500000, 6, 0.3, 16, 53);
   for (int n : {1, 2}) {
     SCOPED_TRACE(::testing::Message() << "N=" << n);
-    inference::EmOptions em = engine_options(true, true);
+    inference::EmOptions em = engine_options(true);
     em.hidden_states = n;
     em.restarts = 1;
     em.max_iterations = 3;
