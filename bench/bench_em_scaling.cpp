@@ -6,7 +6,12 @@
 // (N = 4, M = 10, the main sequence) and the "mmhd_fine" block the
 // fine-bound fit's shape (one hidden state, M = 50) on two sequences — a
 // congested one (~5% loss) and a loss-heavy one (~50% loss in runs of up
-// to ~150) — each with both engines at one thread. Each timing is the
+// to ~150) — each with both engines at one thread. The "mmhd_survey"
+// block times dclfleet-sized fits (T = 1,200, half the declared symbols
+// never observed, as the discretizer leaves them on every benchmark trace)
+// at the coarse shape (N = 2, M = 10) and the fine one (N = 1, M = 50),
+// where the fixed per-iteration cost weighs most; its rows are recorded,
+// not gated. Each timing is the
 // median of DCL_EM_SCALING_SAMPLES runs after DCL_EM_SCALING_WARMUP warmup
 // runs (bench/common.h), with the min–max spread recorded so the JSON
 // shows whether a speedup clears the run-to-run noise; the naive and
@@ -61,6 +66,10 @@ constexpr int kFineHiddenStates = 1;
 constexpr int kFineRestarts = 1;
 // The largest candidate of the careful model selection (--select-N 4).
 constexpr int kSelectHiddenStates = 4;
+// A survey path (dclfleet --synth-probes 1200): the coarse fit and the
+// fine-bound fit, each over a declared alphabet twice the observed one.
+constexpr int kSurveyLen = 1200;
+constexpr int kSurveyHiddenStates = 2;
 
 // Same congested-path shape as bench_micro: sticky symbols, losses
 // concentrated at the top symbol.
@@ -89,15 +98,16 @@ std::vector<int> synth_sequence(std::size_t t_len, int symbols,
 // 1..150, ~50% lost — the shape of a trace whose sanitized remainder is
 // mostly losses.
 std::vector<int> fine_sequence(std::size_t t_len, bool loss_heavy,
-                               std::uint64_t seed) {
+                               std::uint64_t seed,
+                               int symbols = kFineSymbols) {
   util::Rng rng(seed);
   std::vector<int> seq;
   seq.reserve(t_len);
-  int state = kFineSymbols / 2;
+  int state = symbols / 2;
   while (seq.size() < t_len) {
     if (rng.uniform() < 0.3)
       state = std::clamp(state + static_cast<int>(rng.uniform_int(-3, 3)), 1,
-                         kFineSymbols);
+                         symbols);
     if (loss_heavy && rng.uniform() < 1.0 / 75.0) {
       const auto run = static_cast<std::size_t>(rng.uniform_int(1, 150));
       for (std::size_t k = 0; k < run && seq.size() < t_len; ++k)
@@ -105,12 +115,12 @@ std::vector<int> fine_sequence(std::size_t t_len, bool loss_heavy,
       continue;
     }
     const double loss_p =
-        !loss_heavy && state > kFineSymbols - 8 ? 0.45 : 0.002;
+        !loss_heavy && state > symbols - 8 ? 0.45 : 0.002;
     seq.push_back(rng.bernoulli(loss_p) ? inference::Discretizer::kLossSymbol
                                         : state);
   }
-  seq.front() = kFineSymbols / 2;
-  seq.back() = kFineSymbols / 2;
+  seq.front() = symbols / 2;
+  seq.back() = symbols / 2;
   return seq;
 }
 
@@ -296,6 +306,17 @@ ShapeRow run_fine(const char* name, const std::vector<int>& seq, int samples,
                    kFineRestarts, true, samples, warmup);
 }
 
+// One survey-sized shape: fits of a few milliseconds, so minima compare,
+// as for the fine rows.
+ShapeRow run_survey(const char* name, const std::vector<int>& seq,
+                    int hidden_states, int symbols, int restarts, int samples,
+                    int warmup) {
+  char label[32];
+  std::snprintf(label, sizeof(label), "survey:%s", name);
+  return run_shape(label, name, seq, hidden_states, symbols, restarts, true,
+                   samples, warmup);
+}
+
 std::string json_timing(const FitTiming& t) {
   char buf[256];
   std::string samples = "[";
@@ -381,6 +402,23 @@ std::string json_fine(const std::vector<ShapeRow>& shapes) {
   return out;
 }
 
+std::string json_survey(const ShapeRow& coarse, const ShapeRow& fine) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "\"mmhd_survey\":{\"t_len\":%d,\"gated\":false,"
+                "\"coarse\":{\"hidden_states\":%d,\"symbols\":%d,"
+                "\"observed_symbols\":%d,\"restarts\":%d,",
+                kSurveyLen, coarse.hidden_states, kSymbols, kSymbols / 2,
+                kRestarts);
+  std::string out = buf + json_shape_body(coarse) + "},";
+  std::snprintf(buf, sizeof(buf),
+                "\"fine\":{\"hidden_states\":%d,\"symbols\":%d,"
+                "\"observed_symbols\":%d,\"restarts\":%d,",
+                fine.hidden_states, kFineSymbols, kFineSymbols / 2,
+                kFineRestarts);
+  return out + buf + json_shape_body(fine) + "}}";
+}
+
 }  // namespace
 }  // namespace dcl
 
@@ -428,6 +466,15 @@ int main(int argc, char** argv) {
       run_fine("loss_heavy",
                fine_sequence(static_cast<std::size_t>(kTLen), true, 44),
                samples, warmup)};
+  // Survey rows: the observed symbols are the lower half of the declared
+  // alphabet.
+  const auto survey_len = static_cast<std::size_t>(kSurveyLen);
+  const ShapeRow survey_coarse = run_survey(
+      "coarse", synth_sequence(survey_len, kSymbols / 2, 45),
+      kSurveyHiddenStates, kSymbols, kRestarts, samples, warmup);
+  const ShapeRow survey_fine = run_survey(
+      "fine", fine_sequence(survey_len, false, 46, kFineSymbols / 2),
+      kFineHiddenStates, kFineSymbols, kFineRestarts, samples, warmup);
 
   char head[320];
   std::snprintf(head, sizeof(head),
@@ -439,7 +486,8 @@ int main(int argc, char** argv) {
                            obs::manifest("em_scaling").to_json() + "," +
                            json_block("hmm", hmm) + "," +
                            json_block("mmhd", mmhd) + "," +
-                           json_select(select) + "," + json_fine(fine) + "}";
+                           json_select(select) + "," + json_fine(fine) + "," +
+                           json_survey(survey_coarse, survey_fine) + "}";
   std::ofstream out(out_path);
   DCL_ENSURE_MSG(out.good(), "cannot open benchmark output file");
   out << line << "\n";

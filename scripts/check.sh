@@ -70,15 +70,12 @@ fi
 # batch engine, and the bootstrap/selection layer on top of them.
 #
 # DCL_CHECK_TSAN_SKIP is an anchored egrep alternation of labels to drop
-# from that list. It defaults to inference_test: under this image's
-# gcc-12 libtsan the inference_test binary segfaults during interceptor
-# startup, before main() and before any test code runs — a known
-# toolchain/environment fault (gcc-12 + static gtest + libtsan runtime
-# init), not a data race in the suite. Set DCL_CHECK_TSAN_SKIP='' to run
-# everything on a toolchain where the binary starts cleanly.
+# from that list (default: none). The kernels' target_clones ifunc
+# dispatch is compiled out under TSan (fb_kernels.h): its resolvers ran
+# before the TSan runtime was up and crashed every binary linking them.
 if [[ "${DCL_CHECK_SKIP_TSAN:-0}" != "1" ]]; then
   tsan_labels="parallel_em_test|inference_test|obs_test|prof_test|http_test|trace_test|selection_bootstrap_test|util_test|fleet_test|journal_test"
-  tsan_skip="${DCL_CHECK_TSAN_SKIP-inference_test}"
+  tsan_skip="${DCL_CHECK_TSAN_SKIP-}"
   if [[ -n "${tsan_skip}" ]]; then
     tsan_labels="$(printf '%s\n' "${tsan_labels}" | tr '|' '\n' \
       | grep -Evx "${tsan_skip}" | paste -sd'|' -)"

@@ -155,12 +155,8 @@ ModelKind race_model_kind(int symbols, const std::vector<int>& seq,
     if (mmhd_out || hmm_out) break;
     if (target >= em.max_iterations) break;
     if (mf.finished() && hf.finished()) break;
-    // Two candidates stay live until the break above, so each rung spends
-    // the two-candidate budget evenly: warmup more iterations apiece.
-    const int step = std::max(
-        1, static_cast<int>(em.race_grow * static_cast<double>(em.race_warmup)));
-    target = target > em.max_iterations - step ? em.max_iterations
-                                               : target + step;
+    // Two candidates stay live until the break above.
+    target = inference::race_next_target(em, target, 2, 2);
   }
   const double mmhd_bic = -2.0 * mf.best_ll() + pen_mmhd;
   const double hmm_bic = -2.0 * hf.best_ll() + pen_hmm;

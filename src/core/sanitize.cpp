@@ -29,20 +29,27 @@ trace::Trace sanitize_trace(const trace::Trace& input,
   rep.input_records = input.records.size();
 
   // Re-sort by sequence number (stable, so among duplicates the first
-  // capture wins) and count how many records the sort moved.
-  std::vector<trace::TraceRecord> rec = input.records;
-  std::vector<std::size_t> order(rec.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return rec[a].seq < rec[b].seq;
-                   });
-  std::vector<trace::TraceRecord> sorted;
-  sorted.reserve(rec.size());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    if (order[i] != i) ++rep.reordered;
-    sorted.push_back(rec[order[i]]);
+  // capture wins) and count how many records the sort moved. Records
+  // already in sequence order, the usual case, are read in place.
+  const std::vector<trace::TraceRecord>& in = input.records;
+  const auto by_seq = [](const trace::TraceRecord& a,
+                         const trace::TraceRecord& b) { return a.seq < b.seq; };
+  std::vector<trace::TraceRecord> resorted;
+  if (!std::is_sorted(in.begin(), in.end(), by_seq)) {
+    std::vector<std::size_t> order(in.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return in[a].seq < in[b].seq;
+                     });
+    resorted.reserve(in.size());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      if (order[i] != i) ++rep.reordered;
+      resorted.push_back(in[order[i]]);
+    }
   }
+  const std::vector<trace::TraceRecord>& sorted =
+      rep.reordered > 0 ? resorted : in;
 
   // Robust outlier threshold over the finite received delays: median plus
   // `outlier_factor` times the (p90 - median) spread, floored by an

@@ -138,23 +138,6 @@ struct RaceState {
     ++rungs;
     return eliminated;
   }
-
-  // Next cumulative iteration target after a reduction left `live`
-  // contenders: the eliminated contenders' rung budget is reallocated, so
-  // each survivor's increment is about race_grow * race_warmup * n / live —
-  // rung depth doubles as the field halves. A single survivor runs
-  // straight to max_iterations.
-  static int next_target(const EmOptions& opts, int target, std::size_t n,
-                         int live) {
-    if (live <= 1) return opts.max_iterations;
-    const double budget = opts.race_grow *
-                          static_cast<double>(opts.race_warmup) *
-                          static_cast<double>(n);
-    const int step =
-        std::max(1, static_cast<int>(budget / static_cast<double>(live)));
-    if (target > opts.max_iterations - step) return opts.max_iterations;
-    return target + step;
-  }
 };
 
 // Resumable multi-restart EM fit, shared by Hmm and Mmhd: the restart set
@@ -304,7 +287,7 @@ class RestartSet {
       advance(target);
       const int live = RaceState::live_count(runs_);
       if (target >= opts_.max_iterations || live == 0) break;
-      target = RaceState::next_target(opts_, target, runs_.size(), live);
+      target = race_next_target(opts_, target, runs_.size(), live);
     }
     return finish();
   }

@@ -1,6 +1,8 @@
 // Shared EM configuration and fit diagnostics for the HMM and MMHD models.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -115,6 +117,24 @@ struct EmOptions {
   // needs no locking.
   EmObserver* observer = nullptr;
 };
+
+// The successive-halving rung schedule: the next cumulative iteration
+// target after a rung reduction at `target` left `live` of `n` contenders
+// (restarts, or model structures racing on shared rungs). The eliminated
+// contenders' rung budget is reallocated, so each survivor's increment is
+// about race_grow * race_warmup * n / live — rung depth doubles as the
+// field halves. A single survivor runs straight to max_iterations.
+inline int race_next_target(const EmOptions& opts, int target, std::size_t n,
+                            int live) {
+  if (live <= 1) return opts.max_iterations;
+  const double budget = opts.race_grow *
+                        static_cast<double>(opts.race_warmup) *
+                        static_cast<double>(n);
+  const int step =
+      std::max(1, static_cast<int>(budget / static_cast<double>(live)));
+  if (target > opts.max_iterations - step) return opts.max_iterations;
+  return target + step;
+}
 
 struct FitResult {
   bool converged = false;

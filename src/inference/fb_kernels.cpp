@@ -698,15 +698,15 @@ double segment_expand(const SegmentChain& sc,
 
 #undef DCL_SEGMENT_DISPATCH
 
-void SkeletonEStep::prepare(std::size_t blocks, std::size_t n) {
-  // Two banks: even and odd steps accumulate apart (see below); the
-  // backward kernel folds the odd bank into the even one at the end.
+void SkeletonSweep::prepare(std::size_t blocks, std::size_t n) {
+  // Two banks: the forward chain's xi and the backward chain's accumulate
+  // apart, so neither chain's updates wait on the other's stores; the
+  // sweep folds the second bank into the first at the end.
   block_count = blocks;
   outer.assign(2 * blocks * n * n, 0.0);
   first.assign(n, 0.0);
   last.assign(n, 0.0);
-  beta_next.assign(n, 0.0);
-  beta_cur.assign(n, 0.0);
+  scratch.assign(4 * n, 0.0);
 }
 
 namespace {
@@ -715,7 +715,8 @@ namespace {
 // two that brings the mass back to [1, 2); returns the exponent. Rare, and
 // applied after the step that measured the mass, so the common path keeps
 // no renorm factor on the loop-carried chain.
-inline int renormalize(double* row, std::size_t n, double& mass) {
+[[gnu::always_inline]] inline int renormalize(double* row, std::size_t n,
+                                              double& mass) {
   const int e = -std::ilogb(mass);
   const double r = std::ldexp(1.0, e);
   for (std::size_t j = 0; j < n; ++j) row[j] *= r;
@@ -723,10 +724,10 @@ inline int renormalize(double* row, std::size_t n, double& mass) {
   return e;
 }
 
-// The skeleton bodies are templated on N for the same reason as the HMM
-// bodies on their width: N = 2..4 compile to straight-line code, with the
-// carried state row in registers (the runtime-N fallback keeps it in
-// memory). Fixed<NT>::cap sizes the register rows (1, unused, at runtime N).
+// The sweep body is templated on N for the same reason as the HMM bodies
+// on their width: N = 2..4 compile to straight-line code, with the carried
+// state rows in registers (the runtime-N fallback keeps them in memory).
+// Fixed<NT>::cap sizes the register rows (1, unused, at runtime N).
 template <typename NT>
 struct Fixed {
   static constexpr bool value = false;
@@ -738,141 +739,168 @@ struct Fixed<std::integral_constant<std::size_t, N>> {
   static constexpr std::size_t cap = N;
 };
 
+// What one chain step does besides advancing its row: store it for the
+// other chain, nothing (the one row neither chain reads), or accumulate
+// the xi of the step against the other chain's stored row.
+using Store = std::integral_constant<int, 0>;
+using Plain = std::integral_constant<int, 1>;
+using Xi = std::integral_constant<int, 2>;
+
 template <typename NT>
-[[gnu::always_inline]] inline double skeleton_forward_body(
+[[gnu::always_inline]] inline double skeleton_sweep_body(
     const double* __restrict blocks, const std::vector<int>& steps,
-    const double* v0, const double* tail, SkeletonTrellis& tr, NT nt) {
+    const double* v0, const double* tail, SkeletonSweep& out, NT nt) {
   constexpr bool kFixed = Fixed<NT>::value;
   constexpr std::size_t kCap = Fixed<NT>::cap;
   const std::size_t n = nt;
+  const std::size_t nn = n * n;
   const std::size_t k_len = steps.size();
-  DCL_ENSURE_MSG(k_len > 0, "skeleton forward: no received probe");
-  tr.alpha.resize(k_len * n);
-  tr.renorm_at.clear();
-  tr.renorm_exp.clear();
-  tr.renorm_total = 0;
-  double* __restrict alpha = tr.alpha.data();
-  const auto record = [&tr](std::size_t k, int e) {
-    tr.renorm_at.push_back(k);
-    tr.renorm_exp.push_back(e);
-    tr.renorm_total += e;
-  };
+  DCL_ENSURE_MSG(k_len > 0, "skeleton sweep: no received probe");
+  out.rows.resize(k_len * n);
+  out.renorm_total = 0;
+  double* __restrict rows = out.rows.data();
+  const int* __restrict step = steps.data();
+  double* __restrict outer_f = out.outer.data();
+  double* __restrict outer_b = outer_f + out.block_count * nn;
+  double* scratch = out.scratch.data();
+  double fv_loc[kCap], fo_loc[kCap], bu_loc[kCap], bx_loc[kCap];
+  double* __restrict fv = kFixed ? fv_loc : scratch;          // alpha_{k-1}
+  double* __restrict fo = kFixed ? fo_loc : scratch + n;      // alpha_k
+  double* __restrict bu = kFixed ? bu_loc : scratch + 2 * n;  // beta_{k+1}
+  double* __restrict bx = kFixed ? bx_loc : scratch + 3 * n;  // beta_k
 
   double s = 0.0;
   for (std::size_t j = 0; j < n; ++j) {
-    alpha[j] = v0[j];
+    fv[j] = v0[j];
     s += v0[j];
   }
-  DCL_ENSURE_MSG(s > 0.0, "skeleton forward: zero probability at k = 0");
-  if (s < kRenormThreshold) record(0, renormalize(alpha, n, s));
-  double v[kCap];
-  if constexpr (kFixed)
-    for (std::size_t j = 0; j < n; ++j) v[j] = alpha[j];
+  DCL_ENSURE_MSG(s > 0.0, "skeleton sweep: zero probability at k = 0");
+  if (s < kRenormThreshold) out.renorm_total += renormalize(fv, n, s);
+  for (std::size_t j = 0; j < n; ++j) {
+    rows[j] = fv[j];
+    bu[j] = tail == nullptr ? 1.0 : tail[j];
+  }
+  if (k_len > 1)
+    for (std::size_t j = 0; j < n; ++j) rows[(k_len - 1) * n + j] = bu[j];
 
-  // Raw recursion as forward(), renormalized after the step: row k is
-  // rescaled in place when its own mass is low, so the factor relating
-  // row k to row k - 1 times the block is recorded at k, as there.
-  const int* __restrict step = steps.data();
-  const std::size_t nn = n * n;
-  for (std::size_t k = 1; k < k_len; ++k) {
+  // Forward step k: alpha_k = alpha_{k-1} . B, renormalized after the step
+  // (the factor relating alpha_k to alpha_{k-1} . B is counted at k). Its
+  // xi is that of the step k - 1 -> k against the stored beta_k.
+  const auto forward = [&](std::size_t k, auto mode)
+      __attribute__((always_inline)) {
     const double* __restrict blk =
         blocks + static_cast<std::size_t>(step[k]) * nn;
-    const double* __restrict vp = kFixed ? v : alpha + (k - 1) * n;
-    double* __restrict vo = alpha + k * n;
-    double o[kCap];
-    s = 0.0;
+    double mass = 0.0;
     for (std::size_t j = 0; j < n; ++j) {
-      double x = vp[0] * blk[j];
-      for (std::size_t i = 1; i < n; ++i) x += vp[i] * blk[i * n + j];
-      vo[j] = x;
-      s += x;
-      if constexpr (kFixed) o[j] = x;
+      double x = fv[0] * blk[j];
+      for (std::size_t i = 1; i < n; ++i) x += fv[i] * blk[i * n + j];
+      fo[j] = x;
+      mass += x;
     }
-    DCL_ENSURE_MSG(s > 0.0, "skeleton forward: zero probability mass");
-    if (s < kRenormThreshold) {
-      record(k, renormalize(vo, n, s));
-      if constexpr (kFixed)
-        for (std::size_t j = 0; j < n; ++j) o[j] = vo[j];
+    DCL_ENSURE_MSG(mass > 0.0, "skeleton sweep: zero probability mass");
+    if constexpr (decltype(mode)::value == Xi::value) {
+      const double* __restrict b = rows + k * n;
+      double pair = 0.0;
+      for (std::size_t j = 0; j < n; ++j) pair += fo[j] * b[j];
+      DCL_ENSURE_MSG(pair > 0.0, "skeleton sweep: zero posterior mass");
+      const double nf = 1.0 / pair;
+      double* __restrict xo = outer_f + static_cast<std::size_t>(step[k]) * nn;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double ai = fv[i] * nf;
+        for (std::size_t j = 0; j < n; ++j) xo[i * n + j] += ai * b[j];
+      }
     }
-    if constexpr (kFixed)
-      for (std::size_t j = 0; j < n; ++j) v[j] = o[j];
-  }
-  if (tail == nullptr) return std::log(s);
-  const double* __restrict a = alpha + (k_len - 1) * n;
-  double mass = 0.0;
-  for (std::size_t j = 0; j < n; ++j) mass += a[j] * tail[j];
-  DCL_ENSURE_MSG(mass > 0.0, "skeleton forward: zero probability at the end");
-  return std::log(mass);
-}
-
-template <typename NT>
-[[gnu::always_inline]] inline void skeleton_backward_body(
-    const double* __restrict blocks, const std::vector<int>& steps,
-    const double* tail, const SkeletonTrellis& tr, SkeletonEStep& out,
-    NT nt) {
-  constexpr bool kFixed = Fixed<NT>::value;
-  constexpr std::size_t kCap = Fixed<NT>::cap;
-  const std::size_t n = nt;
-  const std::size_t nn = n * n;
-  const std::size_t k_len = steps.size();
-  const double* __restrict alpha = tr.alpha.data();
-  double bn_loc[kCap], bc_loc[kCap];
-  double* __restrict bn = kFixed ? bn_loc : out.beta_next.data();
-  double* __restrict bc = kFixed ? bc_loc : out.beta_cur.data();
-  for (std::size_t j = 0; j < n; ++j) bn[j] = tail == nullptr ? 1.0 : tail[j];
-
-  // Same normalizers as backward_estep(): xi_k = alpha_k (x) beta_{k+1} *
-  // rf_{k+1} / gsum_{k+1} times the block, with gsum measured per step.
-  // Beta renormalizes after its step, like the forward rows, when the
-  // measured posterior mass drops low. Consecutive steps through one block
-  // (a sticky symbol) would chain every xi update through the previous
-  // one's store, so even and odd steps accumulate into separate banks.
-  double gsum_next = 0.0;
-  {
-    const double* __restrict a = alpha + (k_len - 1) * n;
-    for (std::size_t j = 0; j < n; ++j) gsum_next += a[j] * bn[j];
-    DCL_ENSURE_MSG(gsum_next > 0.0, "skeleton backward: zero posterior mass");
-    const double inv = 1.0 / gsum_next;
-    for (std::size_t j = 0; j < n; ++j) out.last[j] = a[j] * inv;
-  }
-  const int* __restrict step = steps.data();
-  const std::size_t* __restrict renorm_at = tr.renorm_at.data();
-  const int* __restrict renorm_exp = tr.renorm_exp.data();
-  double* __restrict outer0 = out.outer.data();
-  const std::size_t bank = out.block_count * nn;
-  std::size_t ridx = tr.renorm_at.size();
-  for (std::size_t k = k_len - 1; k-- > 0;) {
-    const std::size_t b = static_cast<std::size_t>(step[k + 1]);
+    if (mass < kRenormThreshold) out.renorm_total += renormalize(fo, n, mass);
+    if constexpr (decltype(mode)::value == Store::value)
+      for (std::size_t j = 0; j < n; ++j) rows[k * n + j] = fo[j];
+    for (std::size_t j = 0; j < n; ++j) fv[j] = fo[j];
+    s = mass;
+  };
+  // Backward step k: beta_k = B . beta_{k+1}, renormalized after the step
+  // by its own mass. Its xi is that of the step k -> k + 1 against the
+  // stored alpha_k.
+  const auto backward = [&](std::size_t k, auto mode)
+      __attribute__((always_inline)) {
+    const auto b = static_cast<std::size_t>(step[k + 1]);
     const double* __restrict blk = blocks + b * nn;
-    double rf = 1.0;
-    if (ridx > 0 && renorm_at[ridx - 1] == k + 1) {
-      rf = std::ldexp(1.0, renorm_exp[ridx - 1]);
-      --ridx;
-    }
-    const double nf = rf / gsum_next;
-    const double* __restrict a = alpha + k * n;
-
-    double gsum = 0.0;
+    double mass = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       const double* __restrict row = blk + i * n;
-      double x = row[0] * bn[0];
-      for (std::size_t j = 1; j < n; ++j) x += row[j] * bn[j];
-      bc[i] = x;
-      gsum += a[i] * x;
+      double x = row[0] * bu[0];
+      for (std::size_t j = 1; j < n; ++j) x += row[j] * bu[j];
+      bx[i] = x;
+      mass += x;
     }
-    double* __restrict xo = outer0 + (k & 1) * bank + b * nn;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double ai = a[i] * nf;
-      for (std::size_t j = 0; j < n; ++j) xo[i * n + j] += ai * bn[j];
+    DCL_ENSURE_MSG(mass > 0.0, "skeleton sweep: zero probability mass");
+    if constexpr (decltype(mode)::value == Xi::value) {
+      const double* __restrict a = rows + k * n;
+      double pair = 0.0;
+      for (std::size_t i = 0; i < n; ++i) pair += a[i] * bx[i];
+      DCL_ENSURE_MSG(pair > 0.0, "skeleton sweep: zero posterior mass");
+      const double nf = 1.0 / pair;
+      double* __restrict xo = outer_b + b * nn;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double ai = a[i] * nf;
+        for (std::size_t j = 0; j < n; ++j) xo[i * n + j] += ai * bu[j];
+      }
     }
-    DCL_ENSURE_MSG(gsum > 0.0, "skeleton backward: zero posterior mass");
-    if (gsum < kRenormThreshold) renormalize(bc, n, gsum);
-    gsum_next = gsum;
-    for (std::size_t j = 0; j < n; ++j) bn[j] = bc[j];
+    if (mass < kRenormThreshold) renormalize(bx, n, mass);
+    if constexpr (decltype(mode)::value == Store::value)
+      for (std::size_t i = 0; i < n; ++i) rows[k * n + i] = bx[i];
+    for (std::size_t i = 0; i < n; ++i) bu[i] = bx[i];
+  };
+
+  // Loop step i advances the forward chain to alpha_i and the backward
+  // chain to beta_{K-1-i}. The backward chain takes the xi of the steps
+  // k -> k + 1 with k <= t0, the forward chain the rest, so alpha is
+  // stored at probes 0..t0 and beta at t0 + 2..K - 1: each chain reads a
+  // row the other stored in an earlier loop step.
+  if (k_len > 1) {
+    const std::size_t t0 = (k_len - 2) / 2;
+    const std::size_t store_end = k_len >= t0 + 3 ? k_len - 3 - t0 : 0;
+    const std::size_t xi_begin = std::max(t0 + 2, k_len - 1 - t0);
+    std::size_t i = 1;
+    for (; i <= store_end; ++i) {
+      forward(i, Store{});
+      backward(k_len - 1 - i, Store{});
+    }
+    for (; i < xi_begin && i < k_len; ++i) {
+      if (i <= t0)
+        forward(i, Store{});
+      else if (i == t0 + 1)
+        forward(i, Plain{});
+      else
+        forward(i, Xi{});
+      const std::size_t k = k_len - 1 - i;
+      if (k >= t0 + 2)
+        backward(k, Store{});
+      else if (k == t0 + 1)
+        backward(k, Plain{});
+      else
+        backward(k, Xi{});
+    }
+    for (; i < k_len; ++i) {
+      forward(i, Xi{});
+      backward(k_len - 1 - i, Xi{});
+    }
   }
-  for (std::size_t i = 0; i < bank; ++i) outer0[i] += outer0[bank + i];
-  const double inv = 1.0 / gsum_next;
-  for (std::size_t j = 0; j < n; ++j) out.first[j] = bn[j] * inv;
+  const std::size_t bank = out.block_count * nn;
+  for (std::size_t i = 0; i < bank; ++i) outer_f[i] += outer_b[i];
+
+  // The end rows: alpha_{K-1} against beta_{K-1} (the tail column or
+  // ones), beta_0 against the stored alpha_0.
+  double gsum = 0.0;
+  for (std::size_t j = 0; j < n; ++j)
+    gsum += fv[j] * (tail == nullptr ? 1.0 : tail[j]);
+  DCL_ENSURE_MSG(gsum > 0.0, "skeleton sweep: zero probability at the end");
+  double inv = 1.0 / gsum;
+  for (std::size_t j = 0; j < n; ++j) out.last[j] = fv[j] * inv;
+  double gsum0 = 0.0;
+  for (std::size_t j = 0; j < n; ++j) gsum0 += rows[j] * bu[j];
+  DCL_ENSURE_MSG(gsum0 > 0.0, "skeleton sweep: zero posterior mass");
+  inv = 1.0 / gsum0;
+  for (std::size_t j = 0; j < n; ++j) out.first[j] = bu[j] * inv;
+  return std::log(tail == nullptr ? s : gsum);
 }
 
 }  // namespace
@@ -889,19 +917,10 @@ template <typename NT>
   } while (false)
 
 DCL_KERNEL_CLONES
-double skeleton_forward(const double* blocks, std::size_t n,
-                        const std::vector<int>& steps, const double* v0,
-                        const double* tail, SkeletonTrellis& tr) {
-  DCL_SKELETON_DISPATCH(skeleton_forward_body, n, blocks, steps, v0, tail,
-                        tr);
-}
-
-DCL_KERNEL_CLONES
-void skeleton_backward_estep(const double* blocks, std::size_t n,
-                             const std::vector<int>& steps, const double* tail,
-                             const SkeletonTrellis& tr, SkeletonEStep& out) {
-  DCL_SKELETON_DISPATCH(skeleton_backward_body, n, blocks, steps, tail, tr,
-                        out);
+double skeleton_sweep(const double* blocks, std::size_t n,
+                      const std::vector<int>& steps, const double* v0,
+                      const double* tail, SkeletonSweep& out) {
+  DCL_SKELETON_DISPATCH(skeleton_sweep_body, n, blocks, steps, v0, tail, out);
 }
 
 #undef DCL_SKELETON_DISPATCH

@@ -46,8 +46,11 @@
 // vectors. target_clones makes GCC emit additional x86-64-v3 (AVX2+FMA)
 // and x86-64-v4 (AVX-512) clones behind a one-time ifunc dispatch, so one
 // portable binary still runs full-width FMA loops — an 8-double kernel row
-// is then exactly one zmm register. Annotates definitions only.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+// is then exactly one zmm register. Annotates definitions only. Not under
+// ThreadSanitizer: the ifunc resolvers run before its runtime is up, and
+// every binary linking the kernels would crash before main.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
+    !defined(__SANITIZE_THREAD__)
 #define DCL_KERNEL_CLONES \
   __attribute__((target_clones("default", "arch=x86-64-v3", "arch=x86-64-v4")))
 #else
@@ -337,42 +340,42 @@ double segment_expand(const SegmentChain& sc,
 // per iteration. A row whose mass drops below kRenormThreshold is rescaled
 // in place by the exact power of two that brings it back to [1, 2) — a
 // bridge may shrink the mass by far more than one 2^64 factor restores.
+//
+// One two-ended sweep does the whole E-step: the forward chain starts at
+// received probe 0 and the backward chain at K - 1, and both advance in the
+// same loop. Until they meet, each stores its rows (alpha for the left half,
+// beta for the right half: K x N doubles in all); after that, each chain
+// accumulates the xi of its own side against the other's stored rows. The
+// chains do not depend on each other, so their FMA latencies overlap. Each
+// xi is normalized by its own measured pair mass,
+//   sum_ij alpha_k(i) B(i, j) beta_{k+1}(j),
+// so the chains' independent power-of-two scalings cancel exactly.
 // ---------------------------------------------------------------------------
 
-struct SkeletonTrellis {
-  util::AlignedVector<double> alpha;   // K x N raw rows
-  std::vector<std::size_t> renorm_at;  // ascending probe indices rescaled
-  std::vector<int> renorm_exp;         // ... by 2^renorm_exp
-  long long renorm_total = 0;          // sum of renorm_exp
-};
-
-struct SkeletonEStep {
+struct SkeletonSweep {
   // outer(b) = sum over steps k -> k+1 through block b of the normalized
-  // alpha_k (x) beta_{k+1}; times block b it is that block's xi. Blocks
-  // are n x n at b * n * n (the storage past them is kernel scratch).
+  // alpha_k (x) beta_{k+1}; times block b it is that block's xi. Blocks are
+  // n x n at b * n * n (the storage past them is kernel scratch).
   util::AlignedVector<double> outer;
   std::size_t block_count = 0;
   util::AlignedVector<double> first;  // beta_0 / gsum_0
   util::AlignedVector<double> last;   // alpha_{K-1} / gsum_{K-1}
-  util::AlignedVector<double> beta_next, beta_cur;
+  long long renorm_total = 0;         // forward rescalings: 2^renorm_total
+  // K x N raw rows: alpha at the probes the backward chain reads, beta at
+  // those the forward chain reads; plus the runtime-N chain rows.
+  util::AlignedVector<double> rows, scratch;
 
   void prepare(std::size_t blocks, std::size_t n);
 };
 
-// Raw forward pass. steps[k] (k >= 1) is the block from received probe k - 1
-// to k; v0 is the raw row at probe 0; tail (nullptr for none) is the column
-// a trailing loss segment multiplies the last row by. Returns the log of the
-// final raw mass; the true log likelihood is that minus
-// tr.renorm_total * log(2), plus the log of whatever the caller divided
-// out of the blocks.
-double skeleton_forward(const double* blocks, std::size_t n,
-                        const std::vector<int>& steps, const double* v0,
-                        const double* tail, SkeletonTrellis& tr);
-
-// Fused raw backward + xi accumulation over a skeleton_forward trellis, as
-// backward_estep. out must be prepared for the block count.
-void skeleton_backward_estep(const double* blocks, std::size_t n,
-                             const std::vector<int>& steps, const double* tail,
-                             const SkeletonTrellis& tr, SkeletonEStep& out);
+// The two-ended sweep. steps[k] (k >= 1) is the block from received probe
+// k - 1 to k; v0 is the raw row at probe 0; tail (nullptr for none) is the
+// column a trailing loss segment multiplies the last row by. Returns the
+// log of the final raw forward mass; the true log likelihood is that minus
+// out.renorm_total * log(2), plus the log of whatever the caller divided
+// out of the blocks. out must be prepared for the block count.
+double skeleton_sweep(const double* blocks, std::size_t n,
+                      const std::vector<int>& steps, const double* v0,
+                      const double* tail, SkeletonSweep& out);
 
 }  // namespace dcl::inference::fb

@@ -43,26 +43,36 @@ struct Mmhd::Trellis {
 };
 
 // Immutable per-fit inputs, computed once and shared (read-only) by every
-// restart worker: the support mask, the transition prior, and — for the
-// loss-segment engine — the received-pair counts, the segment table and
-// the received-probe step list. The reference engine builds its own active
-// sets inside every forward_backward call.
+// restart worker: the support mask, the live states, the transition prior,
+// and — for the loss-segment engine — the received-pair counts, the
+// segment table and the received-probe step list. The reference engine
+// builds its own active sets inside every forward_backward call.
 struct Mmhd::FitContext {
   bool reference = false;  // EmOptions::cache_emissions == false
   std::vector<char> support;
+  // The live states: the N * S states of the S supported symbols,
+  // ascending — the only ones a received probe or a loss can occupy, and
+  // the compact coordinates of every loss step and of the M-step's
+  // transition numerators. compact maps a state to its index in
+  // loss_states (-1 for a dead state, whose symbol is never observed).
+  std::vector<int> loss_states;
+  std::vector<int> dead_states;
+  std::vector<int> compact;
+  // The row the full M-step gives a state with no transition mass: 1 / S
+  // everywhere, floored and renormalized as clamp_parameters would.
+  double uniform = 0.0;
+  // Transition prior over live rows x live columns (zero elsewhere).
   util::Matrix prior;
   bool use_prior = false;
 
-  // Loss-segment engine. loss_states are the supported states, ascending —
-  // the compact coordinates of every loss step. A received probe pins the
-  // symbol, so adjacent received pairs reduce to bigram counts (and, with
-  // N = 1, to fixed xi counts).
+  // Loss-segment engine. A received probe pins the symbol, so adjacent
+  // received pairs reduce to bigram counts (and, with N = 1, to fixed xi
+  // counts).
   struct Bigram {
     int from = 0;
     int to = 0;
     double count = 0.0;
   };
-  std::vector<int> loss_states;
   std::vector<Bigram> bigrams;      // adjacent received pairs, (from, to) order
   std::vector<double> received;     // per symbol, received steps
   int first = -1;                   // symbol of a received t = 0, else -1
@@ -86,11 +96,14 @@ struct Mmhd::FitContext {
 struct Mmhd::Workspace {
   Trellis w;
   std::vector<double> new_pi, c_loss, c_total;
-  util::Matrix a_num;
+  util::Matrix a_num;  // transition numerators, live x live (compact)
   // Parameters entering the most recent em_step — the values the runner
   // installs at finalize, since the step's reported likelihood is theirs.
+  // old_a is swapped with the model's matrix at each M-step, so the new
+  // matrix is written over the one from two steps back.
   std::vector<double> old_pi, old_c;
   util::Matrix old_a;
+  int m_steps = 0;  // M-steps of the current fit
   // Loss-posterior numerator (eq. (5) * losses) of the last em_step.
   std::vector<double> kpmf;
   // Loss-segment engine state: folded segment blocks and accumulators, C of
@@ -103,13 +116,10 @@ struct Mmhd::Workspace {
   std::vector<double> loss_emit;
   util::AlignedVector<double> blocks, v0, tail;
   long long bridge_exp = 0;
-  fb::SkeletonTrellis skel;
-  fb::SkeletonEStep sest;
+  fb::SkeletonSweep sweep;
 
-  void prepare(const Mmhd& model) {
-    const auto s_count = static_cast<std::size_t>(model.states());
-    a_num = util::Matrix(s_count, s_count);
-  }
+  // Starts a fit: the first M-steps rewrite the dead rows (see m_step).
+  void prepare(const Mmhd&) { m_steps = 0; }
 };
 
 Mmhd::Mmhd(int hidden_states, int symbols)
@@ -194,17 +204,29 @@ Mmhd::FitContext Mmhd::make_context(const std::vector<int>& seq,
     }
   }
   if (!any_observed) ctx.support.assign(static_cast<std::size_t>(m_), 1);
-  if (opts.transition_prior > 0.0) {
-    ctx.prior = build_transition_prior(seq, opts.transition_prior);
-    ctx.use_prior = true;
-  }
-  if (ctx.reference) return ctx;
   // The supported states, ascending — the same order active_states
   // produces for a loss step — so compact loss coordinates match the
   // reference engine's.
-  for (int s = 0; s < states(); ++s)
-    if (ctx.support[static_cast<std::size_t>(symbol_of_state(s))])
+  const auto s_count = static_cast<std::size_t>(states());
+  ctx.compact.assign(s_count, -1);
+  for (int s = 0; s < states(); ++s) {
+    if (ctx.support[static_cast<std::size_t>(symbol_of_state(s))]) {
+      ctx.compact[static_cast<std::size_t>(s)] =
+          static_cast<int>(ctx.loss_states.size());
       ctx.loss_states.push_back(s);
+    } else {
+      ctx.dead_states.push_back(s);
+    }
+  }
+  const double u = std::max(1.0 / static_cast<double>(s_count), kFloor);
+  double usum = 0.0;
+  for (std::size_t j = 0; j < s_count; ++j) usum += u;
+  ctx.uniform = u / usum;
+  if (opts.transition_prior > 0.0) {
+    build_transition_prior(seq, opts.transition_prior, ctx);
+    ctx.use_prior = true;
+  }
+  if (ctx.reference) return ctx;
   build_segments(seq, ctx);
   return ctx;
 }
@@ -391,36 +413,39 @@ double Mmhd::forward_backward(const std::vector<int>& seq,
   return ll;
 }
 
-util::Matrix Mmhd::build_transition_prior(const std::vector<int>& seq,
-                                          double strength) const {
-  const auto s_count = static_cast<std::size_t>(states());
-  util::Matrix prior(s_count, s_count, 0.0);
-  if (strength <= 0.0) return prior;
+void Mmhd::build_transition_prior(const std::vector<int>& seq,
+                                  double strength, FitContext& ctx) const {
+  const std::size_t width = ctx.loss_states.size();
+  ctx.prior = util::Matrix(width, width, 0.0);
   // Observed adjacent symbol pairs (pairs spanning a loss are skipped —
   // the point is to anchor transitions to loss-free evidence). Each bigram
-  // (d, d') spreads uniformly over the N x N hidden combinations.
+  // (d, d') spreads uniformly over the N x N hidden combinations, all of
+  // them live states.
   const double unit = strength / static_cast<double>(n_ * n_);
+  const auto live = [&](int h, int d) {
+    return static_cast<std::size_t>(
+        ctx.compact[static_cast<std::size_t>(state_of(h, d))]);
+  };
   for (std::size_t t = 0; t + 1 < seq.size(); ++t) {
     const int d0 = sym(seq[t]);
     const int d1 = sym(seq[t + 1]);
     if (d0 < 0 || d1 < 0) continue;
     for (int h0 = 0; h0 < n_; ++h0)
       for (int h1 = 0; h1 < n_; ++h1)
-        prior(static_cast<std::size_t>(state_of(h0, d0)),
-              static_cast<std::size_t>(state_of(h1, d1))) += unit;
+        ctx.prior(live(h0, d0), live(h1, d1)) += unit;
   }
-  return prior;
 }
 
 std::pair<double, double> Mmhd::em_step_reference(
-    const std::vector<int>& seq, const util::Matrix* prior, Workspace& ws) {
+    const std::vector<int>& seq, const FitContext& ctx, Workspace& ws) {
   const std::size_t t_len = seq.size();
   const auto s_count = static_cast<std::size_t>(states());
   Trellis& w = ws.w;
   const double ll = forward_backward(seq, w);
 
   ws.new_pi.assign(s_count, 0.0);
-  ws.a_num.fill(0.0);
+  zero_numerators(ctx, ws);
+  const int* compact = ctx.compact.data();
   ws.c_loss.assign(static_cast<std::size_t>(m_), 0.0);
   ws.c_total.assign(static_cast<std::size_t>(m_), 0.0);
 
@@ -446,37 +471,49 @@ std::pair<double, double> Mmhd::em_step_reference(
         const auto ii = static_cast<std::size_t>(*i);
         const double ai = w.alpha(t, ii);
         if (ai == 0.0) continue;
+        double* a_row = ws.a_num.row(static_cast<std::size_t>(compact[ii]));
         for (const int* j = w.begin(t + 1); j != w.end(t + 1); ++j) {
           const auto jj = static_cast<std::size_t>(*j);
-          ws.a_num(ii, jj) += ai * a_(ii, jj) * emission(*j, seq[t + 1]) *
-                              w.beta(t + 1, jj) / w.scale[t + 1];
+          a_row[compact[jj]] += ai * a_(ii, jj) * emission(*j, seq[t + 1]) *
+                                w.beta(t + 1, jj) / w.scale[t + 1];
         }
       }
     }
   }
 
-  ws.old_pi = pi_;
-  ws.old_a = a_;
-  ws.old_c = c_;
-  return {ll, m_step(prior, ws)};
+  return {ll, m_step(ctx, ws)};
 }
 
-double Mmhd::m_step(const util::Matrix* prior, Workspace& ws) {
-  // Copy-assignments reuse the existing storage — no allocations in
-  // steady state.
+void Mmhd::zero_numerators(const FitContext& ctx, Workspace& ws) const {
+  const std::size_t width = ctx.loss_states.size();
+  if (ws.a_num.data().size() != width * width)
+    ws.a_num = util::Matrix(width, width);
+  ws.a_num.fill(0.0);
+}
+
+double Mmhd::m_step(const FitContext& ctx, Workspace& ws) {
   const auto s_count = static_cast<std::size_t>(states());
   const auto m = static_cast<std::size_t>(m_);
+  const std::vector<int>& live = ctx.loss_states;
+  const std::vector<int>& dead = ctx.dead_states;
+  const std::size_t width = live.size();
+  const bool first = ws.m_steps == 0;
+  // Snapshot the entering parameters. Copy-assignments reuse the existing
+  // storage; A's buffers swap, so the new A is written over the one from
+  // two steps back (allocated at a fit's first M-step).
+  ws.old_pi = pi_;
+  ws.old_c = c_;
+  std::swap(a_, ws.old_a);
+  if (a_.data().size() != s_count * s_count)  // also a moved-from matrix
+    a_ = util::Matrix(s_count, s_count);
+  const util::Matrix& old_a = ws.old_a;
+
   pi_ = ws.new_pi;
-  if (prior != nullptr) {
-    for (std::size_t i = 0; i < s_count; ++i)
-      for (std::size_t j = 0; j < s_count; ++j)
-        ws.a_num(i, j) += (*prior)(i, j);
-  }
-  a_ = ws.a_num;
-  a_.normalize_rows();
   for (std::size_t d = 0; d < m; ++d)
     if (ws.c_total[d] > 0.0) c_[d] = ws.c_loss[d] / ws.c_total[d];
-  clamp_parameters();
+  for (auto& x : pi_) x = std::max(x, kFloor);
+  util::normalize(pi_);
+  for (auto& x : c_) x = std::clamp(x, kFloor, 1.0 - 1e-9);
   // The loss-step gamma sums, divided by the loss count, are the paper's
   // eq. (5) posterior for the entering parameters — the kernel engine
   // never retains a beta trellis for it.
@@ -485,17 +522,76 @@ double Mmhd::m_step(const util::Matrix* prior, Workspace& ws) {
   double delta = 0.0;
   for (std::size_t s = 0; s < s_count; ++s)
     delta = std::max(delta, std::abs(pi_[s] - ws.old_pi[s]));
-  delta = std::max(delta, util::Matrix::max_abs_diff(a_, ws.old_a));
   for (std::size_t d = 0; d < m; ++d)
     delta = std::max(delta, std::abs(c_[d] - ws.old_c[d]));
+
+  // A: what normalizing the numerators, flooring at kFloor and
+  // renormalizing (clamp_parameters) gives, computed over the live states
+  // only. Transition mass and the prior sit on live rows x live columns,
+  // so a live row's dead entries are its floor and a dead row is uniform.
+  for (std::size_t r = 0; r < width; ++r) {
+    double* num = ws.a_num.row(r);
+    if (ctx.use_prior) {
+      const double* pr = ctx.prior.row(r);
+      for (std::size_t j = 0; j < width; ++j) num[j] += pr[j];
+    }
+    double sum = 0.0;
+    for (std::size_t j = 0; j < width; ++j) sum += num[j];
+    double* arow = a_.row(static_cast<std::size_t>(live[r]));
+    const double* orow = old_a.row(static_cast<std::size_t>(live[r]));
+    double dead_value = ctx.uniform;
+    if (sum > 0.0) {
+      double floored = 0.0;
+      for (std::size_t j = 0; j < width; ++j) {
+        num[j] = std::max(num[j] / sum, kFloor);
+        floored += num[j];
+      }
+      // The dead columns' floor mass, in closed form.
+      floored += static_cast<double>(dead.size()) * kFloor;
+      for (std::size_t j = 0; j < width; ++j) {
+        const auto c = static_cast<std::size_t>(live[j]);
+        arow[c] = num[j] / floored;
+        delta = std::max(delta, std::abs(arow[c] - orow[c]));
+      }
+      dead_value = kFloor / floored;
+    } else {
+      // No mass at all: the full M-step's uniform row.
+      for (std::size_t j = 0; j < width; ++j) {
+        const auto c = static_cast<std::size_t>(live[j]);
+        arow[c] = ctx.uniform;
+        delta = std::max(delta, std::abs(arow[c] - orow[c]));
+      }
+    }
+    // A live row's dead entries are equal once an M-step of this fit
+    // wrote them, so after the first M-step one of them stands for all.
+    for (int c : dead) arow[c] = dead_value;
+    if (first) {
+      for (int c : dead)
+        delta = std::max(delta, std::abs(dead_value - orow[c]));
+    } else if (!dead.empty()) {
+      delta = std::max(delta, std::abs(dead_value - orow[dead.front()]));
+    }
+  }
+  // Dead rows get the same uniform row at every M-step: written into each
+  // of the two buffers once, and changed only at the first M-step.
+  if (ws.m_steps < 2) {
+    for (int s : dead) {
+      double* arow = a_.row(static_cast<std::size_t>(s));
+      const double* orow = old_a.row(static_cast<std::size_t>(s));
+      for (std::size_t c = 0; c < s_count; ++c) {
+        arow[c] = ctx.uniform;
+        if (first) delta = std::max(delta, std::abs(arow[c] - orow[c]));
+      }
+    }
+  }
+  ++ws.m_steps;
   return delta;
 }
 
 std::pair<double, double> Mmhd::em_step(const std::vector<int>& seq,
                                         const FitContext& ctx,
                                         Workspace& ws) {
-  if (ctx.reference)
-    return em_step_reference(seq, ctx.use_prior ? &ctx.prior : nullptr, ws);
+  if (ctx.reference) return em_step_reference(seq, ctx, ws);
   return em_step_segments(ctx, ws);
 }
 
@@ -605,11 +701,13 @@ double Mmhd::segment_forward(const FitContext& ctx, Workspace& ws) const {
   fb::segment_bridges(ws.seg, ctx.segments, ws.sacc);
   if (!ctx.steps.empty()) {
     build_skeleton(ctx, ws);
-    const double log_mass = fb::skeleton_forward(
-        ws.blocks.data(), static_cast<std::size_t>(n_), ctx.steps,
-        ws.v0.data(), ctx.tail >= 0 ? ws.tail.data() : nullptr, ws.skel);
+    const auto n = static_cast<std::size_t>(n_);
+    ws.sweep.prepare(ctx.bigrams.size() + ctx.segments.size(), n);
+    const double log_mass = fb::skeleton_sweep(
+        ws.blocks.data(), n, ctx.steps, ws.v0.data(),
+        ctx.tail >= 0 ? ws.tail.data() : nullptr, ws.sweep);
     return log_mass + static_cast<double>(ws.bridge_exp -
-                                          ws.skel.renorm_total) *
+                                          ws.sweep.renorm_total) *
                           std::log(2.0);
   }
   // Every received probe's state is certain (N = 1, or none received):
@@ -636,30 +734,28 @@ std::pair<double, double> Mmhd::em_step_segments(const FitContext& ctx,
   const std::size_t width = ls.size();
   const std::size_t nb = ctx.bigrams.size();
   const bool skeleton = !ctx.steps.empty();
+  // Compact (live) index of state (h, d).
+  const auto live = [&](std::size_t h, int d) {
+    return static_cast<std::size_t>(ctx.compact[static_cast<std::size_t>(
+        state_of(static_cast<int>(h), d))]);
+  };
 
   const double ll = segment_forward(ctx, ws);
   fb::SegmentEStep& acc = ws.sacc;
+  const fb::SkeletonSweep& sw = ws.sweep;
   if (skeleton) {
     // Skeleton posterior weights: a bridged step's xi divided by its block
     // is the outer-product sum; the end rows carry the two boundary runs'.
-    ws.sest.prepare(nb + ctx.segments.size(), n);
-    fb::skeleton_backward_estep(ws.blocks.data(), n, ctx.steps,
-                                ctx.tail >= 0 ? ws.tail.data() : nullptr,
-                                ws.skel, ws.sest);
     for (std::size_t i = 0; i < ctx.segments.size(); ++i) {
-      const double* src = static_cast<int>(i) == ctx.head ? ws.sest.first.data()
-                          : static_cast<int>(i) == ctx.tail
-                              ? ws.sest.last.data()
-                              : ws.sest.outer.data() + (nb + i) * n * n;
+      const double* src =
+          static_cast<int>(i) == ctx.head   ? sw.first.data()
+          : static_cast<int>(i) == ctx.tail ? sw.last.data()
+                                            : sw.outer.data() + (nb + i) * n * n;
       std::copy(src, src + (acc.bridge_off[i + 1] - acc.bridge_off[i]),
                 acc.weight.data() + acc.bridge_off[i]);
     }
     fb::segment_expand(ws.seg, ctx.segments, acc);
   }
-
-  ws.old_pi = pi_;
-  ws.old_a = a_;
-  ws.old_c = c_;
 
   ws.new_pi.assign(static_cast<std::size_t>(states()), 0.0);
   if (ctx.first >= 0) {
@@ -667,27 +763,24 @@ std::pair<double, double> Mmhd::em_step_segments(const FitContext& ctx,
     if (skeleton) {
       for (std::size_t h = 0; h < n; ++h)
         ws.new_pi[static_cast<std::size_t>(state_of(static_cast<int>(h), d))] =
-            ws.v0[h] * ws.sest.first[h];
+            ws.v0[h] * sw.first[h];
     } else {
       ws.new_pi[static_cast<std::size_t>(d)] = 1.0;
     }
   }
-  ws.a_num.fill(0.0);
+  zero_numerators(ctx, ws);
   for (std::size_t b = 0; b < nb; ++b) {
     const FitContext::Bigram& bg = ctx.bigrams[b];
     if (!skeleton) {
-      ws.a_num(static_cast<std::size_t>(bg.from),
-               static_cast<std::size_t>(bg.to)) += bg.count;
+      ws.a_num(live(0, bg.from), live(0, bg.to)) += bg.count;
       continue;
     }
-    const double* o = ws.sest.outer.data() + b * n * n;
+    const double* o = sw.outer.data() + b * n * n;
     const double* blk = ws.blocks.data() + b * n * n;
     for (std::size_t h = 0; h < n; ++h) {
-      double* a_row = ws.a_num.row(
-          static_cast<std::size_t>(state_of(static_cast<int>(h), bg.from)));
+      double* a_row = ws.a_num.row(live(h, bg.from));
       for (std::size_t k = 0; k < n; ++k)
-        a_row[static_cast<std::size_t>(state_of(static_cast<int>(k), bg.to))] +=
-            o[h * n + k] * blk[h * n + k];
+        a_row[live(k, bg.to)] += o[h * n + k] * blk[h * n + k];
     }
   }
   // Boundary transitions: the xi from a left boundary state (the start:
@@ -697,16 +790,13 @@ std::pair<double, double> Mmhd::em_step_segments(const FitContext& ctx,
     const int l = ctx.entry_sym[e];
     for (std::size_t h = 0; h < ctx.entry_seeds[e]; ++h) {
       const double* row = acc.entry_gamma.row(ws.seg.entry_begin[e] + h);
-      double* to = l < 0 ? ws.new_pi.data()
-                         : ws.a_num.row(static_cast<std::size_t>(
-                               state_of(static_cast<int>(h), l)));
-      for (std::size_t j = 0; j < width; ++j) {
-        const auto sj = static_cast<std::size_t>(ls[j]);
-        if (l < 0)
-          to[sj] = row[j];
-        else
-          to[sj] += row[j];
+      if (l < 0) {
+        for (std::size_t j = 0; j < width; ++j)
+          ws.new_pi[static_cast<std::size_t>(ls[j])] = row[j];
+        continue;
       }
+      double* to = ws.a_num.row(live(h, l));
+      for (std::size_t j = 0; j < width; ++j) to[j] += row[j];
     }
   }
   for (std::size_t x = 0; x < ctx.exit_sym.size(); ++x) {
@@ -714,19 +804,16 @@ std::pair<double, double> Mmhd::em_step_segments(const FitContext& ctx,
     if (r < 0) continue;
     for (std::size_t h = 0; h < ctx.exit_seeds[x]; ++h) {
       const double* row = acc.exit_gamma.row(ws.seg.exit_begin[x] + h);
-      const auto to =
-          static_cast<std::size_t>(state_of(static_cast<int>(h), r));
-      for (std::size_t i = 0; i < width; ++i)
-        ws.a_num(static_cast<std::size_t>(ls[i]), to) += row[i];
+      const std::size_t to = live(h, r);
+      for (std::size_t i = 0; i < width; ++i) ws.a_num(i, to) += row[i];
     }
   }
   // Loss -> loss xi: the summed outer products times the folded block.
   for (std::size_t i = 0; i < width; ++i) {
     const double* o = acc.outer.row(i);
     const double* f = ws.seg.loss.row(i);
-    double* a_row = ws.a_num.row(static_cast<std::size_t>(ls[i]));
-    for (std::size_t j = 0; j < width; ++j)
-      a_row[static_cast<std::size_t>(ls[j])] += o[j] * f[j];
+    double* a_row = ws.a_num.row(i);
+    for (std::size_t j = 0; j < width; ++j) a_row[j] += o[j] * f[j];
   }
 
   // Every received step's gamma is one unit on its symbol.
@@ -737,7 +824,7 @@ std::pair<double, double> Mmhd::em_step_segments(const FitContext& ctx,
     ws.c_loss[d] += acc.gamma[k];
     ws.c_total[d] += acc.gamma[k];
   }
-  return {ll, m_step(ctx.use_prior ? &ctx.prior : nullptr, ws)};
+  return {ll, m_step(ctx, ws)};
 }
 
 void Mmhd::install_entering(Workspace& ws) {
@@ -926,6 +1013,7 @@ FitResult MmhdRefitter::refit(const std::vector<int>& seq) {
 
   const Mmhd::FitContext ctx = model_.make_context(seq, opts_);
   Mmhd::Workspace& ws = *ws_;
+  ws.prepare(model_);
 
   FitResult res;
   double ll_last = -std::numeric_limits<double>::infinity();

@@ -16,13 +16,23 @@
 // symbol is observed only the N states carrying that symbol are feasible,
 // and a loss can only sit on the N * S states of the S symbols observed in
 // the sequence. The default engine exploits both: it sweeps the received
-// probes only, with one N x N block per step (O(N^2) per received probe),
-// and bridges every loss run by a block that depends only on the run's
+// probes only, with one N x N block per step (O(N^2) per received probe,
+// one two-ended pass whose forward and backward chains run together), and
+// bridges every loss run by a block that depends only on the run's
 // (left symbol, right symbol, length) key, so each distinct key costs
 // O(N * run length * (N * S)^2) per iteration however often it occurs
 // (see fb::segment_bridges). With N = 1 a received probe's state is
 // certain and the received-probe sweep reduces to fixed bigram counts, so
 // an iteration is independent of the received count.
+//
+// The M-step (shared by both engines) pays only for the N * S live states
+// too: transition numerators and the prior live on live rows x live
+// columns, so it normalizes, floors and renormalizes O((N * S)^2) entries,
+// adds the dead columns' floor mass in closed form and writes the dead
+// entries of each live row (O(N * S * N * M)). A dead state's row is
+// uniform, written at a fit's first two M-steps (one per parameter
+// buffer) and left alone after. transitions() is always the full,
+// row-stochastic (N * M) x (N * M) matrix.
 #pragma once
 
 #include <cstdint>
@@ -106,9 +116,10 @@ class Mmhd {
   // the distinct (left, right, length) loss runs with their multiplicities.
   void build_segments(const std::vector<int>& seq, FitContext& ctx) const;
   // Dirichlet pseudo-counts for the transition M-step, built from the
-  // observed symbol bigrams of `seq` (see EmOptions::transition_prior).
-  util::Matrix build_transition_prior(const std::vector<int>& seq,
-                                      double strength) const;
+  // observed symbol bigrams of `seq` (see EmOptions::transition_prior) over
+  // the context's live states.
+  void build_transition_prior(const std::vector<int>& seq, double strength,
+                              FitContext& ctx) const;
   // Active composite states for an observation: the N states carrying the
   // observed symbol, or — on a loss — the states of every symbol in
   // `support`. Restricting losses to symbols actually observed in the
@@ -127,17 +138,18 @@ class Mmhd {
   // Reference engine (EmOptions::cache_emissions = false): per-call
   // emission() and per-step active sets.
   std::pair<double, double> em_step_reference(const std::vector<int>& seq,
-                                              const util::Matrix* prior,
+                                              const FitContext& ctx,
                                               Workspace& ws);
   // Default engine: bridges each distinct loss run once
   // (fb::segment_bridges), sweeps the received probes with N x N blocks
-  // (fb::skeleton_forward / skeleton_backward_estep; a closed form when
-  // N = 1 or nothing was received), and expands each run's boundary
-  // posterior into its loss steps (fb::segment_expand).
+  // (fb::skeleton_sweep, one two-ended pass; a closed form when N = 1 or
+  // nothing was received), and expands each run's boundary posterior into
+  // its loss steps (fb::segment_expand).
   std::pair<double, double> em_step_segments(const FitContext& ctx,
                                              Workspace& ws);
-  // The forward half of em_step_segments, also the likelihood-only path:
-  // folds the parameters into ws, builds the bridges and returns the log
+  // The first half of em_step_segments, also the likelihood-only path:
+  // folds the parameters into ws, builds the bridges, runs the skeleton
+  // sweep (its E-step comes with the likelihood) and returns the log
   // likelihood of the current parameters. When every received probe's
   // state is certain, the expansion (which measures each loss run's mass)
   // runs here too.
@@ -148,10 +160,14 @@ class Mmhd {
   // bridge scaled to a maximum in [0.5, 1) (its exponent summed into
   // ws.bridge_exp), and the rows at the two ends of the sequence.
   void build_skeleton(const FitContext& ctx, Workspace& ws) const;
-  // M-step tail shared by both engines: installs pi, A (plus `prior`) and C
-  // from the workspace accumulators, clamps, records the eq. (5) numerator
-  // and returns the largest change against the snapshot in ws.old_*.
-  double m_step(const util::Matrix* prior, Workspace& ws);
+  // Sizes and zeroes the live x live transition numerators.
+  void zero_numerators(const FitContext& ctx, Workspace& ws) const;
+  // M-step tail shared by both engines: snapshots the entering parameters
+  // into ws.old_*, installs pi, A (plus the context's prior) and C from the
+  // workspace accumulators, clamps, records the eq. (5) numerator and
+  // returns the largest change against the snapshot. A is computed over
+  // the live states only; its dead entries get what the full M-step gives.
+  double m_step(const FitContext& ctx, Workspace& ws);
   void install_entering(Workspace& ws);
   // The summands of eq. (5) from a trellis forward_backward filled for
   // `seq`: one posterior over the delay symbols per loss step.

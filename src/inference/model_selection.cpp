@@ -118,8 +118,8 @@ ModelSelectionResult select_mmhd_hidden_states(const std::vector<int>& seq,
             !fits[static_cast<std::size_t>(idx)]->finished())
           all_done = false;
       if (all_done) break;
-      target = detail::RaceState::next_target(
-          base, target, static_cast<std::size_t>(count), live);
+      target = race_next_target(base, target,
+                                static_cast<std::size_t>(count), live);
     }
     // Survivors run out their budget; every candidate is then finalized in
     // ascending N so observer callbacks replay in the serial call order.

@@ -47,9 +47,11 @@ SkewEstimate estimate_skew(const std::vector<double>& times,
     est.skip_reason = SkewSkipReason::kNoProbes;
     return est;
   }
-  std::sort(pts.begin(), pts.end(), [](const Pt& a, const Pt& b) {
+  const auto by_time = [](const Pt& a, const Pt& b) {
     return a.t != b.t ? a.t < b.t : a.m < b.m;
-  });
+  };
+  if (!std::is_sorted(pts.begin(), pts.end(), by_time))
+    std::sort(pts.begin(), pts.end(), by_time);
   // Keep only the smallest delay per distinct time.
   std::vector<Pt> uniq;
   for (const auto& p : pts)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 
 #include "util/error.h"
@@ -67,12 +68,17 @@ double variance(const std::vector<double>& xs) {
 double quantile(std::vector<double> xs, double q) {
   DCL_ENSURE(!xs.empty());
   DCL_ENSURE(q >= 0.0 && q <= 1.0);
-  std::sort(xs.begin(), xs.end());
+  // Selection instead of a full sort: the lo-th order statistic, and for
+  // the interpolation partner the smallest of the elements above it —
+  // the values a sorted copy holds at lo and lo + 1.
   const double pos = q * static_cast<double>(xs.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
+  const auto mid = xs.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(xs.begin(), mid, xs.end());
+  const double hi = lo + 1 < xs.size() ? *std::min_element(mid + 1, xs.end())
+                                       : *mid;
   const double frac = pos - static_cast<double>(lo);
-  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+  return *mid * (1.0 - frac) + hi * frac;
 }
 
 std::size_t argmax(const std::vector<double>& xs) {

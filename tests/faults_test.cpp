@@ -261,6 +261,49 @@ TEST(Sanitize, OutlierRuleSparesHeavyButHonestTails) {
   EXPECT_EQ(rep.outliers_dropped, 0u);
 }
 
+TEST(Sanitize, ShuffledCopySanitizesToTheInOrderOutput) {
+  // In-order records skip the re-sort; a shuffled copy of the same trace
+  // (unique seqs, with drops of every kind) must come out identical.
+  auto t = synth_trace(1500, 17);
+  t.records[40].obs = inference::Observation::received(-0.01);
+  t.records[41].obs =
+      inference::Observation::received(std::numeric_limits<double>::infinity());
+  t.records[42].obs = inference::Observation::received(400.0);
+  t.records[43].send_time = std::numeric_limits<double>::quiet_NaN();
+  auto shuffled = t;
+  util::Rng rng(5);
+  for (std::size_t i = shuffled.records.size() - 1; i > 0; --i)
+    std::swap(shuffled.records[i],
+              shuffled.records[static_cast<std::size_t>(
+                  rng.uniform_int(0, static_cast<std::int64_t>(i)))]);
+
+  core::SanitizationReport rep_in, rep_sh;
+  const auto out_in = core::sanitize_trace(t, &rep_in);
+  const auto out_sh = core::sanitize_trace(shuffled, &rep_sh);
+  EXPECT_EQ(rep_in.reordered, 0u);
+  EXPECT_GT(rep_sh.reordered, 0u);
+  EXPECT_EQ(rep_in.nonfinite_dropped, 2u);
+  EXPECT_EQ(rep_in.negative_dropped, 1u);
+  EXPECT_EQ(rep_in.outliers_dropped, 1u);
+  EXPECT_EQ(rep_sh.input_records, rep_in.input_records);
+  EXPECT_EQ(rep_sh.output_records, rep_in.output_records);
+  EXPECT_EQ(rep_sh.duplicates_dropped, rep_in.duplicates_dropped);
+  EXPECT_EQ(rep_sh.nonfinite_dropped, rep_in.nonfinite_dropped);
+  EXPECT_EQ(rep_sh.negative_dropped, rep_in.negative_dropped);
+  EXPECT_EQ(rep_sh.outliers_dropped, rep_in.outliers_dropped);
+  ASSERT_EQ(out_sh.records.size(), out_in.records.size());
+  for (std::size_t i = 0; i < out_in.records.size(); ++i) {
+    const auto& a = out_in.records[i];
+    const auto& b = out_sh.records[i];
+    EXPECT_EQ(a.seq, b.seq);
+    EXPECT_EQ(a.send_time, b.send_time);
+    EXPECT_EQ(a.obs.lost, b.obs.lost);
+    if (!a.obs.lost) {
+      EXPECT_EQ(a.obs.delay, b.obs.delay);
+    }
+  }
+}
+
 // --------------------------- error taxonomy --------------------------------
 
 TEST(ErrorTaxonomy, CodesAndSeveritiesCarryThrough) {

@@ -5,9 +5,13 @@
 // loss runs — loss-run shapes that stress the bridges, degenerate sequences
 // (all-loss, single-symbol, length-1), likelihood-only evaluation against
 // the fit, and a T=500k underflow stress run guarding the raw recursions'
-// renormalization.
+// renormalization. MMHD fits over a declared alphabet wider than the
+// observed one also check the full transition matrix the live-state
+// M-step leaves.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -88,6 +92,47 @@ void expect_fits_match(const inference::FitResult& a,
         << "symbol " << d;
 }
 
+// The fitted MMHD transition matrix over a declared alphabet wider than
+// the observed one: every row is stochastic, a dead state's row (its
+// symbol never observed) is uniform, and a live row's dead entries are
+// equal — its floor share.
+void expect_full_transitions(const inference::Mmhd& model,
+                             const std::vector<int>& seq) {
+  std::vector<char> observed(static_cast<std::size_t>(model.symbols()), 0);
+  for (int o : seq)
+    if (o != kLoss) observed[static_cast<std::size_t>(o - 1)] = 1;
+  // With nothing observed, losses may sit on every symbol.
+  if (std::find(observed.begin(), observed.end(), 1) == observed.end())
+    observed.assign(observed.size(), 1);
+  const util::Matrix& a = model.transitions();
+  const auto s_count = static_cast<std::size_t>(model.states());
+  ASSERT_EQ(a.rows(), s_count);
+  ASSERT_EQ(a.cols(), s_count);
+  const auto live = [&](std::size_t s) {
+    return observed[static_cast<std::size_t>(
+               model.symbol_of_state(static_cast<int>(s)))] != 0;
+  };
+  for (std::size_t i = 0; i < s_count; ++i) {
+    double sum = 0.0;
+    for (std::size_t j = 0; j < s_count; ++j) sum += a(i, j);
+    EXPECT_NEAR(sum, 1.0, 1e-15) << "row " << i;
+    if (!live(i)) {
+      for (std::size_t j = 0; j < s_count; ++j)
+        EXPECT_EQ(a(i, j), a(i, 0)) << "dead row " << i << " column " << j;
+      continue;
+    }
+    double dead = -1.0;
+    for (std::size_t j = 0; j < s_count; ++j) {
+      if (live(j)) continue;
+      if (dead < 0.0) dead = a(i, j);
+      EXPECT_EQ(a(i, j), dead) << "live row " << i << " dead column " << j;
+    }
+    if (dead >= 0.0) {
+      EXPECT_NEAR(dead, 1e-12, 1e-20) << "live row " << i;
+    }
+  }
+}
+
 template <typename Model>
 void check_kernel_vs_naive(const std::vector<int>& seq, int symbols,
                            std::uint64_t em_seed, int restarts = 3,
@@ -103,6 +148,10 @@ void check_kernel_vs_naive(const std::vector<int>& seq, int symbols,
   Model mn(naive.hidden_states, symbols);
   const auto fn = mn.fit(seq, naive);
   expect_fits_match(fk, fn);
+  if constexpr (std::is_same_v<Model, inference::Mmhd>) {
+    expect_full_transitions(mk, seq);
+    expect_full_transitions(mn, seq);
+  }
 }
 
 // --------------------------------------------------------------------------
@@ -160,6 +209,14 @@ TEST(FbKernels, MmhdRandomizedParityWithNaivePath) {
                                              n == 1 ? 1 : 3, n);
     }
   }
+  // A declared alphabet twice the observed one, as the discretizer leaves
+  // on real traces: half the states are dead (never occupied).
+  const auto seq = synth_sequence(1200, 5, 0.25, 4, 206);
+  for (int n : {4, 3, 2, 1}) {
+    SCOPED_TRACE(::testing::Message() << "M=10 observed 5, N=" << n);
+    check_kernel_vs_naive<inference::Mmhd>(seq, 10, 206 * 7 + 1,
+                                           n == 1 ? 1 : 3, n);
+  }
 }
 
 // Loss-run shapes for the kernel engine at N = 1, 2, 3: boundary runs at
@@ -206,6 +263,7 @@ TEST(FbKernels, MmhdSegmentShapes) {
       {"received probes alone between loss runs", &lone, 4},
       {"a single received probe", &single, 3},
       {"no loss at all", &lossless, 5},
+      {"a declared alphabet twice the observed one", &ends_lost, 10},
   };
   for (int n : {1, 2, 3}) {
     for (const Shape& shape : shapes) {
@@ -213,6 +271,25 @@ TEST(FbKernels, MmhdSegmentShapes) {
       check_kernel_vs_naive<inference::Mmhd>(*shape.seq, shape.symbols,
                                              40 + static_cast<std::uint64_t>(n),
                                              1, n);
+    }
+  }
+}
+
+// Where the two-ended skeleton sweep's chains meet: K = 2..5 received
+// probes, both sequence ends lost, adjacent received pairs and bridged
+// loss runs between them, at N = 2 and 3.
+TEST(FbKernels, MmhdSkeletonMeetingPoints) {
+  for (int k_len = 2; k_len <= 5; ++k_len) {
+    std::vector<int> seq(3, kLoss);
+    for (int k = 0; k < k_len; ++k) {
+      seq.push_back(1 + k % 3);
+      for (int r = 0; r < k % 3; ++r) seq.push_back(kLoss);
+    }
+    for (int r = 0; r < 4; ++r) seq.push_back(kLoss);
+    for (int n : {2, 3}) {
+      SCOPED_TRACE(::testing::Message() << "K=" << k_len << ", N=" << n);
+      check_kernel_vs_naive<inference::Mmhd>(
+          seq, 3, 60 + static_cast<std::uint64_t>(k_len), 1, n);
     }
   }
 }

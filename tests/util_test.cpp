@@ -2,7 +2,9 @@
 // sanity, statistics helpers, and the dense matrix.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "util/error.h"
 #include "util/matrix.h"
@@ -121,6 +123,26 @@ TEST(Stats, QuantileInterpolates) {
   EXPECT_DOUBLE_EQ(quantile(xs, 0.0), 1.0);
   EXPECT_DOUBLE_EQ(quantile(xs, 1.0), 4.0);
   EXPECT_DOUBLE_EQ(quantile(xs, 0.5), 2.5);
+}
+
+TEST(Stats, QuantileMatchesSortedInterpolation) {
+  // quantile() selects instead of sorting; it must give what a sorted copy
+  // interpolates, with ties and at even and odd sizes.
+  Rng rng(9);
+  for (std::size_t size : {1u, 2u, 7u, 20u, 21u, 200u, 201u}) {
+    std::vector<double> xs(size);
+    for (double& x : xs) x = static_cast<double>(rng.uniform_int(0, 5)) * 0.25;
+    std::vector<double> sorted = xs;
+    std::sort(sorted.begin(), sorted.end());
+    for (double q : {0.0, 0.1, 0.25, 0.5, 0.9, 0.99, 1.0}) {
+      const double pos = q * static_cast<double>(size - 1);
+      const auto lo = static_cast<std::size_t>(pos);
+      const std::size_t hi = std::min(lo + 1, size - 1);
+      const double frac = pos - static_cast<double>(lo);
+      EXPECT_EQ(quantile(xs, q), sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
+          << "size " << size << " q " << q;
+    }
+  }
 }
 
 TEST(Stats, RunningStatsMatchesBatch) {
