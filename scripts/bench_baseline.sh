@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Performance baseline snapshot: Release build, then the EM scaling
 # benchmark, the fleet throughput benchmark, the restart-racing
-# benchmark, and the EM-fit microbenchmarks, appended as one JSON line
-# per run to BENCH_baseline.jsonl (repo root) so perf regressions show
-# up as a diffable series across commits.
+# benchmark, and the EM-fit and simulator microbenchmarks, appended as
+# one JSON line per run to BENCH_baseline.jsonl (repo root) so perf
+# regressions show up as a diffable series across commits.
 #
 #   scripts/bench_baseline.sh           # build + run + append
 #   BENCH_OUT=custom.jsonl scripts/bench_baseline.sh
@@ -40,9 +40,10 @@ echo "==> bench_racing (raced vs full restarts, 1t)"
 ./build-release/bench/bench_racing BENCH_racing.json --samples 5
 racing="$(cat BENCH_racing.json)"
 
-echo "==> bench_micro (EM fit + trace/prof/metrics overhead filters)"
-micro="$(./build-release/bench/bench_micro \
-  --benchmark_filter='BM_(HmmFit|MmhdFit|TraceEvent|ProfTag|HistogramRecord)' \
+echo "==> bench_micro (EM fit, simulator, trace/prof/metrics overhead filters)"
+filter='BM_(HmmFit|MmhdFit|TraceEvent|ProfTag|HistogramRecord'
+filter+='|SimulatorEventThroughput|ChainScenarioSecond)'
+micro="$(./build-release/bench/bench_micro --benchmark_filter="${filter}" \
   --benchmark_format=json 2>/dev/null | tr -d '\n')"
 
 stamp="$(date -u +%Y-%m-%dT%H:%M:%SZ)"

@@ -88,7 +88,8 @@ fi
 
 # Trace smoke: one flight-recorded end-to-end dclid run; the exported
 # Chrome trace must be valid JSON with multiple wall-clock thread tracks,
-# per-link simulated-time counter tracks, and the embedded run manifest.
+# per-link simulated-time counter tracks, probe send/receive and drop
+# instants on the simulated-time track, and the embedded run manifest.
 if [[ "${DCL_CHECK_SKIP_TRACE:-0}" != "1" ]]; then
   echo "==> trace smoke (flight-recorded dclid run)"
   cmake --build build -j "${JOBS}" --target dclid_cli
@@ -105,6 +106,13 @@ wall_tids = {e["tid"] for e in events if e.get("pid") == 1 and e["ph"] != "M"}
 sim_counters = {e["name"] for e in events
                 if e.get("pid") == 2 and e["ph"] == "C"}
 link_tracks = {n for n in sim_counters if n.endswith(".queue_bytes")}
+# The link's enqueue, drop and delivery hooks each emit simulated-time
+# instants; a probe that is sent must also be seen arriving.
+sim_instants = {e["name"] for e in events
+                if e.get("pid") == 2 and e["ph"] == "i"}
+for suffix in (".probe.send", ".probe.recv", ".drop"):
+    assert any(n.endswith(suffix) for n in sim_instants), \
+        f"no {suffix} instants on the simulated-time track"
 depth = {}
 for e in events:
     key = (e.get("pid"), e["tid"])

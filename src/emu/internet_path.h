@@ -91,6 +91,8 @@ class InternetPathScenario {
   int hop_count() const { return static_cast<int>(hop_links_.size()); }
 
   const traffic::PeriodicProber& prober() const { return *prober_; }
+  const sim::VirtualProbeTracer& tracer() const { return *tracer_; }
+  sim::Network& network() { return net_; }
 
  private:
   InternetPathConfig cfg_;

@@ -1,7 +1,9 @@
 #include "inference/fb_kernels.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <type_traits>
 
 #include "util/error.h"
@@ -711,10 +713,21 @@ void SkeletonSweep::prepare(std::size_t blocks, std::size_t n) {
 
 namespace {
 
-// Rescales a row whose mass dropped below kRenormThreshold by the power of
-// two that brings the mass back to [1, 2); returns the exponent. Rare, and
-// applied after the step that measured the mass, so the common path keeps
-// no renorm factor on the loop-carried chain.
+// True when a row's (positive) mass lies outside [2^-64, 2^64): below,
+// it would drift toward underflow; above, toward overflow — a bridge is
+// scaled so its largest entry lies in [0.5, 1), so its rows can sum to
+// nearly N and a run of bridged steps can grow the mass without bound.
+// One unsigned compare on the biased exponent keeps it one branch.
+[[gnu::always_inline]] inline bool mass_out_of_range(double mass) {
+  constexpr std::uint64_t kLowExponent = 1023 - 64;  // biased, of 2^-64
+  return (std::bit_cast<std::uint64_t>(mass) >> 52) - kLowExponent >= 128;
+}
+
+// Rescales a row whose mass left [2^-64, 2^64) by the power of two that
+// brings the mass back to [1, 2); returns the exponent (negative when the
+// mass had grown). Rare, and applied after the step that measured the
+// mass, so the common path keeps no renorm factor on the loop-carried
+// chain.
 [[gnu::always_inline]] inline int renormalize(double* row, std::size_t n,
                                               double& mass) {
   const int e = -std::ilogb(mass);
@@ -775,7 +788,7 @@ template <typename NT>
     s += v0[j];
   }
   DCL_ENSURE_MSG(s > 0.0, "skeleton sweep: zero probability at k = 0");
-  if (s < kRenormThreshold) out.renorm_total += renormalize(fv, n, s);
+  if (mass_out_of_range(s)) out.renorm_total += renormalize(fv, n, s);
   for (std::size_t j = 0; j < n; ++j) {
     rows[j] = fv[j];
     bu[j] = tail == nullptr ? 1.0 : tail[j];
@@ -810,7 +823,8 @@ template <typename NT>
         for (std::size_t j = 0; j < n; ++j) xo[i * n + j] += ai * b[j];
       }
     }
-    if (mass < kRenormThreshold) out.renorm_total += renormalize(fo, n, mass);
+    if (mass_out_of_range(mass))
+      out.renorm_total += renormalize(fo, n, mass);
     if constexpr (decltype(mode)::value == Store::value)
       for (std::size_t j = 0; j < n; ++j) rows[k * n + j] = fo[j];
     for (std::size_t j = 0; j < n; ++j) fv[j] = fo[j];
@@ -844,7 +858,7 @@ template <typename NT>
         for (std::size_t j = 0; j < n; ++j) xo[i * n + j] += ai * bu[j];
       }
     }
-    if (mass < kRenormThreshold) renormalize(bx, n, mass);
+    if (mass_out_of_range(mass)) renormalize(bx, n, mass);
     if constexpr (decltype(mode)::value == Store::value)
       for (std::size_t i = 0; i < n; ++i) rows[k * n + i] = bx[i];
     for (std::size_t i = 0; i < n; ++i) bu[i] = bx[i];

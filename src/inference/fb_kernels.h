@@ -337,9 +337,11 @@ double segment_expand(const SegmentChain& sc,
 // Received-probe skeleton (N >= 2): the raw forward-backward over received
 // probes only. Every step is an N x N block (row-major, stride N) picked by
 // index; the caller folds adjacent-pair blocks and normalized bridges once
-// per iteration. A row whose mass drops below kRenormThreshold is rescaled
-// in place by the exact power of two that brings it back to [1, 2) — a
-// bridge may shrink the mass by far more than one 2^64 factor restores.
+// per iteration. A row whose mass leaves [kRenormThreshold, 2^64) is
+// rescaled in place by the exact power of two that brings it back to
+// [1, 2): a bridge may shrink the mass by far more than one 2^64 factor
+// restores, and since a bridge's largest entry is scaled into [0.5, 1),
+// its rows can sum to nearly N, so bridged steps can also grow it.
 //
 // One two-ended sweep does the whole E-step: the forward chain starts at
 // received probe 0 and the backward chain at K - 1, and both advance in the
@@ -360,7 +362,7 @@ struct SkeletonSweep {
   std::size_t block_count = 0;
   util::AlignedVector<double> first;  // beta_0 / gsum_0
   util::AlignedVector<double> last;   // alpha_{K-1} / gsum_{K-1}
-  long long renorm_total = 0;         // forward rescalings: 2^renorm_total
+  long long renorm_total = 0;  // net forward rescaling: 2^renorm_total
   // K x N raw rows: alpha at the probes the backward chain reads, beta at
   // those the forward chain reads; plus the runtime-N chain rows.
   util::AlignedVector<double> rows, scratch;

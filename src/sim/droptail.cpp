@@ -25,8 +25,7 @@ bool DropTailQueue::try_enqueue(const Packet& p, Time /*now*/) {
 
 std::optional<Packet> DropTailQueue::dequeue(Time /*now*/) {
   if (q_.empty()) return std::nullopt;
-  Packet p = q_.front();
-  q_.pop_front();
+  const Packet p = q_.pop_front();
   backlog_ -= p.size_bytes;
   return p;
 }

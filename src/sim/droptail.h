@@ -11,8 +11,7 @@
 // capacity_pkts = capacity_bytes / data packet size.
 #pragma once
 
-#include <deque>
-
+#include "sim/packet_fifo.h"
 #include "sim/queue.h"
 
 namespace dcl::sim {
@@ -36,7 +35,7 @@ class DropTailQueue final : public Queue {
   std::size_t capacity_;
   std::size_t capacity_pkts_;
   std::size_t backlog_ = 0;
-  std::deque<Packet> q_;
+  PacketFifo q_;
 };
 
 }  // namespace dcl::sim

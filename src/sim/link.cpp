@@ -86,20 +86,26 @@ void Link::start_service_if_idle() {
   busy_ = true;
   const double tx = tx_time(*head);
   service_end_ = sim_.now() + tx;
-  Packet p = *head;
-  sim_.schedule_at(service_end_, [this, p]() {
+  in_flight_.push_back(*head);
+  sim_.schedule_at(service_end_, *this, kTransmissionEnd);
+}
+
+void Link::on_event(std::uint64_t kind) {
+  if (kind == kTransmissionEnd) {
     busy_ = false;
-    sim_.schedule_in(prop_delay_, [this, p]() {
-      ++delivered_;
-      if (p.type == PacketType::kProbe && obs::trace::enabled()) {
-        trace_tracks();
-        obs::trace::sim_instant(tr_probe_recv_, sim_.now(),
-                                static_cast<double>(p.seq));
-      }
-      to_.receive(p, sim_.now());
-    });
+    // now + prop_delay_, exactly as schedule_in would form it.
+    sim_.schedule_at(sim_.now() + prop_delay_, *this, kDelivery);
     start_service_if_idle();
-  });
+    return;
+  }
+  const Packet p = in_flight_.pop_front();
+  ++delivered_;
+  if (p.type == PacketType::kProbe && obs::trace::enabled()) {
+    trace_tracks();
+    obs::trace::sim_instant(tr_probe_recv_, sim_.now(),
+                            static_cast<double>(p.seq));
+  }
+  to_.receive(p, sim_.now());
 }
 
 }  // namespace dcl::sim

@@ -3,6 +3,17 @@
 // packet occupies the transmitter for size*8/bandwidth seconds and is then
 // delivered to the downstream node after the propagation delay.
 //
+// The link drives itself with two typed simulator events, transmission end
+// and delivery, neither of which carries the packet. A packet enters the
+// link's in-flight FIFO when its service starts and leaves it when it is
+// delivered. Deliveries on one link happen in service order, so the FIFO's
+// head is always the packet being delivered: each transmission ends at or
+// after the one before it (a service starts no earlier than the previous
+// one ends) and the propagation delay is constant, so delivery times never
+// decrease; an exact tie (zero-length transmissions) is broken by the event
+// sequence number, and each delivery is scheduled at its transmission end,
+// which comes before the next packet's.
+//
 // The queuing delay an arriving packet experiences equals the residual
 // transmission time of the in-service packet plus the backlog drain time;
 // the maximum queuing delay Q_k = buffer/bandwidth is the paper's
@@ -14,6 +25,7 @@
 #include <string>
 
 #include "sim/packet.h"
+#include "sim/packet_fifo.h"
 #include "sim/queue.h"
 #include "sim/simulator.h"
 #include "sim/types.h"
@@ -35,7 +47,7 @@ class LinkObserver {
   virtual void on_probe_dropped(Link& link, const Packet& p, Time now) = 0;
 };
 
-class Link {
+class Link final : public EventTarget {
  public:
   Link(int id, Simulator& sim, Node& from, Node& to, double bandwidth_bps,
        Time prop_delay, std::unique_ptr<Queue> queue);
@@ -78,6 +90,8 @@ class Link {
   std::uint64_t dropped() const { return dropped_; }
 
  private:
+  enum EventKind : std::uint64_t { kTransmissionEnd, kDelivery };
+  void on_event(std::uint64_t kind) override;
   void start_service_if_idle();
   // Interns this link's flight-recorder track names on first use (names
   // follow Network::export_metrics: "link<id>.<from>-><to>.<metric>").
@@ -94,6 +108,8 @@ class Link {
 
   bool busy_ = false;
   Time service_end_ = 0.0;
+  // Packets from the start of their service until their delivery.
+  PacketFifo in_flight_;
   std::uint64_t delivered_ = 0;
   std::uint64_t enqueued_ = 0;
   std::uint64_t dropped_ = 0;

@@ -5,24 +5,34 @@
 
 namespace dcl::sim {
 
-Link* Node::next_hop(NodeId dst) const {
-  auto it = routes_.find(dst);
-  return it == routes_.end() ? nullptr : it->second;
+namespace {
+// Flow ids index a table per node; this bound only catches ids that were
+// not allocated by Network::new_flow_id.
+constexpr FlowId kMaxFlowId = FlowId{1} << 24;
+}  // namespace
+
+void Node::set_next_hop(NodeId dst, Link* link) {
+  DCL_ENSURE(dst >= 0);
+  const auto i = static_cast<std::size_t>(dst);
+  if (i >= routes_.size()) routes_.resize(i + 1, nullptr);
+  routes_[i] = link;
 }
 
 void Node::attach(FlowId flow, Agent* agent) {
   DCL_ENSURE(agent != nullptr);
+  DCL_ENSURE_MSG(flow < kMaxFlowId, "flow id " << flow << " out of range");
+  if (flow >= agents_.size()) agents_.resize(flow + 1, nullptr);
   agents_[flow] = agent;
 }
 
 void Node::receive(Packet p, Time now) {
   if (p.dst == id_) {
-    auto it = agents_.find(p.flow);
-    if (it == agents_.end()) {
+    Agent* agent = p.flow < agents_.size() ? agents_[p.flow] : nullptr;
+    if (agent == nullptr) {
       ++undeliverable_;
       return;
     }
-    it->second->on_receive(std::move(p), now);
+    agent->on_receive(std::move(p), now);
     return;
   }
   // Forwarding: decrement the hop limit (but not at the originating host —

@@ -1,11 +1,12 @@
 // Nodes model both routers and end hosts. A node forwards packets destined
 // elsewhere via a static next-hop table and delivers packets addressed to
-// itself to the Agent registered for the packet's flow.
+// itself to the Agent registered for the packet's flow. Both tables are
+// vectors indexed by id: node ids are dense, and flow ids are small and
+// sequential (Network::new_flow_id).
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/packet.h"
@@ -33,12 +34,17 @@ class Node {
   NodeId id() const { return id_; }
   const std::string& name() const { return name_; }
 
-  void set_next_hop(NodeId dst, Link* link) { routes_[dst] = link; }
+  void set_next_hop(NodeId dst, Link* link);
   // Next-hop link toward `dst`, or nullptr when unknown.
-  Link* next_hop(NodeId dst) const;
+  Link* next_hop(NodeId dst) const {
+    const auto i = static_cast<std::size_t>(dst);
+    return i < routes_.size() ? routes_[i] : nullptr;
+  }
 
   void attach(FlowId flow, Agent* agent);
-  void detach(FlowId flow) { agents_.erase(flow); }
+  void detach(FlowId flow) {
+    if (flow < agents_.size()) agents_[flow] = nullptr;
+  }
 
   // Delivery/forwarding entry point, called by links.
   void receive(Packet p, Time now);
@@ -57,8 +63,8 @@ class Node {
  private:
   NodeId id_;
   std::string name_;
-  std::unordered_map<NodeId, Link*> routes_;
-  std::unordered_map<FlowId, Agent*> agents_;
+  std::vector<Link*> routes_;    // by destination node id
+  std::vector<Agent*> agents_;   // by flow id
   std::vector<Link*> out_links_;
   std::uint64_t undeliverable_ = 0;
   std::uint64_t unroutable_ = 0;

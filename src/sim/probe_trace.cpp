@@ -1,5 +1,6 @@
 #include "sim/probe_trace.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "util/error.h"
@@ -11,7 +12,11 @@ const std::map<std::uint64_t, ProbeLossRecord> VirtualProbeTracer::kEmpty{};
 void VirtualProbeTracer::on_probe_enqueued(Link& link, const Packet& p,
                                            double queuing_delay,
                                            Time /*now*/) {
-  auto& st = qstats_[p.flow][link.id()];
+  if (p.flow >= qstats_.size()) qstats_.resize(p.flow + 1);
+  auto& row = qstats_[p.flow];
+  const auto l = static_cast<std::size_t>(link.id());
+  if (l >= row.size()) row.resize(std::max(l + 1, net_.links().size()));
+  auto& st = row[l];
   st.sum += queuing_delay;
   ++st.n;
 }
@@ -82,11 +87,11 @@ std::unordered_map<int, std::uint64_t> VirtualProbeTracer::loss_link_counts(
 }
 
 double VirtualProbeTracer::mean_queuing_delay(FlowId flow, int link_id) const {
-  auto fit = qstats_.find(flow);
-  if (fit == qstats_.end()) return 0.0;
-  auto lit = fit->second.find(link_id);
-  if (lit == fit->second.end() || lit->second.n == 0) return 0.0;
-  return lit->second.sum / static_cast<double>(lit->second.n);
+  if (flow >= qstats_.size() || link_id < 0) return 0.0;
+  const auto& row = qstats_[flow];
+  const auto l = static_cast<std::size_t>(link_id);
+  if (l >= row.size() || row[l].n == 0) return 0.0;
+  return row[l].sum / static_cast<double>(row[l].n);
 }
 
 }  // namespace dcl::sim

@@ -70,7 +70,8 @@ class VirtualProbeTracer final : public LinkObserver {
     double sum = 0.0;
     std::uint64_t n = 0;
   };
-  std::unordered_map<FlowId, std::unordered_map<int, QStat>> qstats_;
+  // Indexed [flow][link id]; rows grow on a flow's first enqueue.
+  std::vector<std::vector<QStat>> qstats_;
   static const std::map<std::uint64_t, ProbeLossRecord> kEmpty;
 };
 

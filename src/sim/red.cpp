@@ -100,8 +100,7 @@ bool RedQueue::try_enqueue(const Packet& p, Time now) {
 
 std::optional<Packet> RedQueue::dequeue(Time now) {
   if (q_.empty()) return std::nullopt;
-  Packet p = q_.front();
-  q_.pop_front();
+  const Packet p = q_.pop_front();
   backlog_ -= p.size_bytes;
   if (q_.empty()) {
     idle_ = true;

@@ -10,8 +10,7 @@
 // target band [min_th + 0.4*(max_th-min_th), min_th + 0.6*(max_th-min_th)].
 #pragma once
 
-#include <deque>
-
+#include "sim/packet_fifo.h"
 #include "sim/queue.h"
 #include "util/rng.h"
 
@@ -64,7 +63,7 @@ class RedQueue final : public Queue {
 
   RedConfig cfg_;
   util::Rng rng_;
-  std::deque<Packet> q_;
+  PacketFifo q_;
   std::size_t backlog_ = 0;
   double avg_ = 0.0;
   // Packets since the last (early or forced) drop while in the dropping

@@ -4,8 +4,9 @@
 // hidden states, where the kernel engine sweeps received probes and bridges
 // loss runs — loss-run shapes that stress the bridges, degenerate sequences
 // (all-loss, single-symbol, length-1), likelihood-only evaluation against
-// the fit, and a T=500k underflow stress run guarding the raw recursions'
-// renormalization. MMHD fits over a declared alphabet wider than the
+// the fit, a T=500k underflow stress run guarding the raw recursions'
+// renormalization, and the received-probe skeleton sweep on blocks whose
+// mass grows step by step. MMHD fits over a declared alphabet wider than the
 // observed one also check the full transition matrix the live-state
 // M-step leaves.
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "inference/discretizer.h"
+#include "inference/fb_kernels.h"
 #include "inference/hmm.h"
 #include "inference/mmhd.h"
 #include "util/matrix.h"
@@ -291,6 +293,88 @@ TEST(FbKernels, MmhdSkeletonMeetingPoints) {
       check_kernel_vs_naive<inference::Mmhd>(
           seq, 3, 60 + static_cast<std::uint64_t>(k_len), 1, n);
     }
+  }
+}
+
+// The skeleton sweep over random blocks whose rows sum to more than one
+// (entries 0.05-0.5 at N = 4, as a bridge's can): the raw forward mass grows
+// by ~1.1 per step, so over K = 20,000 received probes it overflows unless
+// rows are rescaled when their mass grows past 2^64 as well as when it
+// shrinks below 2^-64. Checked against a step-normalized sweep.
+TEST(FbKernels, SkeletonSweepRescalesGrowingMass) {
+  constexpr std::size_t n = 4, nn = n * n, block_count = 40, k_len = 20000;
+  util::Rng rng(71);
+  std::vector<double> blocks(block_count * nn);
+  for (double& x : blocks) x = rng.uniform(0.05, 0.5);
+  std::vector<int> steps(k_len, 0);
+  for (std::size_t k = 1; k < k_len; ++k)
+    steps[k] = static_cast<int>(
+        rng.uniform_int(0, static_cast<std::int64_t>(block_count) - 1));
+  const std::vector<double> v0{0.1, 0.2, 0.3, 0.4};
+
+  inference::fb::SkeletonSweep out;
+  out.prepare(block_count, n);
+  const double raw = inference::fb::skeleton_sweep(blocks.data(), n, steps,
+                                                   v0.data(), nullptr, out);
+  const double ll =
+      raw - static_cast<double>(out.renorm_total) * std::log(2.0);
+  ASSERT_TRUE(std::isfinite(ll)) << "raw " << raw;
+
+  // Reference: alpha and beta normalized to unit mass after every step.
+  const auto block = [&](std::size_t k) {
+    return blocks.data() + static_cast<std::size_t>(steps[k]) * nn;
+  };
+  std::vector<double> alpha(k_len * n), beta(k_len * n, 1.0);
+  double ref_ll = 0.0;
+  for (std::size_t k = 0; k < k_len; ++k) {
+    double* a = &alpha[k * n];
+    double mass = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (k == 0) {
+        a[j] = v0[j];
+      } else {
+        a[j] = 0.0;
+        for (std::size_t i = 0; i < n; ++i)
+          a[j] += alpha[(k - 1) * n + i] * block(k)[i * n + j];
+      }
+      mass += a[j];
+    }
+    for (std::size_t j = 0; j < n; ++j) a[j] /= mass;
+    ref_ll += std::log(mass);
+  }
+  for (std::size_t k = k_len - 1; k-- > 0;) {
+    double* b = &beta[k * n];
+    double mass = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      b[i] = 0.0;
+      for (std::size_t j = 0; j < n; ++j)
+        b[i] += block(k + 1)[i * n + j] * beta[(k + 1) * n + j];
+      mass += b[i];
+    }
+    for (std::size_t i = 0; i < n; ++i) b[i] /= mass;
+  }
+  std::vector<double> outer(block_count * nn, 0.0);
+  for (std::size_t k = 0; k + 1 < k_len; ++k) {
+    const double* a = &alpha[k * n];
+    const double* b = &beta[(k + 1) * n];
+    const double* blk = block(k + 1);
+    double pair = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j) pair += a[i] * blk[i * n + j] * b[j];
+    double* o = &outer[static_cast<std::size_t>(steps[k + 1]) * nn];
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j) o[i * n + j] += a[i] * b[j] / pair;
+  }
+
+  EXPECT_NEAR(ll, ref_ll, 1e-12 * std::abs(ref_ll));
+  for (std::size_t x = 0; x < block_count * nn; ++x)
+    EXPECT_NEAR(out.outer[x], outer[x], 1e-12 * outer[x]) << "entry " << x;
+  double g0 = 0.0;
+  for (std::size_t j = 0; j < n; ++j) g0 += v0[j] * beta[j];
+  for (std::size_t j = 0; j < n; ++j) {
+    EXPECT_NEAR(out.first[j], beta[j] / g0, 1e-12) << "first " << j;
+    EXPECT_NEAR(out.last[j], alpha[(k_len - 1) * n + j], 1e-12)
+        << "last " << j;
   }
 }
 

@@ -2,6 +2,8 @@
 // disciplines, link timing, routing, and the virtual-probe tracer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "sim/droptail.h"
@@ -11,6 +13,7 @@
 #include "sim/red.h"
 #include "sim/simulator.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace dcl::sim {
 namespace {
@@ -26,6 +29,14 @@ Packet make_packet(NodeId src, NodeId dst, std::uint32_t bytes,
   return p;
 }
 
+// Typed-event target that records the argument of every event it gets.
+struct Recorder final : EventTarget {
+  std::vector<int>* order = nullptr;
+  void on_event(std::uint64_t arg) override {
+    order->push_back(static_cast<int>(arg));
+  }
+};
+
 TEST(Simulator, RunsEventsInTimeOrder) {
   Simulator sim;
   std::vector<int> order;
@@ -35,6 +46,38 @@ TEST(Simulator, RunsEventsInTimeOrder) {
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(sim.events_processed(), 3u);
+
+  // Many events over few distinct times, typed and callable mixed, some
+  // scheduled while the run is under way: they fire sorted by time, ties
+  // in scheduling order.
+  Simulator mixed;
+  Recorder rec;
+  std::vector<int> fired;
+  rec.order = &fired;
+  std::vector<std::pair<Time, int>> expected;
+  util::Rng rng(3);
+  int id = 0;
+  const auto add = [&](Time t) {
+    expected.emplace_back(t, id);
+    if (id % 2 == 0)
+      mixed.schedule_at(t, rec, static_cast<std::uint64_t>(id));
+    else
+      mixed.schedule_at(t, [&fired, id] { fired.push_back(id); });
+    ++id;
+  };
+  for (int i = 0; i < 300; ++i) add(static_cast<Time>(rng.uniform_int(0, 9)));
+  mixed.schedule_at(4.0, [&] {
+    for (int i = 0; i < 50; ++i)
+      add(static_cast<Time>(rng.uniform_int(4, 9)));
+  });
+  mixed.run();
+  std::stable_sort(
+      expected.begin(), expected.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<int> want;
+  for (const auto& [t, i] : expected) want.push_back(i);
+  EXPECT_EQ(fired, want);
+  EXPECT_EQ(mixed.events_processed(), 351u);
 }
 
 TEST(Simulator, SameTimeEventsRunFifo) {
@@ -44,6 +87,25 @@ TEST(Simulator, SameTimeEventsRunFifo) {
     sim.schedule_at(1.0, [&order, i] { order.push_back(i); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+
+  // Typed events and callables share one sequence: at one timestamp they
+  // fire in scheduling order whichever kind they are, and an event a
+  // same-time event schedules runs after those already waiting.
+  Simulator mixed;
+  Recorder rec;
+  order.clear();
+  rec.order = &order;
+  for (int i = 0; i < 6; ++i) {
+    if (i % 2 == 0)
+      mixed.schedule_at(1.0, rec, static_cast<std::uint64_t>(i));
+    else
+      mixed.schedule_at(1.0, [&, i] {
+        order.push_back(i);
+        if (i == 1) mixed.schedule_at(1.0, rec, 6);
+      });
+  }
+  mixed.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
 }
 
 TEST(Simulator, RunUntilAdvancesClockAndLeavesFutureEvents) {
@@ -215,6 +277,42 @@ TEST(Link, DeliveryTimingIsExact) {
   ASSERT_EQ(sink.arrivals.size(), 2u);
   EXPECT_NEAR(sink.arrivals[0], 0.020, 1e-9);  // tx + prop
   EXPECT_NEAR(sink.arrivals[1], 0.030, 1e-9);  // queued behind the first
+}
+
+// Zero-byte packets on a zero-propagation link: their transmission ends
+// and deliveries fall at one instant, so only event sequence numbers order
+// them. Deliveries must still come in service order — including the ties
+// between the 1250-byte packet's delivery and those of the zero-byte
+// packets queued behind it.
+TEST(Link, ZeroPropagationTiesArriveInServiceOrder) {
+  Network net;
+  const NodeId a = net.add_node();
+  const NodeId b = net.add_node();
+  net.add_link(a, b, 1e6, 0.0, std::make_unique<DropTailQueue>(100000));
+  net.compute_routes();
+
+  struct Sink final : Agent {
+    std::vector<std::pair<std::uint64_t, Time>> arrivals;
+    void on_receive(Packet p, Time now) override {
+      arrivals.emplace_back(p.seq, now);
+    }
+  } sink;
+  net.node(b).attach(3, &sink);
+
+  const std::uint32_t sizes[] = {0, 0, 0, 1250, 0, 0};
+  net.sim().schedule_at(0.0, [&] {
+    for (std::uint64_t i = 0; i < 6; ++i) {
+      Packet p = make_packet(a, b, sizes[i], PacketType::kUdp, 3);
+      p.seq = i;
+      net.inject(p);
+    }
+  });
+  net.sim().run();
+  ASSERT_EQ(sink.arrivals.size(), 6u);
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(sink.arrivals[i].first, i);
+    EXPECT_DOUBLE_EQ(sink.arrivals[i].second, i < 3 ? 0.0 : 0.010);
+  }
 }
 
 TEST(Link, ThroughputMatchesBandwidth) {

@@ -2,6 +2,8 @@
 // response, and recovery mechanics.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "sim/droptail.h"
 #include "sim/network.h"
 #include "traffic/tcp.h"
@@ -44,6 +46,34 @@ TEST(Tcp, TransfersFixedAmountReliably) {
   EXPECT_TRUE(finished_cb);
   EXPECT_EQ(rcv.delivered_in_order(), 500u);
   EXPECT_EQ(snd.segments_acked(), 500u);
+}
+
+// An HTTP transfer frees its sender while the sender's retransmission
+// timer and jittered sends may still be pending. The timer must become a
+// no-op and the already-formed segments must still be injected, without
+// touching the freed sender (the sanitized build checks the latter).
+TEST(Tcp, FreedSenderLeavesPendingEventsHarmless) {
+  Duplex d;
+  build_duplex(d, 1e6, 20000);
+  TcpConfig cfg;
+  cfg.src = d.a;
+  cfg.dst = d.b;
+  cfg.total_segments = 50;
+  cfg.send_jitter_s = 0.2;  // the first window waits up to 200 ms
+  const sim::FlowId flow = d.net.new_flow_id();
+  auto rcv = std::make_unique<TcpReceiver>(d.net, d.b, flow);
+  auto snd = std::make_unique<TcpSender>(d.net, cfg, flow);
+  snd->start();
+  d.net.sim().run_until(0.001);
+  EXPECT_EQ(d.net.find_link(d.a, d.b)->enqueued(), 0u);
+  snd.reset();
+  rcv.reset();
+  d.net.sim().run_until(10.0);
+  // The initial window's two segments arrived with nobody to take them;
+  // nothing else was sent.
+  EXPECT_EQ(d.net.node(d.b).undeliverable(), 2u);
+  EXPECT_EQ(d.net.find_link(d.a, d.b)->delivered(), 2u);
+  EXPECT_TRUE(d.net.sim().empty());
 }
 
 TEST(Tcp, SaturatesAnUncontendedLink) {
