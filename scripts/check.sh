@@ -180,6 +180,34 @@ if [[ "${DCL_CHECK_SKIP_SERVE:-0}" != "1" ]]; then
     echo "serve smoke: dclid exited ${serve_rc} after SIGTERM (want 143)" >&2
     exit 1
   fi
+  # The same signal contract on the no-verdict exit path: an all-LOST
+  # trace yields no verdict (the run's own code would be 1), and SIGTERM
+  # during an unbounded linger must still exit 143.
+  lost_csv="$(mktemp --suffix=.csv)"; tmpfiles+=("${lost_csv}")
+  {
+    echo "seq,send_time,delay"
+    for i in $(seq 0 199); do
+      printf '%d,%d.%02d,LOST\n' "${i}" $((i / 50)) $((i % 50 * 2))
+    done
+  } > "${lost_csv}"
+  ./build/cli/dclid --serve 127.0.0.1:0 --serve-linger inf "${lost_csv}" \
+    > /dev/null 2> "${serve_log}" &
+  serve_pid=$!
+  for _ in $(seq 1 100); do
+    grep -q '^dclid: serving on ' "${serve_log}" && break
+    kill -0 "${serve_pid}" 2>/dev/null || break
+    sleep 0.1
+  done
+  kill -TERM "${serve_pid}" 2>/dev/null || true
+  serve_rc=0
+  wait "${serve_pid}" || serve_rc=$?
+  if [[ "${serve_rc}" -ne 143 ]]; then
+    cat "${serve_log}" >&2
+    echo "serve smoke: no-verdict dclid exited ${serve_rc} after SIGTERM" \
+      "(want 143)" >&2
+    exit 1
+  fi
+  echo "==> no-verdict run: SIGTERM during linger exits 143"
 fi
 
 # Robustness soak: seed-pinned randomized fault schedules over the three

@@ -22,8 +22,12 @@ util::Pmf random_pmf(util::Rng& rng, int m, double sparsity) {
   return pmf;
 }
 
+// gtest prints a parameter without a PrintTo as its raw bytes, and that
+// dump is part of every test name ctest registers. A 64-bit `symbols`
+// leaves the struct without padding, so every byte of those names is
+// defined and a rebuild cannot change them.
 struct SweepCase {
-  int symbols;
+  std::int64_t symbols;
   double sparsity;
   std::uint64_t seed;
 };

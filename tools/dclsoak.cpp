@@ -43,11 +43,9 @@
 #include <sys/stat.h>
 #include <sys/wait.h>
 
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <fstream>
 #include <map>
@@ -57,15 +55,14 @@
 #include <string>
 #include <vector>
 
+#include "cli_core.h"
 #include "core/pipeline.h"
 #include "faults/faults.h"
 #include "fleet/journal.h"
 #include "obs/log.h"
 #include "obs/manifest.h"
 #include "obs/obs.h"
-#include "obs/serve.h"
 #include "obs/window.h"
-#include "scenarios/presets.h"
 #include "trace/trace_io.h"
 #include "util/error.h"
 
@@ -83,24 +80,6 @@ struct Options {
   int kill_resume = 0;  // > 0 switches to the crash/resume soak
   std::string dclfleet = "./build/cli/dclfleet";
 };
-
-dcl::trace::Trace make_preset_trace(const std::string& name,
-                                    std::uint64_t seed, double duration_s) {
-  const double warmup_s = duration_s >= 300.0 ? 60.0 : 0.2 * duration_s;
-  dcl::scenarios::ChainConfig cfg =
-      name == "sdcl"
-          ? dcl::scenarios::presets::sdcl_chain(1e6, seed, duration_s,
-                                                warmup_s)
-      : name == "wdcl"
-          ? dcl::scenarios::presets::wdcl_chain(0.8e6, 16e6, seed,
-                                                duration_s, warmup_s)
-          : dcl::scenarios::presets::nodcl_chain(0.5e6, 8e6, seed,
-                                                 duration_s, warmup_s);
-  dcl::scenarios::ChainScenario sc(cfg);
-  sc.run();
-  return dcl::trace::make_trace(sc.observations(), sc.window_start(),
-                                cfg.probe_interval_s);
-}
 
 int fail(const char* what, const std::string& detail) {
   std::fprintf(stderr, "dclsoak: FAIL: %s: %s\n", what, detail.c_str());
@@ -239,32 +218,25 @@ int run_kill_resume(const Options& opt) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  namespace cli = dcl::cli;
+  cli::set_program("dclsoak");
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto need = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "dclsoak: %s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (a == "--schedules") opt.schedules = std::atoi(need("--schedules"));
-    else if (a == "--seed") opt.seed = std::strtoull(need("--seed"), nullptr, 10);
-    else if (a == "--duration") opt.duration_s = std::atof(need("--duration"));
-    else if (a == "--max-flip-frac")
-      opt.max_flip_frac = std::atof(need("--max-flip-frac"));
-    else if (a == "--metrics-json") opt.metrics_json = need("--metrics-json");
-    else if (a == "--serve") opt.serve_addr = need("--serve");
-    else if (a == "--presets") {
+  cli::Args args(argc, argv);
+  while (args.next()) {
+    if (args.is("--schedules")) opt.schedules = args.int32();
+    else if (args.is("--seed")) opt.seed = args.u64();
+    else if (args.is("--duration")) opt.duration_s = args.real();
+    else if (args.is("--max-flip-frac")) opt.max_flip_frac = args.real();
+    else if (args.is("--metrics-json")) opt.metrics_json = args.value();
+    else if (args.is("--serve")) opt.serve_addr = args.value();
+    else if (args.is("--presets")) {
       opt.presets.clear();
-      std::stringstream ss(need("--presets"));
+      std::stringstream ss(args.value());
       std::string p;
       while (std::getline(ss, p, ',')) opt.presets.push_back(p);
-    } else if (a == "--verbose" || a == "-v") opt.verbose = true;
-    else if (a == "--kill-resume")
-      opt.kill_resume = std::atoi(need("--kill-resume"));
-    else if (a == "--dclfleet") opt.dclfleet = need("--dclfleet");
+    } else if (args.is("--verbose") || args.is("-v")) opt.verbose = true;
+    else if (args.is("--kill-resume")) opt.kill_resume = args.int32();
+    else if (args.is("--dclfleet")) opt.dclfleet = args.value();
     else {
       std::fprintf(stderr,
                    "usage: dclsoak [--schedules N] [--seed S] "
@@ -285,26 +257,13 @@ int main(int argc, char** argv) {
   reg.reset();
   dcl::obs::log::install_error_listener();
 
+  auto man = dcl::obs::manifest("dclsoak");
+  man.seed = opt.seed;
+  man.add("schedules", std::to_string(opt.schedules));
+  man.add("duration_s", std::to_string(opt.duration_s));
   std::unique_ptr<dcl::obs::serve::Server> server;
-  if (!opt.serve_addr.empty()) {
-    dcl::obs::serve::Options sopts;
-    if (!dcl::obs::serve::parse_address(opt.serve_addr, sopts)) {
-      std::fprintf(stderr, "dclsoak: --serve must be host:port\n");
-      return 2;
-    }
-    auto man = dcl::obs::manifest("dclsoak");
-    man.seed = opt.seed;
-    man.add("schedules", std::to_string(opt.schedules));
-    sopts.manifest = std::move(man);
-    try {
-      server = dcl::obs::serve::Server::start(std::move(sopts));
-    } catch (const dcl::util::Error& e) {
-      std::fprintf(stderr, "dclsoak: %s\n", e.what());
-      return 2;
-    }
-    std::fprintf(stderr, "dclsoak: serving on %s\n",
-                 server->address().c_str());
-  }
+  if (!opt.serve_addr.empty())
+    server = cli::start_server(opt.serve_addr, man);
 
   // Baselines: one clean simulation + analysis per preset.
   dcl::core::PipelineConfig pcfg;
@@ -316,13 +275,13 @@ int main(int argc, char** argv) {
   };
   std::vector<Baseline> baselines;
   for (const auto& name : opt.presets) {
-    if (name != "sdcl" && name != "wdcl" && name != "nodcl") {
+    if (!cli::is_preset(name)) {
       std::fprintf(stderr, "dclsoak: unknown preset %s\n", name.c_str());
       return 2;
     }
     Baseline b;
     b.name = name;
-    b.trace = make_preset_trace(name, opt.seed, opt.duration_s);
+    b.trace = cli::preset_trace(name, opt.seed, opt.duration_s);
     const auto r = dcl::core::analyze_trace(b.trace, pcfg);
     if (!r.answered)
       return fail("baseline did not answer", name);
@@ -452,22 +411,11 @@ int main(int argc, char** argv) {
     return fail("verdict flip fraction above bound", os.str());
   }
 
-  if (!opt.metrics_json.empty()) {
-    auto man = dcl::obs::manifest("dclsoak");
-    man.seed = opt.seed;
-    man.add("schedules", std::to_string(opt.schedules));
-    man.add("duration_s", std::to_string(opt.duration_s));
-    const std::string json = reg.to_json(man);
-    std::FILE* f = opt.metrics_json == "-"
-                       ? stdout
-                       : std::fopen(opt.metrics_json.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "dclsoak: cannot write %s\n",
-                   opt.metrics_json.c_str());
-      return 1;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    if (f != stdout) std::fclose(f);
+  if (!opt.metrics_json.empty() &&
+      !cli::write_metrics_json(opt.metrics_json, man)) {
+    std::fprintf(stderr, "dclsoak: cannot write %s\n",
+                 opt.metrics_json.c_str());
+    return 1;
   }
 
   std::printf(
