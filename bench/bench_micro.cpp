@@ -190,17 +190,37 @@ BENCHMARK(BM_TraceEventDisabled);
 
 // Profiler tag-stack overhead, the obs/prof.h contract: with the sampler
 // off (the permanent state of every production run that never profiles),
-// a DCL_SPAN still pushes/pops its stage tag — one TLS pointer store, an
+// a DCL_STAGE still pushes/pops its stage tag — one TLS pointer store, an
 // int bump, and two compile-time signal fences. check.sh gates this
-// against BM_TraceEventDisabled's order of magnitude.
+// against its baseline.
 void BM_ProfTagDisabled(benchmark::State& state) {
   for (auto _ : state) {
-    obs::prof::StageTag tag("bench.stage");
+    obs::prof::push_tag("bench.stage");
     benchmark::ClobberMemory();
+    obs::prof::pop_tag();
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ProfTagDisabled);
+
+// A whole DCL_STAGE with metrics, tracing and the sampler off: the tag
+// push/pop above plus the two inline enable checks. Its budget is a
+// disabled trace emit plus a tag push; check.sh gates it against its
+// baseline.
+void BM_StageDisabled(benchmark::State& state) {
+  const bool metrics_was = obs::enabled();
+  const bool trace_was = obs::trace::enabled();
+  obs::set_enabled(false);
+  obs::trace::set_enabled(false);
+  for (auto _ : state) {
+    DCL_STAGE("bench.stage");
+    benchmark::ClobberMemory();
+  }
+  obs::set_enabled(metrics_was);
+  obs::trace::set_enabled(trace_was);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StageDisabled);
 
 void BM_TraceEventEnabled(benchmark::State& state) {
   // Reuse an active session (DCL_BENCH_TRACE) or run a private one.

@@ -30,11 +30,7 @@ int main() {
         bw, /*seed=*/100 + static_cast<std::uint64_t>(setting), duration,
         /*warmup=*/60.0);
     core::IdentifierConfig icfg;
-    const bench::WallTimer timer;
     const auto r = bench::run_chain(cfg, icfg);
-    bench::append_run_telemetry("table2_sdcl",
-                                "bw=" + std::to_string(bw / 1e6) + "Mbps", r,
-                                timer.seconds());
 
     // "Actual" maximum queuing delay: with packet-counted buffers the
     // drain time of a full queue varies with the packet-size mix, so the

@@ -35,11 +35,7 @@ int main() {
         s.l1_bw, s.burst, /*seed=*/200 + static_cast<std::uint64_t>(idx),
         duration, /*warmup=*/60.0);
     core::IdentifierConfig icfg;  // eps_l = 0.06, eps_d = 0
-    const bench::WallTimer timer;
     const auto r = bench::run_chain(cfg, icfg);
-    bench::append_run_telemetry(
-        "table3_wdcl", "l1_bw=" + std::to_string(s.l1_bw / 1e6) + "Mbps", r,
-        timer.seconds());
 
     const double total = static_cast<double>(
         r.probe_losses[0] + r.probe_losses[1] + r.probe_losses[2]);

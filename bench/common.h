@@ -216,65 +216,6 @@ std::pair<TimingStats, TimingStats> time_median_pair_ms(FnA&& a, FnB&& b,
   return {summarize_ms(std::move(ms_a)), summarize_ms(std::move(ms_b))};
 }
 
-// Monotonic wall timer for per-run telemetry.
-class WallTimer {
- public:
-  WallTimer() : start_(std::chrono::steady_clock::now()) {}
-  double seconds() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start_)
-        .count();
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-};
-
-// Appends one JSON object (a single line, JSON-lines style) with wall time
-// and fit/simulation telemetry for a completed chain run to the file named
-// by the DCL_BENCH_TELEMETRY environment variable. No-op when the variable
-// is unset, so existing bench output is unchanged; the perf-trajectory
-// harness sets it to accumulate a BENCH_*.json series across revisions.
-inline void append_run_telemetry(const std::string& bench,
-                                 const std::string& label, const ChainRun& r,
-                                 double wall_s) {
-  const char* path = std::getenv("DCL_BENCH_TELEMETRY");
-  if (path == nullptr || *path == '\0') return;
-  std::FILE* f = std::fopen(path, "a");
-  if (f == nullptr) return;
-  std::string line = "{";
-  line += "\"bench\": \"" + obs::json_escape(bench) + "\"";
-  line += ", \"manifest\": " + obs::manifest(bench).to_json();
-  line += ", \"label\": \"" + obs::json_escape(label) + "\"";
-  line += ", \"wall_s\": " + obs::json_number(wall_s);
-  line += ", \"probes\": " + std::to_string(r.obs.size());
-  line += ", \"loss_rate\": " + obs::json_number(r.loss_rate);
-  line += ", \"em\": {\"iterations\": " + std::to_string(r.id.fit.iterations);
-  line += ", \"converged\": ";
-  line += r.id.fit.converged ? "true" : "false";
-  line += ", \"winning_restart\": " +
-          std::to_string(r.id.fit.winning_restart);
-  line += ", \"log_likelihood\": " +
-          obs::json_number(r.id.fit.log_likelihood) + "}";
-  line += ", \"probe_losses_by_link\": [";
-  for (std::size_t i = 0; i < r.probe_losses.size(); ++i) {
-    if (i) line += ", ";
-    line += std::to_string(r.probe_losses[i]);
-  }
-  line += "], \"link_loss_rates\": [";
-  for (std::size_t i = 0; i < r.link_loss_rates.size(); ++i) {
-    if (i) line += ", ";
-    line += obs::json_number(r.link_loss_rates[i]);
-  }
-  line += "], \"sdcl_accepted\": ";
-  line += r.id.sdcl.accepted ? "true" : "false";
-  line += ", \"wdcl_accepted\": ";
-  line += r.id.wdcl.accepted ? "true" : "false";
-  line += "}\n";
-  std::fwrite(line.data(), 1, line.size(), f);
-  std::fclose(f);
-}
-
 // Opt-in flight recording for any bench binary: when DCL_BENCH_TRACE=FILE
 // is set, the whole process run is recorded and exported as Chrome trace
 // JSON (with the run manifest) when the guard goes out of scope. Unset,

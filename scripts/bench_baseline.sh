@@ -40,8 +40,8 @@ echo "==> bench_racing (raced vs full restarts, 1t)"
 ./build-release/bench/bench_racing BENCH_racing.json --samples 5
 racing="$(cat BENCH_racing.json)"
 
-echo "==> bench_micro (EM fit, simulator, trace/prof/metrics overhead filters)"
-filter='BM_(HmmFit|MmhdFit|TraceEvent|ProfTag|HistogramRecord'
+echo "==> bench_micro (EM fit, simulator, trace/prof/stage/metrics overhead filters)"
+filter='BM_(HmmFit|MmhdFit|TraceEvent|ProfTag|StageDisabled|HistogramRecord'
 filter+='|SimulatorEventThroughput|ChainScenarioSecond)'
 micro="$(./build-release/bench/bench_micro --benchmark_filter="${filter}" \
   --benchmark_format=json 2>/dev/null | tr -d '\n')"

@@ -289,7 +289,9 @@ if [[ "${DCL_CHECK_SKIP_PROF:-0}" != "1" ]]; then
   echo "==> profile smoke (dclid --profile-out, speedscope validation)"
   cmake --build build -j "${JOBS}" --target dclid_cli
   prof_json="$(mktemp --suffix=.speedscope.json)"; tmpfiles+=("${prof_json}")
-  ./build/cli/dclid --scenario sdcl --duration 300 --restarts 4 \
+  # --select-N 3 adds the model-selection fits: without them the profiled
+  # analysis lasts ~80 ms and yields fewer than the 25 samples checked.
+  ./build/cli/dclid --scenario sdcl --duration 300 --restarts 4 --select-N 3 \
     --profile-out "${prof_json}" --profile-hz 500 > /dev/null
   if command -v python3 >/dev/null 2>&1; then
     python3 tests/profile_check.py "${prof_json}" --min-samples 25 \
@@ -417,10 +419,10 @@ PY
       echo "==> python3 or BENCH_baseline.jsonl missing; racing ratio check skipped"
     fi
   fi
-  echo "==> obs overhead smoke (disabled emit/tag + windowed record cost)"
+  echo "==> obs overhead smoke (disabled emit/tag/stage + windowed record cost)"
   micro_json="$(mktemp)"; tmpfiles+=("${micro_json}")
   ./build-release/bench/bench_micro \
-    --benchmark_filter='BM_(TraceEventDisabled|ProfTagDisabled|HistogramRecord)' \
+    --benchmark_filter='BM_(TraceEventDisabled|ProfTagDisabled|StageDisabled|HistogramRecord)' \
     --benchmark_out="${micro_json}" --benchmark_out_format=json > /dev/null
   if command -v python3 >/dev/null 2>&1 && [[ -s BENCH_baseline.jsonl ]]; then
     python3 - "${micro_json}" BENCH_baseline.jsonl <<'PY'
@@ -454,10 +456,12 @@ PY
   else
     echo "==> python3 or BENCH_baseline.jsonl missing; trace overhead check skipped"
   fi
-  # Sampler-off tag-push gate (obs/prof.h contract): every DCL_SPAN pays
-  # the StageTag push/pop even when no profile is ever taken, so that cost
-  # is ceilinged like the disabled trace emit above. Ratio vs baseline
-  # once one exists; absolute vs the disabled trace emit until then.
+  # Disabled-stage gates (obs/obs.h, obs/prof.h contracts): every
+  # DCL_STAGE pays its tag push/pop and two enable checks even when no
+  # metrics, trace or profile is ever taken, so BM_ProfTagDisabled and the
+  # whole BM_StageDisabled are each ceilinged like the disabled trace emit
+  # above. Ratio vs baseline once the baseline has the row; until then an
+  # absolute line from the same run's disabled trace emit.
   if [[ "${DCL_CHECK_SKIP_PROF:-0}" != "1" ]]; then
     if command -v python3 >/dev/null 2>&1 && [[ -s BENCH_baseline.jsonl ]]; then
       python3 - "${micro_json}" BENCH_baseline.jsonl <<'PY'
@@ -471,27 +475,32 @@ def pick_ns(doc, prefix):
     return min(b["cpu_time"] for b in pick) if pick else None
 
 fresh_doc = json.load(open(sys.argv[1]))
-fresh = pick_ns(fresh_doc, "BM_ProfTagDisabled")
 lines = [l for l in open(sys.argv[2]) if l.strip()]
-base = pick_ns(json.loads(lines[-1]).get("micro", {}), "BM_ProfTagDisabled")
-if fresh is None:
-    sys.exit("bench_micro produced no BM_ProfTagDisabled rows")
-if base is None:
-    # Baseline predates the profiler: hold an absolute line instead — a
-    # sampler-off tag push is two TLS stores and must stay within an
-    # order of magnitude of the disabled trace emit (no clock read, no
-    # allocation, no syscall).
-    trace = pick_ns(fresh_doc, "BM_TraceEventDisabled") or 0.0
-    ceiling = max(10.0 * trace, 15.0)
+base_doc = json.loads(lines[-1]).get("micro", {})
+trace = pick_ns(fresh_doc, "BM_TraceEventDisabled") or 0.0
+tag = pick_ns(fresh_doc, "BM_ProfTagDisabled")
+failed = False
+for row, what, absolute in (
+        # A sampler-off tag push is two TLS stores and must stay within an
+        # order of magnitude of the disabled trace emit.
+        ("BM_ProfTagDisabled", "disabled tag push", max(10.0 * trace, 15.0)),
+        # A disabled stage is a tag push plus two flag loads: at most what
+        # a disabled trace emit and a tag push cost apart (ROADMAP bound).
+        ("BM_StageDisabled", "disabled stage", trace + (tag or 0.0))):
+    fresh = pick_ns(fresh_doc, row)
+    if fresh is None:
+        sys.exit(f"bench_micro produced no {row} rows")
+    base = pick_ns(base_doc, row)
+    if base is None:
+        ceiling = absolute
+        ref = f"no baseline (absolute ceiling {ceiling:.2f})"
+    else:
+        ceiling = max(3.0 * base, 2.0)
+        ref = f"vs baseline {base:.2f} ns (ceiling {ceiling:.2f})"
     verdict = "ok" if fresh <= ceiling else "REGRESSION"
-    print(f"prof overhead: disabled tag push {fresh:.2f} ns, no baseline "
-          f"(absolute ceiling {ceiling:.2f}) {verdict}")
-    sys.exit(0 if fresh <= ceiling else 1)
-ceiling = max(3.0 * base, 2.0)
-verdict = "ok" if fresh <= ceiling else "REGRESSION"
-print(f"prof overhead: disabled tag push {fresh:.2f} ns vs baseline "
-      f"{base:.2f} ns (ceiling {ceiling:.2f}) {verdict}")
-sys.exit(0 if fresh <= ceiling else 1)
+    print(f"prof overhead: {what} {fresh:.2f} ns {ref} {verdict}")
+    failed = failed or fresh > ceiling
+sys.exit(1 if failed else 0)
 PY
     else
       echo "==> python3 or BENCH_baseline.jsonl missing; prof overhead check skipped"

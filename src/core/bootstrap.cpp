@@ -6,8 +6,7 @@
 
 #include "inference/discretizer.h"
 #include "inference/mmhd.h"
-#include "obs/prof.h"
-#include "obs/trace.h"
+#include "obs/obs.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -46,14 +45,12 @@ BootstrapResult bootstrap_wdcl(
   const int chunks = static_cast<int>(workers);
   const int per_chunk = (cfg.replicates + chunks - 1) / chunks;
   auto run_chunk = [&](int chunk) {
-    // Worker-thread stage tag: resampling runs outside any DCL_SPAN.
-    DCL_PROF_STAGE("bootstrap");
-    DCL_TRACE_SCOPE_V("bootstrap.chunk", chunk);
+    DCL_STAGE_V("bootstrap.chunk", chunk);
     const int lo = chunk * per_chunk;
     const int hi = std::min(cfg.replicates, lo + per_chunk);
     util::Pmf pmf(m);
     for (int r = lo; r < hi; ++r) {
-      DCL_TRACE_SCOPE_V("bootstrap.replicate", r);
+      DCL_STAGE_V("bootstrap.replicate", r);
       util::Rng& rng = rngs[static_cast<std::size_t>(r)];
       std::fill(pmf.begin(), pmf.end(), 0.0);
       for (std::int64_t i = 0; i < n; ++i) {
@@ -121,18 +118,16 @@ BootstrapResult bootstrap_wdcl_refit(const std::vector<int>& seq,
   const int chunks = static_cast<int>(workers);
   const int per_chunk = (cfg.replicates + chunks - 1) / chunks;
   auto run_chunk = [&](int chunk) {
-    // Worker-thread stage tag, as in bootstrap_wdcl above.
-    DCL_PROF_STAGE("bootstrap");
+    DCL_STAGE_V("bootstrap.refit_chunk", chunk);
     // One refitter per worker: its workspace/trellis (and the warm-start
     // snapshot of the point fit) are reused by every replicate in the
     // chunk.
-    DCL_TRACE_SCOPE_V("bootstrap.refit_chunk", chunk);
     inference::MmhdRefitter refitter(point_fit, em);
     std::vector<int> rep(t_len);
     const int lo = chunk * per_chunk;
     const int hi = std::min(cfg.replicates, lo + per_chunk);
     for (int r = lo; r < hi; ++r) {
-      DCL_TRACE_SCOPE_V("bootstrap.replicate", r);
+      DCL_STAGE_V("bootstrap.replicate", r);
       util::Rng& rng = rngs[static_cast<std::size_t>(r)];
       bool has_loss = false;
       for (int attempt = 0; attempt < kMaxLossRedraws && !has_loss;

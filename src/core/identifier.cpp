@@ -198,7 +198,7 @@ Identifier::Identifier(const IdentifierConfig& cfg) : cfg_(cfg) {
 
 IdentificationResult Identifier::identify(
     const inference::ObservationSequence& obs) const {
-  DCL_SPAN("identify");
+  DCL_STAGE("identify");
   DCL_REQUIRE_INPUT(obs.size() >= 2, "need at least two probes");
   IdentificationResult r;
   r.probes = obs.size();
@@ -212,7 +212,7 @@ IdentificationResult Identifier::identify(
   dc.symbols = cfg_.symbols;
   dc.propagation_delay = cfg_.propagation_delay;
   const auto disc = [&] {
-    DCL_SPAN("discretize");
+    DCL_STAGE("discretize");
     return inference::Discretizer::from_observations(obs, dc);
   }();
   r.bin_width_s = disc.bin_width();
@@ -229,7 +229,7 @@ IdentificationResult Identifier::identify(
       note_skip(&r, "model race");
       kind = ModelKind::kMmhd;
     } else {
-      DCL_SPAN("model_race");
+      DCL_STAGE("model_race");
       try {
         kind = race_model_kind(cfg_.symbols, seq, em);
       } catch (const util::Error& e) {
@@ -245,7 +245,7 @@ IdentificationResult Identifier::identify(
     if (cfg_.deadline.expired()) {
       note_skip(&r, "model selection");
     } else {
-      DCL_SPAN("model_selection");
+      DCL_STAGE("model_selection");
       try {
         const auto sel = inference::select_mmhd_hidden_states(
             seq, cfg_.symbols, cfg_.auto_hidden_max, em);
@@ -265,7 +265,7 @@ IdentificationResult Identifier::identify(
   std::unique_ptr<inference::Mmhd> coarse_model;
   bool fit_ok;
   {
-    DCL_SPAN("coarse_fit");
+    DCL_STAGE("coarse_fit");
     fit_ok = fit_with_retry(
         kind, cfg_.symbols, seq, em, cfg_.em_retries, &r.fit,
         want_bootstrap && !cfg_.bootstrap_refit ? &per_loss : nullptr,
@@ -285,7 +285,7 @@ IdentificationResult Identifier::identify(
   r.virtual_cdf = util::pmf_to_cdf(r.virtual_pmf);
 
   {
-    DCL_SPAN("hypothesis_tests");
+    DCL_STAGE("hypothesis_tests");
     r.sdcl = sdcl_test(r.virtual_cdf, cfg_.sdcl_mass_epsilon);
     r.wdcl = wdcl_test(r.virtual_cdf, cfg_.eps_l, cfg_.eps_d);
     r.coarse_bound = max_delay_bound(r.virtual_cdf, disc, cfg_.eps_l);
@@ -295,7 +295,7 @@ IdentificationResult Identifier::identify(
     if (cfg_.deadline.expired()) {
       note_skip(&r, "bootstrap");
     } else {
-      DCL_SPAN("bootstrap");
+      DCL_STAGE("bootstrap");
       BootstrapConfig bc;
       bc.replicates = cfg_.bootstrap_replicates;
       bc.eps_l = cfg_.eps_l;
@@ -318,7 +318,7 @@ IdentificationResult Identifier::identify(
     if (cfg_.deadline.expired()) {
       note_skip(&r, "fine bound");
     } else {
-      DCL_SPAN("fine_bound");
+      DCL_STAGE("fine_bound");
       try {
         inference::DiscretizerConfig fdc;
         fdc.symbols = cfg_.bound_symbols;

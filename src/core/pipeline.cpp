@@ -58,18 +58,17 @@ PipelineResult run_pipeline(const trace::Trace& input,
   }
 
   // Materializing observation/send-time sequences walks every record; on
-  // long traces that is visible CPU, so it gets its own span (and thereby
-  // its own profiler stage).
+  // long traces that is visible CPU, so it gets its own stage.
   auto obs_seq = [&] {
-    DCL_SPAN("ingest");
+    DCL_STAGE("ingest");
     return active->observations();
   }();
   const auto send_times = [&] {
-    DCL_SPAN("ingest");
+    DCL_STAGE("ingest");
     return active->send_times();
   }();
   if (cfg.correct_clock_skew) {
-    DCL_SPAN("skew_removal");
+    DCL_STAGE("skew_removal");
     obs_seq = timesync::correct_observations(obs_seq, send_times, &out.skew);
     if (!out.skew.valid) {
       out.warnings.push_back(
@@ -87,7 +86,7 @@ PipelineResult run_pipeline(const trace::Trace& input,
       obs::Registry::global().windowed_counter("pipeline.deadline_skips")
           .add(1);
     } else {
-      DCL_SPAN("window_selection");
+      DCL_STAGE("window_selection");
       const auto [lo, hi] = most_stationary_window(
           obs_seq, cfg.stationary_window, cfg.window_stride, cfg.min_losses);
       out.window_begin = lo;
@@ -97,7 +96,7 @@ PipelineResult run_pipeline(const trace::Trace& input,
     }
   }
   {
-    DCL_SPAN("stationarity");
+    DCL_STAGE("stationarity");
     out.stationarity = stationarity(obs_seq);
   }
   out.identification = Identifier(idcfg).identify(obs_seq);
@@ -114,7 +113,7 @@ PipelineResult run_pipeline(const trace::Trace& input,
 
 PipelineResult analyze_trace(const trace::Trace& trace,
                              const PipelineConfig& cfg) {
-  DCL_SPAN("analyze_trace");
+  DCL_STAGE("analyze_trace");
   if (!cfg.sanitize) return run_pipeline(trace, cfg);
   // Graceful boundary: with sanitization on, data-dependent failures —
   // including invariant throws that slipped past sanitization, which are

@@ -24,7 +24,7 @@ std::string SanitizationReport::summary() const {
 trace::Trace sanitize_trace(const trace::Trace& input,
                             SanitizationReport* report,
                             const SanitizeConfig& cfg) {
-  DCL_SPAN("sanitize_trace");
+  DCL_STAGE("sanitize_trace");
   SanitizationReport rep;
   rep.input_records = input.records.size();
 

@@ -9,8 +9,6 @@
 
 #include "faults/faults.h"
 #include "obs/obs.h"
-#include "obs/prof.h"
-#include "obs/trace.h"
 #include "obs/window.h"
 #include "util/backoff.h"
 #include "util/crash.h"
@@ -125,7 +123,6 @@ FleetReport run_fleet(const std::vector<TraceJob>& jobs,
   auto& ok_ctr = reg.windowed_counter("fleet.traces_ok");
   auto& degraded_ctr = reg.windowed_counter("fleet.traces_degraded");
   auto& failed_ctr = reg.windowed_counter("fleet.traces_failed");
-  auto& trace_span = reg.windowed_histogram("span.fleet.trace");
 
   std::mutex done_mu;  // serializes on_done and the progress gauge
   std::atomic<std::size_t> done{0};
@@ -220,9 +217,6 @@ FleetReport run_fleet(const std::vector<TraceJob>& jobs,
   auto& cancelled_ctr = reg.windowed_counter("fleet.traces_cancelled");
 
   auto process = [&](std::size_t i) {
-    // Outer-worker stage tag: everything below (per-trace pipeline) is
-    // charged to fleet.trace unless an inner stage retags it.
-    DCL_PROF_STAGE("fleet.trace");
     TraceOutcome& out = report.traces[i];
     out.index = i;
     out.id = jobs[i].id;
@@ -239,65 +233,69 @@ FleetReport run_fleet(const std::vector<TraceJob>& jobs,
       return;
     }
 
-    obs::trace::Scope scope("fleet.trace", static_cast<double>(i));
-    const double t0 = now_s();
+    {
+      // The per-trace stage, timed into span.fleet.trace over exactly the
+      // span out.wall_s measures.
+      DCL_STAGE_V("fleet.trace", i);
+      const double t0 = now_s();
 
-    core::PipelineConfig pcfg = cfg.pipeline;
-    pcfg.identifier.em.seed = seeds[i];
-    pcfg.identifier.em.threads = report.plan.inner;
-    // The observer hook buffers per-restart events and replays them on
-    // the fit's calling thread — here an outer worker, concurrent with
-    // its siblings. A caller-supplied observer would need locking it was
-    // never promised to need, so the fleet runs fits unobserved.
-    pcfg.identifier.em.observer = nullptr;
+      core::PipelineConfig pcfg = cfg.pipeline;
+      pcfg.identifier.em.seed = seeds[i];
+      pcfg.identifier.em.threads = report.plan.inner;
+      // The observer hook buffers per-restart events and replays them on
+      // the fit's calling thread — here an outer worker, concurrent with
+      // its siblings. A caller-supplied observer would need locking it was
+      // never promised to need, so the fleet runs fits unobserved.
+      pcfg.identifier.em.observer = nullptr;
 
-    const int max_attempts = std::max(0, cfg.trace_retries) + 1;
-    util::Backoff backoff(cfg.retry_base_s, cfg.retry_max_s, seeds[i]);
-    const int slot = util::crash::inflight_claim(i, now_ns());
+      const int max_attempts = std::max(0, cfg.trace_retries) + 1;
+      util::Backoff backoff(cfg.retry_base_s, cfg.retry_max_s, seeds[i]);
+      const int slot = util::crash::inflight_claim(i, now_ns());
 
-    for (int attempt = 0; attempt < max_attempts; ++attempt) {
-      try {
-        faults::proc::on_trace_start(i);
-        const trace::Trace* active = jobs[i].preloaded.get();
-        trace::Trace loaded;
-        if (active == nullptr) {
-          loaded = trace::read_trace_file(jobs[i].path);
-          active = &loaded;
-        }
-        out.probes = active->records.size();
-        out.result = core::analyze_trace(*active, pcfg);
-        out.status = out.result.degraded ? TraceStatus::kDegraded
-                                         : TraceStatus::kOk;
-        out.error.clear();  // an earlier attempt's error is superseded
-        break;
-      } catch (const util::Error& e) {
-        // Unreadable file, or a strict-mode (sanitize=false) analysis
-        // throw: typed, isolated, the fleet moves on.
-        out.status = TraceStatus::kFailed;
-        out.error = std::string(util::to_string(e.code())) + ": " + e.what();
-        obs::trace::instant("fleet.trace_failed", static_cast<double>(i));
-        const bool retryable = transient_error(e.code()) &&
-                               attempt + 1 < max_attempts &&
-                               (cfg.cancel == nullptr ||
-                                !cfg.cancel->load(std::memory_order_acquire));
-        if (!retryable) {
-          if (transient_error(e.code()) && cfg.trace_retries > 0)
-            exhausted_ctr.add(1);
+      for (int attempt = 0; attempt < max_attempts; ++attempt) {
+        try {
+          faults::proc::on_trace_start(i);
+          const trace::Trace* active = jobs[i].preloaded.get();
+          trace::Trace loaded;
+          if (active == nullptr) {
+            loaded = trace::read_trace_file(jobs[i].path);
+            active = &loaded;
+          }
+          out.probes = active->records.size();
+          out.result = core::analyze_trace(*active, pcfg);
+          out.status = out.result.degraded ? TraceStatus::kDegraded
+                                           : TraceStatus::kOk;
+          out.error.clear();  // an earlier attempt's error is superseded
+          break;
+        } catch (const util::Error& e) {
+          // Unreadable file, or a strict-mode (sanitize=false) analysis
+          // throw: typed, isolated, the fleet moves on.
+          out.status = TraceStatus::kFailed;
+          out.error = std::string(util::to_string(e.code())) + ": " + e.what();
+          obs::trace::instant("fleet.trace_failed", static_cast<double>(i));
+          const bool retryable = transient_error(e.code()) &&
+                                 attempt + 1 < max_attempts &&
+                                 (cfg.cancel == nullptr ||
+                                  !cfg.cancel->load(std::memory_order_acquire));
+          if (!retryable) {
+            if (transient_error(e.code()) && cfg.trace_retries > 0)
+              exhausted_ctr.add(1);
+            break;
+          }
+          retries_ctr.add(1);
+          obs::trace::instant("fleet.trace_retry", static_cast<double>(i));
+          std::this_thread::sleep_for(
+              std::chrono::duration<double>(backoff.next_s()));
+        } catch (const std::exception& e) {
+          out.status = TraceStatus::kFailed;
+          out.error = std::string("internal: ") + e.what();
+          obs::trace::instant("fleet.trace_failed", static_cast<double>(i));
           break;
         }
-        retries_ctr.add(1);
-        obs::trace::instant("fleet.trace_retry", static_cast<double>(i));
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(backoff.next_s()));
-      } catch (const std::exception& e) {
-        out.status = TraceStatus::kFailed;
-        out.error = std::string("internal: ") + e.what();
-        obs::trace::instant("fleet.trace_failed", static_cast<double>(i));
-        break;
       }
+      if (slot >= 0) util::crash::inflight_release(slot);
+      out.wall_s = now_s() - t0;
     }
-    if (slot >= 0) util::crash::inflight_release(slot);
-    out.wall_s = now_s() - t0;
 
     // A watchdog flag overrides whatever the late-finishing attempt
     // produced: the operator asked for a bound, the bound was blown.
@@ -307,7 +305,6 @@ FleetReport run_fleet(const std::vector<TraceJob>& jobs,
                   std::to_string(cfg.trace_timeout_s) + " s)";
     }
 
-    trace_span.record(out.wall_s);
     done_ctr.add(1);
     switch (out.status) {
       case TraceStatus::kOk: ok_ctr.add(1); break;
@@ -326,7 +323,7 @@ FleetReport run_fleet(const std::vector<TraceJob>& jobs,
 
   const double fleet_t0 = now_s();
   {
-    DCL_SPAN("fleet.run");
+    DCL_STAGE("fleet.run");
     if (report.plan.outer <= 1) {
       for (const std::size_t i : todo) process(i);
     } else if (!todo.empty()) {

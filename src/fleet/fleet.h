@@ -29,9 +29,10 @@
 //
 // Observability: the run feeds the global registry — windowed counters
 // fleet.traces_done / _ok / _degraded / _failed, the fleet.progress
-// gauge, per-trace wall time in span.fleet.trace — so a live `dclfleet
-// --serve` exposes throughput and progress on /metrics and /statusz
-// mid-run, and every trace is a flight-recorder span when tracing is on.
+// gauge, and per trace the fleet.trace stage (span.fleet.trace wall time
+// while metrics are on) — so a live `dclfleet --serve` exposes throughput
+// and progress on /metrics and /statusz mid-run, and every trace is a
+// flight-recorder scope when tracing is on.
 #pragma once
 
 #include <atomic>

@@ -22,6 +22,9 @@ Discretizer Discretizer::from_observations(const ObservationSequence& obs,
                     "received probes");
   DCL_ENSURE(cfg.range_factor >= 1.0);
   const double floor = cfg.propagation_delay.value_or(dmin);
+  DCL_REQUIRE_INPUT(floor <= dmax,
+                    "propagation delay " << floor << " s exceeds every "
+                    "received delay (largest " << dmax << " s)");
   const double ceil = floor + cfg.range_factor * (dmax - floor);
   return Discretizer(floor, ceil, cfg.symbols);
 }

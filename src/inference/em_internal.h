@@ -15,8 +15,7 @@
 
 #include "inference/discretizer.h"
 #include "inference/em_options.h"
-#include "obs/prof.h"
-#include "obs/trace.h"
+#include "obs/obs.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -146,7 +145,7 @@ struct RaceState {
 // (run()); Model::StagedFit advances it on rung boundaries supplied by a
 // model-structure race. Model grants friendship and supplies, privately:
 //   FitContext, Workspace     immutable per-fit inputs / per-restart state
-//   kProfStage, kRestartScope, kIterScope   profiler and trace stage names
+//   kRestartStage, kIterStage  DCL_STAGE names of a restart and an iteration
 //   FitContext make_context(seq, opts) const
 //   void random_init(util::Rng&, double observed_loss_rate)
 //   void Workspace::prepare(const Model&)
@@ -339,17 +338,13 @@ class RestartSet {
   // converges; resumable.
   void step(Runner& run, int upto) {
     if (run.done) return;
-    // Profiler stage tag: EM restarts run on pool workers with no
-    // enclosing DCL_SPAN, so samples here would otherwise be untagged.
-    DCL_PROF_STAGE(Model::kProfStage);
-    // Restart scope + per-restart log-likelihood counter track; the work
+    // Restart stage + per-restart log-likelihood counter track; the work
     // runs on whichever pool worker picked this restart up, so the trace
     // shows the actual thread-to-restart assignment.
-    obs::trace::Scope restart_scope(
-        Model::kRestartScope, static_cast<double>(run.res.winning_restart));
+    DCL_STAGE_V(Model::kRestartStage, run.res.winning_restart);
     if (obs::trace::enabled() && run.ll_track == nullptr)
       run.ll_track = obs::trace::intern(
-          std::string(Model::kRestartScope) +
+          std::string(Model::kRestartStage) + ".restart" +
           std::to_string(run.res.winning_restart) + ".ll");
     if (!run.inited) {
       run.model.random_init(run.rng, loss_rate_);
@@ -358,7 +353,7 @@ class RestartSet {
     }
     const int cap = std::min(upto, opts_.max_iterations);
     while (run.res.iterations < cap) {
-      DCL_TRACE_SCOPE(Model::kIterScope);
+      DCL_STAGE(Model::kIterStage);
       const int it = run.res.iterations;
       const auto [ll, delta] = run.model.em_step(*seq_, ctx_, run.ws);
       run.res.log_likelihood_history.push_back(ll);

@@ -66,9 +66,8 @@ class Hmm {
 
  private:
   friend class detail::RestartSet<Hmm>;
-  static constexpr const char* kProfStage = "em.hmm";
-  static constexpr const char* kRestartScope = "hmm.restart";
-  static constexpr const char* kIterScope = "hmm.iter";
+  static constexpr const char* kRestartStage = "em.hmm";
+  static constexpr const char* kIterStage = "em.hmm.iter";
 
   struct Trellis;     // scaled alpha/beta workspace
   struct FitContext;  // immutable per-fit inputs shared by every restart

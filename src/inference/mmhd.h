@@ -98,9 +98,8 @@ class Mmhd {
  private:
   friend class MmhdRefitter;  // warm-started EM over a reused workspace
   friend class detail::RestartSet<Mmhd>;
-  static constexpr const char* kProfStage = "em.mmhd";
-  static constexpr const char* kRestartScope = "mmhd.restart";
-  static constexpr const char* kIterScope = "mmhd.iter";
+  static constexpr const char* kRestartStage = "em.mmhd";
+  static constexpr const char* kIterStage = "em.mmhd.iter";
 
   struct Trellis;
   struct FitContext;  // immutable per-fit inputs shared by every restart

@@ -3,7 +3,7 @@
 // A POSIX interval timer (timer_create on CLOCK_PROCESS_CPUTIME_ID) raises
 // SIGPROF at a configurable rate; the handler walks the interrupted
 // thread's frame pointers and appends the backtrace — tagged with the
-// innermost active DCL_SPAN / DCL_PROF_STAGE stage — to a per-thread
+// innermost active DCL_STAGE (obs/obs.h) — to a per-thread
 // lock-free sample ring (the seq-validated overwrite ring of obs/trace.h,
 // specialized for fixed-depth PC arrays). Everything in the signal path is
 // async-signal-safe: thread-local loads, relaxed atomic stores, and a
@@ -15,14 +15,13 @@
 // JSON — all run outside the signal path on the caller's thread. Each
 // export carries the RunManifest, like every other dcl artifact.
 //
-// Stage attribution: obs::Span pushes its name onto a thread-local tag
-// stack unconditionally (one pointer store + an int bump — the documented
-// sampler-off cost, gated by BM_ProfTagDisabled in scripts/check.sh).
-// Worker-thread stages with no enclosing Span (EM restart drivers, fleet
-// trace workers, bootstrap chunks) tag themselves with DCL_PROF_STAGE.
-// The innermost tag at the moment of the signal names the stage a sample
-// is charged to, which makes the per-stage breakdown *self*-CPU: time in
-// em.hmm is not double-counted into the enclosing analyze_trace.
+// Stage attribution: every DCL_STAGE pushes its name onto a thread-local
+// tag stack unconditionally (one pointer store + an int bump — the
+// documented sampler-off cost, gated by BM_ProfTagDisabled and
+// BM_StageDisabled in scripts/check.sh). The innermost tag at the moment
+// of the signal names the stage a sample is charged to, which makes the
+// per-stage breakdown *self*-CPU: time in em.hmm.iter is not
+// double-counted into the enclosing em.hmm or analyze_trace.
 #pragma once
 
 #include <atomic>
@@ -142,23 +141,5 @@ inline void pop_tag() {
   std::atomic_signal_fence(std::memory_order_release);
 }
 
-// RAII stage tag without a Span's clock reads or histogram: for tagging
-// worker-thread hot loops where a DCL_SPAN would be measurement overhead.
-class StageTag {
- public:
-  explicit StageTag(const char* tag) { push_tag(tag); }
-  ~StageTag() { pop_tag(); }
-  StageTag(const StageTag&) = delete;
-  StageTag& operator=(const StageTag&) = delete;
-};
-
 }  // namespace prof
 }  // namespace dcl::obs
-
-#define DCL_PROF_CONCAT_INNER(a, b) a##b
-#define DCL_PROF_CONCAT(a, b) DCL_PROF_CONCAT_INNER(a, b)
-// Tags the enclosing scope as profiler stage `name` (self-CPU attribution
-// only; use DCL_SPAN when wall-clock timing is also wanted).
-#define DCL_PROF_STAGE(name)          \
-  ::dcl::obs::prof::StageTag DCL_PROF_CONCAT(dcl_prof_tag_, \
-                                             __LINE__)(name)

@@ -9,12 +9,15 @@
 // occupancy, drops, probe lifecycle), so the inference engine's concurrency
 // and the simulated network's dynamics are inspectable side by side.
 //
+// Scopes come from DCL_STAGE (obs/obs.h), which opens one here while the
+// recorder runs, alongside its profiler tag and `span.<name>` histogram.
+//
 // Overhead contract: when tracing is disabled (the default), every emit
-// helper and DCL_TRACE_SCOPE costs a single relaxed atomic load and a
-// branch — no clock read, no TLS touch (bench_micro's BM_TraceEvent*
-// quantifies this). When enabled, an emit is a TLS lookup, one steady_clock
-// read, and five relaxed atomic stores into the calling thread's own ring;
-// no locks and no allocation on the hot path. A full ring overwrites the
+// helper costs a single relaxed atomic load and a branch — no clock read,
+// no TLS touch (bench_micro's BM_TraceEvent* quantifies this). When
+// enabled, an emit is a TLS lookup, one steady_clock read, and five
+// relaxed atomic stores into the calling thread's own ring; no locks and
+// no allocation on the hot path. A full ring overwrites the
 // oldest events and counts them (TraceSession::dropped, mirrored to the
 // `trace.dropped` registry counter at drain).
 //
@@ -41,10 +44,20 @@ struct RunManifest;
 
 namespace trace {
 
+namespace detail {
+class ThreadBuffer;
+inline std::atomic<bool> g_enabled{false};
+}  // namespace detail
+
 // Global on/off switch, independent of obs::enabled(): metrics stay cheap
-// to keep on always, a flight recorder is opt-in per run.
-bool enabled();
-void set_enabled(bool on);
+// to keep on always, a flight recorder is opt-in per run. Inline so a
+// disabled DCL_STAGE never calls out.
+inline bool enabled() {
+  return detail::g_enabled.load(std::memory_order_relaxed);
+}
+inline void set_enabled(bool on) {
+  detail::g_enabled.store(on, std::memory_order_relaxed);
+}
 
 enum class EventKind : std::uint8_t {
   kBegin = 0,       // wall clock, opens a scope on the emitting thread
@@ -82,28 +95,6 @@ void sim_instant(const char* name, double sim_time_s, double value = 0.0);
 void sim_counter(const char* name, double sim_time_s, double value);
 // Names the calling thread's track in the exported trace.
 void set_thread_name(const char* name);
-
-// RAII begin/end pair; captures the enabled decision at construction so a
-// session stopping mid-scope cannot emit an unmatched end.
-class Scope {
- public:
-  explicit Scope(const char* name, double value = 0.0)
-      : name_(enabled() ? name : nullptr) {
-    if (name_ != nullptr) begin(name_, value);
-  }
-  ~Scope() {
-    if (name_ != nullptr) end(name_);
-  }
-  Scope(const Scope&) = delete;
-  Scope& operator=(const Scope&) = delete;
-
- private:
-  const char* name_;
-};
-
-namespace detail {
-class ThreadBuffer;
-}
 
 // Process-wide session: owns every thread's ring buffer (threads register
 // on their first event after start()) and exports the merged timeline.
@@ -160,15 +151,3 @@ class TraceSession {
 
 }  // namespace trace
 }  // namespace dcl::obs
-
-#define DCL_TRACE_CONCAT_INNER(a, b) a##b
-#define DCL_TRACE_CONCAT(a, b) DCL_TRACE_CONCAT_INNER(a, b)
-// Traces the enclosing scope as a begin/end pair on the calling thread's
-// track. Trace-only twin of DCL_SPAN: no histogram is recorded, so it is
-// safe on paths too hot for registry updates (pool tasks, EM iterations).
-#define DCL_TRACE_SCOPE(name) \
-  ::dcl::obs::trace::Scope DCL_TRACE_CONCAT(dcl_trace_scope_, __LINE__)(name)
-// Same, with a numeric argument exported as args {"v": value}.
-#define DCL_TRACE_SCOPE_V(name, value)                               \
-  ::dcl::obs::trace::Scope DCL_TRACE_CONCAT(dcl_trace_scope_, \
-                                            __LINE__)(name, value)

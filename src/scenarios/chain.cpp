@@ -147,7 +147,7 @@ void ChainScenario::run() {
   if (http_) http_->start();
   for (auto& u : udp_) u->start();
   {
-    DCL_SPAN("simulate");
+    DCL_STAGE("simulate");
     net_.sim().run_until(cfg_.duration_s + cfg_.drain_s);
   }
   ran_ = true;

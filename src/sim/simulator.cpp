@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "obs/trace.h"
+#include "obs/obs.h"
 #include "util/error.h"
 
 namespace dcl::sim {
@@ -95,13 +95,13 @@ void Simulator::step() {
 }
 
 void Simulator::run_until(Time t_end) {
-  DCL_TRACE_SCOPE_V("sim.run_until", t_end);
+  DCL_STAGE_V("sim.run_until", t_end);
   while (!heap_.empty() && heap_.front().t <= t_end) step();
   now_ = t_end;
 }
 
 void Simulator::run() {
-  DCL_TRACE_SCOPE("sim.run");
+  DCL_STAGE("sim.run");
   while (!heap_.empty()) step();
 }
 

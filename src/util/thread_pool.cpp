@@ -2,7 +2,7 @@
 
 #include <string>
 
-#include "obs/trace.h"
+#include "obs/obs.h"
 
 namespace dcl::util {
 
@@ -36,7 +36,7 @@ void ThreadPool::worker_loop() {
       job = std::move(queue_.front());
       queue_.pop_front();
     }
-    DCL_TRACE_SCOPE("pool.task");
+    DCL_STAGE("pool.task");
     job();
   }
 }

@@ -3,10 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <set>
+#include <string>
 
 #include "core/pipeline.h"
 #include "obs/obs.h"
+#include "obs/trace.h"
 #include "obs/window.h"
+#include "scenarios/presets.h"
+#include "trace/trace_io.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -127,8 +133,8 @@ std::uint64_t internal_errors() {
       .value();
 }
 
-util::ErrorCode strict_error_code(const trace::Trace& t) {
-  PipelineConfig strict;
+util::ErrorCode strict_error_code(const trace::Trace& t,
+                                  PipelineConfig strict = {}) {
   strict.sanitize = false;
   try {
     analyze_trace(t, strict);
@@ -139,9 +145,10 @@ util::ErrorCode strict_error_code(const trace::Trace& t) {
   return util::ErrorCode::kInternal;
 }
 
-void expect_graceful_invalid_input(const trace::Trace& t) {
+void expect_graceful_invalid_input(const trace::Trace& t,
+                                   const PipelineConfig& cfg = {}) {
   const std::uint64_t before = internal_errors();
-  const auto r = analyze_trace(t, {});
+  const auto r = analyze_trace(t, cfg);
   EXPECT_FALSE(r.answered);
   EXPECT_TRUE(r.degraded);
   ASSERT_FALSE(r.warnings.empty());
@@ -182,6 +189,64 @@ TEST(Pipeline, FewerObservationsThanStationarityBlocksIsInvalidInput) {
         {i, 0.02 * static_cast<double>(i),
          inference::Observation::received(i % 20 == 0 ? 0.05 : -0.05)});
   expect_graceful_invalid_input(mostly_negative);
+}
+
+TEST(Pipeline, PropagationDelayBeyondEveryDelayIsInvalidInput) {
+  // A known propagation delay above every received delay leaves no delay
+  // range to discretize: bad input, not an internal error.
+  const auto t = synth_trace(2000, 0.0, 8);
+  PipelineConfig cfg;
+  cfg.identifier.propagation_delay = 10.0;
+  EXPECT_EQ(strict_error_code(t, cfg), util::ErrorCode::kInvalidInput);
+  expect_graceful_invalid_input(t, cfg);
+}
+
+// /metrics, /tracez and /profilez name the same stages: over one analysis
+// with threaded restarts, model selection and a bootstrap, the stages that
+// opened a flight-recorder scope are exactly those that timed into a
+// span.<name> histogram.
+TEST(Pipeline, TraceScopesAndSpanHistogramsShareOneVocabulary) {
+  const auto chain = scenarios::presets::wdcl_chain(0.8e6, 16e6, 3, 60.0,
+                                                    12.0);
+  scenarios::ChainScenario sc(chain);
+  sc.run();
+  const auto t = trace::make_trace(sc.observations(), sc.window_start(),
+                                   chain.probe_interval_s);
+  PipelineConfig cfg;
+  cfg.identifier.em.restarts = 2;
+  cfg.identifier.em.threads = 2;
+  cfg.identifier.auto_hidden_max = 2;
+  cfg.identifier.bootstrap_replicates = 20;
+
+  auto span_counts = [] {
+    std::map<std::string, std::uint64_t> counts;
+    for (const auto& h : obs::Registry::global().snapshot().histograms)
+      if (h.name.rfind("span.", 0) == 0) counts[h.name.substr(5)] = h.count;
+    return counts;
+  };
+  const auto before = span_counts();
+  const bool metrics_was = obs::enabled();
+  obs::set_enabled(true);
+  auto& session = obs::trace::TraceSession::instance();
+  session.start();
+  const auto r = analyze_trace(t, cfg);
+  session.stop();
+  obs::set_enabled(metrics_was);
+  EXPECT_TRUE(r.answered);
+
+  std::set<std::string> traced;
+  for (const auto& e : session.drain())
+    if (e.kind == obs::trace::EventKind::kBegin) traced.insert(e.name);
+  std::set<std::string> timed;
+  for (const auto& [name, count] : span_counts()) {
+    const auto it = before.find(name);
+    if (count > (it == before.end() ? 0 : it->second)) timed.insert(name);
+  }
+  EXPECT_EQ(session.dropped(), 0u);
+  EXPECT_EQ(traced, timed);
+  for (const char* stage : {"analyze_trace", "em.mmhd", "em.mmhd.iter",
+                            "bootstrap.chunk", "pool.task"})
+    EXPECT_EQ(timed.count(stage), 1u) << stage;
 }
 
 }  // namespace

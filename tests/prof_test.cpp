@@ -21,9 +21,10 @@
 #include "obs/obs.h"
 #include "obs/serve.h"
 
-// Process-wide allocation counter for the disabled-path contract: a
-// StageTag with no sampler running must not allocate. Only the scalar
-// forms are replaced — counting is the point, not interception fidelity.
+// Process-wide allocation counter for the stage contracts: a disabled
+// DCL_STAGE never allocates, a timed one only on its first exit. Only the
+// scalar forms are replaced — counting is the point, not interception
+// fidelity.
 static std::atomic<std::uint64_t> g_allocs{0};
 
 void* operator new(std::size_t n) {
@@ -89,8 +90,8 @@ TEST(Prof, SpinLoopAttributesToInnermostSpan) {
   o.hz = 500;
   if (!prof::start(o)) GTEST_SKIP() << "timer_create unavailable";
   {
-    DCL_SPAN("prof_test.outer");  // enclosing stage: must NOT be charged
-    DCL_SPAN("prof_test.spin");
+    DCL_STAGE("prof_test.outer");  // enclosing stage: must NOT be charged
+    DCL_STAGE("prof_test.spin");
     spin_for_cpu(0.4);
   }
   prof::stop();
@@ -121,7 +122,7 @@ TEST(Prof, CollapsedStacksParseBackToSampleCounts) {
   o.hz = 500;
   if (!prof::start(o)) GTEST_SKIP() << "timer_create unavailable";
   {
-    DCL_PROF_STAGE("prof_test.collapse");
+    DCL_STAGE("prof_test.collapse");
     spin_for_cpu(0.2);
   }
   prof::stop();
@@ -164,7 +165,7 @@ TEST(Prof, SpeedscopeExportCarriesManifestAndSelfCpu) {
   o.hz = 500;
   if (!prof::start(o)) GTEST_SKIP() << "timer_create unavailable";
   {
-    DCL_PROF_STAGE("prof_test.speedscope");
+    DCL_STAGE("prof_test.speedscope");
     spin_for_cpu(0.1);
   }
   prof::stop();
@@ -180,12 +181,33 @@ TEST(Prof, SpeedscopeExportCarriesManifestAndSelfCpu) {
 
 TEST(Prof, DisabledTagPushIsAllocationFree) {
   ASSERT_FALSE(prof::running());
+  ASSERT_FALSE(enabled());
+  ASSERT_FALSE(trace::enabled());
   const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
   for (int i = 0; i < 100000; ++i) {
-    prof::StageTag tag("prof_test.zeroalloc");
+    DCL_STAGE("prof_test.zeroalloc");
   }
   EXPECT_EQ(g_allocs.load(std::memory_order_relaxed), before)
-      << "sampler-off StageTag allocated";
+      << "disabled DCL_STAGE allocated";
+}
+
+// With metrics on, only a stage's first exit looks up (and names) its
+// span.<name> histogram; every later exit records through the cached
+// handle. The name is past the short-string buffer, so building
+// "span.<name>" on an exit would allocate.
+TEST(Prof, TimedStageAllocatesOnlyOnFirstExit) {
+  const bool was = enabled();
+  set_enabled(true);
+  std::uint64_t after_first = 0;
+  for (int i = 0; i < 1000; ++i) {
+    { DCL_STAGE("prof_test.timed_stage"); }
+    if (i == 0) after_first = g_allocs.load(std::memory_order_relaxed);
+  }
+  const std::uint64_t after_all = g_allocs.load(std::memory_order_relaxed);
+  set_enabled(was);
+  EXPECT_EQ(after_all, after_first) << "timed DCL_STAGE allocated on exit";
+  EXPECT_GE(Registry::global().histogram("span.prof_test.timed_stage").count(),
+            1000u);
 }
 
 // The TSan target: samples stream into the per-thread rings from the
@@ -205,7 +227,7 @@ TEST(Prof, ConcurrentCaptureWhileMetricsScrape) {
 
   std::atomic<bool> done{false};
   std::thread worker([&] {
-    prof::StageTag tag("prof_test.concurrent");
+    DCL_STAGE("prof_test.concurrent");
     while (!done.load(std::memory_order_acquire)) spin_for_cpu(0.01);
   });
   std::thread scraper([&] {

@@ -166,7 +166,7 @@ TEST_F(TraceTest, DisabledModeEmitsNothing) {
   counter("dead", 1.0);
   sim_counter("dead", 1.0, 2.0);
   set_thread_name("dead");
-  { DCL_TRACE_SCOPE("dead"); }
+  { DCL_STAGE("dead"); }
   EXPECT_TRUE(session.drain().empty());
   EXPECT_EQ(session.thread_count(), 0u);  // no thread ever registered
   EXPECT_EQ(session.dropped(), 0u);
@@ -176,19 +176,19 @@ TEST_F(TraceTest, ScopeCapturesEnabledAtConstruction) {
   auto& session = TraceSession::instance();
   session.start(128);
   {
-    Scope mid("mid_session");
-    session.stop();  // session ends while the scope is open
+    DCL_STAGE("mid_session");
+    session.stop();  // session ends while the stage is open
   }                  // destructor must not emit an unmatched end
   const auto events = session.drain();
   EXPECT_EQ(count_kind(events, EventKind::kBegin), 1u);
   EXPECT_EQ(count_kind(events, EventKind::kEnd), 0u);
 
-  // Mirror image: a Scope built while disabled stays silent even if a
+  // Mirror image: a stage entered while disabled stays silent even if a
   // session starts before its destructor runs.
   session.start(128);
   session.stop();
   {
-    Scope off("off_session");
+    DCL_STAGE("off_session");
     set_enabled(true);
   }
   set_enabled(false);
@@ -198,8 +198,12 @@ TEST_F(TraceTest, ScopeCapturesEnabledAtConstruction) {
 TEST_F(TraceTest, SpanEmitsTraceScopeWhenRecording) {
   auto& session = TraceSession::instance();
   session.start(128);
-  Registry reg;
-  { Span sp("traced_stage", reg); }
+  const bool metrics_was = obs::enabled();
+  obs::set_enabled(true);
+  Histogram& span = Registry::global().histogram("span.traced_stage");
+  const std::uint64_t before = span.count();
+  { DCL_STAGE("traced_stage"); }
+  obs::set_enabled(metrics_was);
   session.stop();
   const auto events = session.drain();
   ASSERT_EQ(count_kind(events, EventKind::kBegin), 1u);
@@ -209,8 +213,8 @@ TEST_F(TraceTest, SpanEmitsTraceScopeWhenRecording) {
       EXPECT_STREQ(e.name, "traced_stage");
     }
   }
-  // The metrics side is untouched by tracing.
-  EXPECT_EQ(reg.snapshot().histograms.at(0).name, "span.traced_stage");
+  // The metrics side records the same stage under the same name.
+  EXPECT_EQ(span.count(), before + 1);
 }
 
 TEST_F(TraceTest, RingWrapDropsOldestAndCountsDropped) {
@@ -238,8 +242,8 @@ TEST_F(TraceTest, ChromeJsonParsesAndEmbedsManifest) {
   session.start(1u << 10);
   set_thread_name("main");
   {
-    DCL_TRACE_SCOPE("outer");
-    { DCL_TRACE_SCOPE_V("inner", 7.0); }
+    DCL_STAGE("outer");
+    { DCL_STAGE_V("inner", 7.0); }
     instant("marker", 3.0);
     counter("wall.counter", 42.0);
   }
@@ -353,7 +357,7 @@ TEST_F(TraceTest, ConcurrentEmitAndDrainIsClean) {
       const char* track = intern("track." + std::to_string(t));
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       for (int i = 0; i < kPerThread; ++i) {
-        DCL_TRACE_SCOPE("work");
+        DCL_STAGE("work");
         counter(track, static_cast<double>(i));
       }
     });
