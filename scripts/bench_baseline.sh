@@ -13,8 +13,10 @@ cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 4)"
 OUT="${BENCH_OUT:-BENCH_baseline.jsonl}"
 
-echo "==> configure build-release (Release)"
-cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
+echo "==> configure build-release (Release, -Werror)"
+# Same cache settings as check.sh's perf stage, so neither script flips
+# the other's configuration.
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DDCLID_WERROR=ON
 echo "==> build benchmarks"
 cmake --build build-release -j "${JOBS}" \
   --target bench_em_scaling bench_fleet bench_racing bench_micro
@@ -47,7 +49,9 @@ micro="$(./build-release/bench/bench_micro --benchmark_filter="${filter}" \
   --benchmark_format=json 2>/dev/null | tr -d '\n')"
 
 stamp="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
-commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+# The manifest's `git` field uses the same command: a line taken from a
+# tree with uncommitted changes says -dirty.
+commit="$(git describe --always --dirty --tags 2>/dev/null || echo unknown)"
 printf '{"timestamp":"%s","commit":"%s","em_scaling":%s,"fleet":%s,"racing":%s,"micro":%s}\n' \
   "${stamp}" "${commit}" "${scaling}" "${fleet}" "${racing}" "${micro}" >> "${OUT}"
 echo "==> appended baseline to ${OUT}"

@@ -302,8 +302,10 @@ if [[ "${DCL_CHECK_SKIP_PROF:-0}" != "1" ]]; then
 fi
 
 if [[ "${DCL_CHECK_SKIP_PERF:-0}" != "1" ]]; then
-  echo "==> configure build-release (Release, perf smoke)"
-  cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
+  echo "==> configure build-release (Release, -Werror, perf smoke)"
+  # -Werror here and in bench_baseline.sh alike, so the two scripts keep
+  # one build-release cache.
+  cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DDCLID_WERROR=ON
   cmake --build build-release -j "${JOBS}" \
     --target bench_em_scaling bench_fleet bench_racing bench_micro
   fresh="$(mktemp)"; tmpfiles+=("${fresh}")

@@ -77,13 +77,15 @@ struct EmOptions {
   // an isolated computation over a pre-forked RNG, and the winner is a
   // deterministic index-ordered reduction — so this only changes wall time.
   int threads = 0;
-  // Engine switch: true (the default) runs the vectorized forward-backward
-  // kernels of src/inference/fb_kernels.h (HMM: folded transition x
-  // emission blocks and a fused backward + E-step sweep; MMHD: the
-  // loss-segment engine). false runs the original per-call reference path,
-  // kept as the regression oracle the kernels are tested against; the two
-  // agree to floating-point accuracy (see fb_kernels_test), not bitwise,
-  // and the reference is substantially slower.
+  // Engine switch: true (the default) runs the forward-backward kernels of
+  // src/inference/fb_kernels.h: one two-ended chain sweep over N x N
+  // transition x emission blocks for both models (the HMM over every
+  // probe; the MMHD over its received probes, with the loss-segment
+  // kernels bridging loss runs). false runs the original per-call
+  // reference path, kept as the regression oracle the kernels are tested
+  // against; the two agree to floating-point accuracy (see
+  // fb_kernels_test), not bitwise, and the reference is substantially
+  // slower.
   bool cache_emissions = true;
   // Successive-halving restart racing: every restart runs `race_warmup`
   // iterations, a rung reduction keeps the top `race_keep` fraction of the

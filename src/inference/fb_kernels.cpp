@@ -9,280 +9,18 @@
 #include "util/error.h"
 
 namespace dcl::inference::fb {
-void FoldedMatrices::build(const util::Matrix& a, const util::Matrix& emit) {
-  n_ = a.rows();
-  stride_ = pad_up(n_);
-  const std::size_t n_cols = emit.cols();
-  blocks_.ensure(n_cols * n_, n_);
-  blocks_t_.ensure(n_cols * n_, n_);
-  emit_t_.ensure(n_cols, n_);
-  for (std::size_t c = 0; c < n_cols; ++c) {
-    double* e = emit_t_.row(c);
-    for (std::size_t j = 0; j < n_; ++j) e[j] = emit(j, c);
-    for (std::size_t i = 0; i < n_; ++i) {
-      double* dst = blocks_.row(c * n_ + i);
-      const double* src = a.row(i);
-      for (std::size_t j = 0; j < n_; ++j) dst[j] = src[j] * e[j];
-    }
-    for (std::size_t j = 0; j < n_; ++j) {
-      double* dst = blocks_t_.row(c * n_ + j);
-      const double ej = e[j];
-      for (std::size_t i = 0; i < n_; ++i) dst[i] = a(i, j) * ej;
-    }
-  }
-}
-
-void EStep::prepare(std::size_t n_cols, std::size_t n) {
-  col_gamma.ensure(n_cols, n);
-  xi.ensure(n, n);
-  const std::size_t w = pad_up(n);
-  pi0.assign(w, 0.0);
-  beta_next.assign(w, 0.0);
-  beta_cur.assign(w, 0.0);
-  gamma.assign(w, 0.0);
-}
-
-namespace {
-
-// The recursion bodies are templated on the row width so the common narrow
-// strides (one or two cache lines) compile with a constant trip count: the
-// inner loops then unroll into straight-line vector code with no per-step
-// loop setup, which matters when each row is only one register wide. The
-// bodies are force-inlined into the exported (multiversioned) functions, so
-// each ISA clone carries its own specialized copies.
-template <typename WidthT>
-[[gnu::always_inline]] inline double forward_body(const FoldedMatrices& f,
-                                                  const std::vector<int>& cols,
-                                                  const double* pi, Trellis& tr,
-                                                  WidthT width) {
-  const std::size_t n = f.n();
-  const std::size_t w = width;
-  const std::size_t t_len = cols.size();
-  DCL_ENSURE_MSG(t_len > 0, "forward kernel: empty sequence");
-  tr.alpha.reshape(t_len, n);
-  tr.renorms.clear();
-
-  // Raw recursion: w_t = (r_t * w_{t-1}) . F_c, with r_t = kRenormFactor
-  // when the previous step's mass crossed the threshold and 1 otherwise.
-  // The classic scaled recursion serializes FMA -> horizontal sum ->
-  // divide -> next FMA on every step; here the loop-carried dependency is
-  // only the FMA chain itself. The mass s is still summed each step, but
-  // nothing downstream waits on it within the step: it feeds the (rare,
-  // predictable) renorm branch of the NEXT step, the positivity check, and
-  // the final telescoped likelihood log(s_last) - #renorms * log(2^64).
-  double s_prev;
-  {
-    const double* __restrict e0 =
-        f.emission_row(static_cast<std::size_t>(cols[0]));
-    double* __restrict a0 = tr.alpha.row(0);
-    double s = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      a0[j] = pi[j] * e0[j];
-      s += a0[j];
-    }
-    for (std::size_t j = n; j < w; ++j) a0[j] = 0.0;
-    DCL_ENSURE_MSG(s > 0.0, "forward kernel: zero probability at t = 0");
-    s_prev = s;
-  }
-
-  // Hoisted bases: the loop indexes flat arrays off loop-invariant locals so
-  // no per-step loads of container internals survive into the hot loop.
-  const double* __restrict blk0 = f.block(0);
-  double* __restrict alpha0 = tr.alpha.row(0);
-  const int* __restrict col = cols.data();
-  const std::size_t bstride = n * w;
-  for (std::size_t t = 1; t < t_len; ++t) {
-    const double* __restrict blk = blk0 + static_cast<std::size_t>(col[t]) * bstride;
-    const double* __restrict vprev = alpha0 + (t - 1) * w;
-    double* __restrict vout = alpha0 + t * w;
-    double r = 1.0;
-    if (s_prev < kRenormThreshold) {
-      r = kRenormFactor;
-      tr.renorms.push_back(t);
-    }
-    {
-      const double a = vprev[0] * r;
-      for (std::size_t j = 0; j < w; ++j) vout[j] = a * blk[j];
-    }
-    for (std::size_t i = 1; i < n; ++i) {
-      const double a = vprev[i] * r;
-      const double* __restrict row = blk + i * w;
-      for (std::size_t j = 0; j < w; ++j) vout[j] += a * row[j];
-    }
-    double s = 0.0;
-    for (std::size_t j = 0; j < w; ++j) s += vout[j];
-    DCL_ENSURE_MSG(s > 0.0, "forward kernel: zero probability mass");
-    s_prev = s;
-  }
-
-  return std::log(s_prev) -
-         static_cast<double>(tr.renorms.size()) * std::log(kRenormFactor);
-}
-
-template <typename WidthT>
-[[gnu::always_inline]] inline void backward_estep_body(
-    const FoldedMatrices& f, const std::vector<int>& cols, const Trellis& tr,
-    EStep& out, WidthT width) {
-  const std::size_t n = f.n();
-  const std::size_t w = width;
-  const std::size_t t_len = cols.size();
-  double* bnext = out.beta_next.data();
-  double* bcur = out.beta_cur.data();
-  double* __restrict g = out.gamma.data();
-  std::fill(bnext, bnext + w, 0.0);
-  std::fill(bcur, bcur + w, 0.0);
-  for (std::size_t j = 0; j < n; ++j) bnext[j] = 1.0;
-
-  // Like forward(), the beta recursion runs raw: B_t = (r * B_{t+1}) . F^T
-  // with r an exact power of two applied only when the measured posterior
-  // mass drifts low. All normalizers cancel through the per-step gamma
-  // mass: writing a_t for the raw alpha row and B_t for the raw beta row,
-  //   gamma_t     = (a_t . B_t) / gsum_t,        gsum_t = sum_j a_t(j) B_t(j)
-  //   xi_t(i, j) ~= a_t(i) F(i,j) B_{t+1}(j) * rf_{t+1} / gsum_{t+1}
-  // where rf_{t+1} is the forward renorm factor recorded at step t+1 (it
-  // relates a_{t+1} to a_t . F, which is what the xi normalizer needs).
-  // Neither quantity references a per-step scale factor, so no divide or
-  // horizontal sum sits on the beta critical path — only the transposed
-  // axpy FMA chain.
-  double gsum_next;
-  {
-    const double* __restrict a = tr.alpha.row(t_len - 1);
-    double gsum = 0.0;
-    for (std::size_t j = 0; j < w; ++j) {
-      g[j] = a[j] * bnext[j];
-      gsum += g[j];
-    }
-    DCL_ENSURE_MSG(gsum > 0.0, "backward kernel: zero posterior mass");
-    const double invg = 1.0 / gsum;
-    double* __restrict row =
-        out.col_gamma.row(static_cast<std::size_t>(cols[t_len - 1]));
-    for (std::size_t j = 0; j < w; ++j) row[j] += g[j] * invg;
-    if (t_len == 1) {
-      for (std::size_t j = 0; j < n; ++j) out.pi0[j] = g[j] * invg;
-    }
-    gsum_next = gsum;
-  }
-
-  // Hoisted bases, as in forward(): everything the hot loop touches is
-  // reached from loop-invariant locals.
-  const double* __restrict blk0 = f.block(0);
-  const double* __restrict blk_t0 = f.block_t(0);
-  const double* __restrict alpha0 = tr.alpha.row(0);
-  double* __restrict xi0 = out.xi.row(0);
-  double* __restrict cg0 = out.col_gamma.row(0);
-  const int* __restrict col = cols.data();
-  const std::size_t* __restrict renorm = tr.renorms.data();
-  const std::size_t bstride = n * w;
-  std::size_t ridx = tr.renorms.size();
-  // Renorm decisions come from this tracked mass, not from the measured
-  // gsum: in exact arithmetic gsum evolves by exactly rb/rf per step (both
-  // powers of two, so the tracking multiplies are rounding-free), and
-  // keeping the decision off the measured sum removes the horizontal
-  // reduction from the loop-carried critical path — the only carried chain
-  // left is the beta axpy itself. FP drift between tracked and measured
-  // mass is ~1e-14 relative, irrelevant against power-of-two thresholds.
-  double mass = gsum_next;
-  for (std::size_t t = t_len - 1; t-- > 0;) {
-    const std::size_t c = static_cast<std::size_t>(col[t + 1]);
-    const double* __restrict blk = blk0 + c * bstride;
-    const double* __restrict blk_t = blk_t0 + c * bstride;
-    const double* __restrict a = alpha0 + t * w;
-    const double* __restrict bn = bnext;
-    double* __restrict bc = bcur;
-
-    // Forward renorm factor between rows t and t+1 (rare, recorded
-    // ascending; consumed here descending).
-    double rf = 1.0;
-    if (ridx > 0 && renorm[ridx - 1] == t + 1) {
-      rf = kRenormFactor;
-      --ridx;
-    }
-    // Beta's own renorm, folded into this step's axpy coefficients. It
-    // deliberately does NOT touch bn as seen by the xi update below: the
-    // xi normalizer divides by gsum_{t+1}, which was measured on the
-    // un-renormalized B_{t+1}.
-    const double rb = mass < kRenormThreshold ? kRenormFactor : 1.0;
-    mass = mass * rb / rf;
-    const double nf = rf / gsum_next;
-
-    // Transposed axpy: B_t = sum_j (B_{t+1}(j) * rb) * F^T row j. The
-    // loop-carried chain across steps is just this FMA chain.
-    {
-      const double b0 = bn[0] * rb;
-      for (std::size_t i = 0; i < w; ++i) bc[i] = b0 * blk_t[i];
-    }
-    for (std::size_t j = 1; j < n; ++j) {
-      const double b = bn[j] * rb;
-      const double* __restrict row = blk_t + j * w;
-      for (std::size_t i = 0; i < w; ++i) bc[i] += b * row[i];
-    }
-
-    // Xi accumulation: off the beta chain, plain row-major blocks.
-    for (std::size_t i = 0; i < n; ++i) {
-      const double* __restrict r = blk + i * w;
-      double* __restrict xr = xi0 + i * w;
-      const double ai = a[i] * nf;
-      for (std::size_t j = 0; j < w; ++j) xr[j] += ai * (r[j] * bn[j]);
-    }
-
-    double gsum = 0.0;
-    for (std::size_t j = 0; j < w; ++j) {
-      g[j] = a[j] * bc[j];
-      gsum += g[j];
-    }
-    DCL_ENSURE_MSG(gsum > 0.0, "backward kernel: zero posterior mass");
-    const double invg = 1.0 / gsum;
-    double* __restrict row = cg0 + static_cast<std::size_t>(col[t]) * w;
-    for (std::size_t j = 0; j < w; ++j) row[j] += g[j] * invg;
-    if (t == 0) {
-      for (std::size_t j = 0; j < n; ++j) out.pi0[j] = g[j] * invg;
-    }
-    gsum_next = gsum;
-    std::swap(bnext, bcur);
-  }
-}
-
-}  // namespace
-
-DCL_KERNEL_CLONES
-double forward(const FoldedMatrices& f, const std::vector<int>& cols,
-               const double* pi, Trellis& tr) {
-  const std::size_t w = f.stride();
-  if (w == kLane) {
-    return forward_body(f, cols, pi, tr,
-                        std::integral_constant<std::size_t, kLane>{});
-  }
-  if (w == 2 * kLane) {
-    return forward_body(f, cols, pi, tr,
-                        std::integral_constant<std::size_t, 2 * kLane>{});
-  }
-  return forward_body(f, cols, pi, tr, w);
-}
-
-DCL_KERNEL_CLONES
-void backward_estep(const FoldedMatrices& f, const std::vector<int>& cols,
-                    const Trellis& tr, EStep& out) {
-  const std::size_t w = f.stride();
-  if (w == kLane) {
-    backward_estep_body(f, cols, tr, out,
-                        std::integral_constant<std::size_t, kLane>{});
-    return;
-  }
-  if (w == 2 * kLane) {
-    backward_estep_body(f, cols, tr, out,
-                        std::integral_constant<std::size_t, 2 * kLane>{});
-    return;
-  }
-  backward_estep_body(f, cols, tr, out, w);
-}
 
 namespace {
 
 // Shared axpy form of the segment sweeps: out[j] = sum_i (coef[i] * r) *
 // blk[i * w + j] over `rows` block rows, returning the mass of the result.
 // Forward sweeps use it with the loss block, backward sweeps with its
-// transpose. Width-specialized by the callers, same rationale as the
-// fixed-width bodies above.
+// transpose. The callers are templated on the row width so the common
+// strides compile with a constant trip count: the inner loops then unroll
+// into straight-line vector code with no per-step loop setup, which
+// matters when each row is only one register wide. The bodies are
+// force-inlined into the exported (multiversioned) functions, so each ISA
+// clone carries its own specialized copies.
 template <typename WidthT>
 [[gnu::always_inline]] inline double axpy_rows(
     const double* __restrict coef, double r, const double* __restrict blk,
@@ -737,9 +475,10 @@ namespace {
   return e;
 }
 
-// The sweep body is templated on N for the same reason as the HMM bodies
-// on their width: N = 2..4 compile to straight-line code, with the carried
-// state rows in registers (the runtime-N fallback keeps them in memory).
+// The sweep body is templated on N for the same reason as the segment
+// bodies on their width: N = 2..4 compile to straight-line code, with the
+// carried state rows in registers (the runtime-N fallback keeps them in
+// memory).
 // Fixed<NT>::cap sizes the register rows (1, unused, at runtime N).
 template <typename NT>
 struct Fixed {
@@ -759,6 +498,16 @@ using Store = std::integral_constant<int, 0>;
 using Plain = std::integral_constant<int, 1>;
 using Xi = std::integral_constant<int, 2>;
 
+// Sizes the sweep's stored rows (a no-op after a fit's first iteration).
+// Kept out of line: whether the compiler inlines the vector resize into a
+// sweep body depends on the size of this whole file, and inlined it shifts
+// the body's register allocation; in alternating runs on an x86-64 host
+// the N = 2..4 sweeps ran 2-7% faster with it out of line.
+[[gnu::noinline]] void size_rows(util::AlignedVector<double>& rows,
+                                 std::size_t len) {
+  rows.resize(len);
+}
+
 template <typename NT>
 [[gnu::always_inline]] inline double skeleton_sweep_body(
     const double* __restrict blocks, const std::vector<int>& steps,
@@ -769,7 +518,7 @@ template <typename NT>
   const std::size_t nn = n * n;
   const std::size_t k_len = steps.size();
   DCL_ENSURE_MSG(k_len > 0, "skeleton sweep: no received probe");
-  out.rows.resize(k_len * n);
+  size_rows(out.rows, k_len * n);
   out.renorm_total = 0;
   double* __restrict rows = out.rows.data();
   const int* __restrict step = steps.data();

@@ -1,37 +1,30 @@
-// Vectorized forward-backward kernels (SoA layout, raw recursions).
+// Forward-backward kernels (raw recursions, auto-vectorized loops).
 //
-// The EM hot path spends its time in three loops over the probe sequence:
-// the scaled alpha recursion, the scaled beta recursion, and the E-step
-// accumulators. This layer rewrites them over a cache-friendly layout so the
-// compiler auto-vectorizes the inner loops (no intrinsics; see the
-// DCL_VECTOR_REPORT cmake option to inspect what the vectorizer did):
+// Both models' E-steps are forward-backward sweeps over a chain of N x N
+// transition x emission blocks; this layer runs them over cache-friendly
+// layouts so the compiler vectorizes the inner loops (no intrinsics; see
+// the DCL_VECTOR_REPORT cmake option to inspect what the vectorizer did):
 //
-//   * State vectors live in 64-byte-aligned rows padded to a whole number of
-//     8-double lanes (PaddedMatrix). Padding entries are kept at exact zero,
-//     so vector loops run over the full padded width with no masking and no
+//   * One chain kernel serves both models (skeleton_sweep, at the end of
+//     this file): the raw forward-backward over a sequence of N x N blocks
+//     picked by index, in one two-ended pass. The HMM folds A with each
+//     emission column once per iteration, F_c(i, j) = A(i, j) * emit(j, c),
+//     and sweeps every probe; the MMHD sweeps its received probes only,
+//     with A's block between adjacent ones and a bridge across a loss run.
+//   * The MMHD's loss runs range over the N * S supported states; the
+//     loss-segment kernels evaluate each distinct run once per iteration.
+//     Their state lives in 64-byte-aligned rows padded to a whole number
+//     of 8-double lanes (PaddedMatrix), padding kept at exact zero, so
+//     vector loops run over the full padded width with no masking and no
 //     effect on sums.
-//   * The transition matrix is folded with each emission column once per
-//     iteration: F_c(i, j) = A(i, j) * emit(j, c) (FoldedMatrices), stored
-//     both row-major and transposed. Both recursions then become branch-free
-//     multiply-add loops over contiguous rows in axpy form — no horizontal
-//     reduction inside either recursion's inner loop.
-//   * Neither recursion normalizes per step. The classic scaled recursion
-//     puts a horizontal sum and a divide on the loop-carried critical path
-//     of every time step; here both sweeps run *raw* and renormalize by the
-//     exact power of two kRenormFactor only when the (off-critical-path)
-//     previous-step mass crosses kRenormThreshold. Power-of-two scalings
-//     are rounding-free, the per-step posterior normalizers fall out of the
-//     gamma sums that the E-step measures anyway, and the log likelihood
-//     telescopes to log(final mass) + renorm corrections — so the critical
-//     path per step is just the FMA chain.
-//   * The backward sweep keeps only two rotating beta rows instead of a T×N
-//     trellis, halving hot-loop memory traffic; the per-step gamma
-//     bookkeeping collapses to one fused multiply-add row per observation
-//     column (EStep::col_gamma).
-//
-// Hmm uses these kernels directly over its N hidden states. Mmhd sweeps its
-// received probes with N x N blocks and its distinct loss segments over the
-// supported states (the loss-segment and skeleton kernels below).
+//   * No sweep normalizes per step. The classic scaled recursion puts a
+//     horizontal sum and a divide on the loop-carried critical path of
+//     every step; here the sweeps run *raw* and rescale a row by an exact
+//     power of two only when its mass leaves a fixed range. Power-of-two
+//     scalings are rounding-free, every posterior normalizer is a measured
+//     mass, and the log likelihood telescopes to log(final mass) plus the
+//     rescaling exponents — so the critical path per step is just the FMA
+//     chain.
 #pragma once
 
 #include <algorithm>
@@ -39,7 +32,6 @@
 #include <vector>
 
 #include "util/aligned.h"
-#include "util/matrix.h"
 
 // Function multiversioning for the hot kernel loops: without it the build
 // targets baseline x86-64 and the vectorizer is stuck with 16-byte SSE2
@@ -59,35 +51,26 @@
 
 namespace dcl::inference::fb {
 
-// Doubles per 64-byte cache line; the pad quantum for all kernel rows.
+// Doubles per 64-byte cache line; the pad quantum for PaddedMatrix rows.
 inline constexpr std::size_t kLane = 8;
 
 constexpr std::size_t pad_up(std::size_t n) {
   return (n + kLane - 1) / kLane * kLane;
 }
 
-// Raw-recursion renormalization: when the previous step's probability mass
-// drops below the threshold, the next step multiplies the state vector by
-// kRenormFactor (an exact power of two — rounding-free). Parameter floors
-// bound one step's shrink at ~1e-12 = 2^-40, so monitored mass stays in
-// [2^-104, 1]: far from both underflow and the subnormal range.
+// Raw-recursion renormalization of the loss-segment sweeps: when the
+// previous step's probability mass drops below the threshold, the next
+// step multiplies the state vector by kRenormFactor (an exact power of
+// two — rounding-free). Parameter floors bound one step's shrink at
+// ~1e-12 = 2^-40, so monitored mass stays in [2^-104, 1]: far from both
+// underflow and the subnormal range.
 inline constexpr double kRenormThreshold = 0x1p-64;
 inline constexpr double kRenormFactor = 0x1p64;
 
 // Row-major matrix whose rows are 64-byte aligned and padded to a whole
-// number of lanes. Padding stays exact zero through resize()/zero().
+// number of lanes. Padding stays exact zero through ensure()/reshape().
 class PaddedMatrix {
  public:
-  PaddedMatrix() = default;
-  PaddedMatrix(std::size_t rows, std::size_t cols) { resize(rows, cols); }
-
-  void resize(std::size_t rows, std::size_t cols) {
-    rows_ = rows;
-    cols_ = cols;
-    stride_ = pad_up(cols);
-    data_.assign(rows_ * stride_, 0.0);
-  }
-
   // Grows/reshapes without shrinking capacity; contents zeroed.
   void ensure(std::size_t rows, std::size_t cols) {
     if (rows == rows_ && cols == cols_) {
@@ -100,7 +83,7 @@ class PaddedMatrix {
     data_.assign(rows_ * stride_, 0.0);
   }
 
-  // Reshapes without clearing when the shape already matches — for trellis
+  // Reshapes without clearing when the shape already matches — for sweep
   // storage whose every row (padding included) is rewritten by the kernels.
   void reshape(std::size_t rows, std::size_t cols) {
     if (rows == rows_ && cols == cols_) return;
@@ -128,74 +111,6 @@ class PaddedMatrix {
   std::size_t stride_ = 0;
   util::AlignedVector<double> data_;
 };
-
-// Per-iteration folded transition x emission blocks:
-//   block(c)[i * stride + j] = a(i, j) * emit(j, c)
-//   block_t(c)[j * stride + i] = a(i, j) * emit(j, c)   (transpose)
-// for every emission column c in [0, emit.cols()), plus the transposed
-// emission rows emission_row(c)[j] = emit(j, c) for the t = 0 init.
-// The transpose lets the beta recursion run as a j-outer axpy (new beta =
-// sum_j coeff_j * row_j of F^T) with no inner horizontal reduction.
-// a is n x n, emit is n x n_cols; rows are padded/aligned, padding zero.
-class FoldedMatrices {
- public:
-  void build(const util::Matrix& a, const util::Matrix& emit);
-
-  std::size_t n() const { return n_; }
-  std::size_t stride() const { return stride_; }
-  std::size_t cols() const { return blocks_.rows() / (n_ == 0 ? 1 : n_); }
-  const double* block(std::size_t c) const { return blocks_.row(c * n_); }
-  const double* block_t(std::size_t c) const { return blocks_t_.row(c * n_); }
-  const double* emission_row(std::size_t c) const { return emit_t_.row(c); }
-
- private:
-  std::size_t n_ = 0;
-  std::size_t stride_ = 0;
-  PaddedMatrix blocks_;    // (n_cols * n) x n, block c at rows [c*n, (c+1)*n)
-  PaddedMatrix blocks_t_;  // same shape, block c transposed
-  PaddedMatrix emit_t_;    // n_cols x n
-};
-
-// Forward trellis: RAW (unnormalized) alpha rows plus the step indices at
-// which forward() applied a kRenormFactor renormalization. Row t holds
-// alpha_t up to the positive factor 2^(64 * #{renorms <= t}); every
-// downstream use (gamma, xi, posterior splits) is scale-invariant because
-// the E-step divides by measured per-step mass. The backward sweep never
-// stores beta, so this is the only T-sized kernel state.
-struct Trellis {
-  PaddedMatrix alpha;  // t_len x n, fully rewritten by forward()
-  std::vector<std::size_t> renorms;  // ascending step indices, usually sparse
-};
-
-// E-step accumulators filled by backward_estep.
-struct EStep {
-  // col_gamma(c, j) = sum over steps t with cols[t] == c of the normalized
-  // gamma_t(j). For the HMM the loss column's row is the gl vector that
-  // multiplies the (constant within an iteration) loss posterior split.
-  PaddedMatrix col_gamma;  // n_cols x n
-  PaddedMatrix xi;         // n x n transition numerators
-  util::AlignedVector<double> pi0;  // normalized gamma at t = 0
-
-  void prepare(std::size_t n_cols, std::size_t n);
-
-  // Rotating beta rows + gamma scratch (stride-wide, padding zero).
-  util::AlignedVector<double> beta_next, beta_cur, gamma;
-};
-
-// Raw forward pass. cols[t] selects the folded block per step. Returns the
-// log likelihood, which telescopes to log(final raw mass) minus the renorm
-// corrections; the raw alpha rows and renorm positions land in tr.
-double forward(const FoldedMatrices& f, const std::vector<int>& cols,
-               const double* pi, Trellis& tr);
-
-// Fused backward + E-step sweep over a raw forward trellis. Computes raw
-// beta on the fly (two rotating rows, transposed-axpy recursion, its own
-// renorm monitoring), accumulating xi and per-column gamma sums; all
-// normalizers come from the measured per-step gamma mass, so the arbitrary
-// power-of-two scalings of alpha and beta cancel exactly. out must be
-// prepared with n_cols >= max(cols) + 1.
-void backward_estep(const FoldedMatrices& f, const std::vector<int>& cols,
-                    const Trellis& tr, EStep& out);
 
 // ---------------------------------------------------------------------------
 // Loss-segment kernels (the MMHD state space, every hidden-state count N).
@@ -317,7 +232,7 @@ struct SegmentEStep {
 };
 
 // One raw forward sweep per entry boundary, its seeds in lockstep under one
-// renorm schedule (exact powers of two, like the HMM kernels), then the
+// renorm schedule (exact powers of two), then the
 // bridge of every segment with more than one seed on a side, from the last
 // rows and the exit rows.
 void segment_bridges(const SegmentChain& sc,
@@ -334,18 +249,21 @@ double segment_expand(const SegmentChain& sc,
                       SegmentEStep& out);
 
 // ---------------------------------------------------------------------------
-// Received-probe skeleton (N >= 2): the raw forward-backward over received
-// probes only. Every step is an N x N block (row-major, stride N) picked by
-// index; the caller folds adjacent-pair blocks and normalized bridges once
-// per iteration. A row whose mass leaves [kRenormThreshold, 2^64) is
-// rescaled in place by the exact power of two that brings it back to
-// [1, 2): a bridge may shrink the mass by far more than one 2^64 factor
-// restores, and since a bridge's largest entry is scaled into [0.5, 1),
-// its rows can sum to nearly N, so bridged steps can also grow it.
+// Chain sweep: the raw forward-backward over a chain of N x N blocks
+// (row-major, stride N), one picked by index per step; the caller folds
+// them once per iteration. The HMM's steps are its probes, block c being
+// A times emission column c (any N; N = 2..4 run specialized bodies, the
+// rest a runtime-N body). The MMHD's are its received probes (N >= 2),
+// with adjacent-pair blocks and normalized bridges. A row whose mass
+// leaves [kRenormThreshold, 2^64) is rescaled in place by the exact power
+// of two that brings it back to [1, 2): a bridge may shrink the mass by
+// far more than one 2^64 factor restores, and since a bridge's largest
+// entry is scaled into [0.5, 1), its rows can sum to nearly N, so bridged
+// steps can also grow it.
 //
 // One two-ended sweep does the whole E-step: the forward chain starts at
-// received probe 0 and the backward chain at K - 1, and both advance in the
-// same loop. Until they meet, each stores its rows (alpha for the left half,
+// step 0 and the backward chain at K - 1, and both advance in the same
+// loop. Until they meet, each stores its rows (alpha for the left half,
 // beta for the right half: K x N doubles in all); after that, each chain
 // accumulates the xi of its own side against the other's stored rows. The
 // chains do not depend on each other, so their FMA latencies overlap. Each
@@ -363,15 +281,15 @@ struct SkeletonSweep {
   util::AlignedVector<double> first;  // beta_0 / gsum_0
   util::AlignedVector<double> last;   // alpha_{K-1} / gsum_{K-1}
   long long renorm_total = 0;  // net forward rescaling: 2^renorm_total
-  // K x N raw rows: alpha at the probes the backward chain reads, beta at
+  // K x N raw rows: alpha at the steps the backward chain reads, beta at
   // those the forward chain reads; plus the runtime-N chain rows.
   util::AlignedVector<double> rows, scratch;
 
   void prepare(std::size_t blocks, std::size_t n);
 };
 
-// The two-ended sweep. steps[k] (k >= 1) is the block from received probe
-// k - 1 to k; v0 is the raw row at probe 0; tail (nullptr for none) is the
+// The two-ended sweep. steps[k] (k >= 1) is the block from step k - 1 to
+// k; v0 is the raw row at step 0; tail (nullptr for none) is the
 // column a trailing loss segment multiplies the last row by. Returns the
 // log of the final raw forward mass; the true log likelihood is that minus
 // out.renorm_total * log(2), plus the log of whatever the caller divided

@@ -46,29 +46,36 @@ struct Hmm::FitContext {
 // the inner loops allocate nothing.
 struct Hmm::Workspace {
   Trellis w;  // reference engine
-  // Hoisted kernel-engine M-step accumulators.
-  std::vector<double> gamma_sum, c_loss, c_total;
+  // E-step numerators, filled by either engine for the one M-step tail:
+  // pi, A's rows, B's entries over their row's gamma sum, C's loss share
+  // over its total.
+  std::vector<double> new_pi, gamma_sum, c_loss, c_total;
+  util::Matrix a_num, b_num;
   // Parameters entering the most recent em_step — the values the restart
   // installs at the end, since the step's reported likelihood is theirs.
   std::vector<double> old_pi, old_c;
   util::Matrix old_a, old_b;
   // Kernel-engine state: the N x (M+1) emission table (column M = loss
-  // emission), folded blocks, padded forward trellis, fused E-step
-  // accumulators, the per-iteration loss posterior split
-  // W(h,d) = B[h][d] C[d] / loss_emit(h), and the retained loss-column
-  // numerator that doubles as the virtual-delay posterior.
-  util::Matrix emit;
-  fb::FoldedMatrices folded;
-  fb::Trellis ktr;
-  fb::EStep acc;
-  util::Matrix wsplit;
-  std::vector<double> kpmf;
+  // emission), the folded blocks F_c = A .* emit(:, c) (N x N, block c at
+  // c * N * N), the sweep's start row and state, and the per-column gamma
+  // sums read off it.
+  util::Matrix emit, col_gamma;
+  std::vector<double> blocks, v0;
+  fb::SkeletonSweep sweep;
 
   void prepare(const Hmm& model) {
     const auto n = static_cast<std::size_t>(model.n_);
     const auto m = static_cast<std::size_t>(model.m_);
+    new_pi.resize(n);
+    gamma_sum.resize(n);
+    c_loss.resize(m);
+    c_total.resize(m);
+    a_num = util::Matrix(n, n);
+    b_num = util::Matrix(n, m);
     emit = util::Matrix(n, m + 1);
-    wsplit = util::Matrix(n, m);
+    col_gamma = util::Matrix(m + 1, n);
+    blocks.resize((m + 1) * n * n);
+    v0.resize(n);
   }
 };
 
@@ -245,14 +252,12 @@ std::pair<double, double> Hmm::em_step_reference(const std::vector<int>& seq,
   Trellis& w = ws.w;
   const double ll = forward_backward(seq, w);
 
-  std::vector<double> new_pi(static_cast<std::size_t>(n_), 0.0);
-  util::Matrix a_num(static_cast<std::size_t>(n_),
-                     static_cast<std::size_t>(n_));
-  util::Matrix b_num(static_cast<std::size_t>(n_),
-                     static_cast<std::size_t>(m_));
-  std::vector<double> gamma_sum(static_cast<std::size_t>(n_), 0.0);
-  std::vector<double> c_loss(static_cast<std::size_t>(m_), 0.0);
-  std::vector<double> c_total(static_cast<std::size_t>(m_), 0.0);
+  std::fill(ws.new_pi.begin(), ws.new_pi.end(), 0.0);
+  ws.a_num.fill(0.0);
+  ws.b_num.fill(0.0);
+  std::fill(ws.gamma_sum.begin(), ws.gamma_sum.end(), 0.0);
+  std::fill(ws.c_loss.begin(), ws.c_loss.end(), 0.0);
+  std::fill(ws.c_total.begin(), ws.c_total.end(), 0.0);
 
   std::vector<double> gamma(static_cast<std::size_t>(n_));
   std::vector<double> loss_emit(static_cast<std::size_t>(n_));
@@ -270,16 +275,16 @@ std::pair<double, double> Hmm::em_step_reference(const std::vector<int>& seq,
 
     if (t == 0)
       for (int h = 0; h < n_; ++h)
-        new_pi[static_cast<std::size_t>(h)] =
+        ws.new_pi[static_cast<std::size_t>(h)] =
             gamma[static_cast<std::size_t>(h)];
 
     const int d = sym(seq[t]);
     for (int h = 0; h < n_; ++h) {
       const double g = gamma[static_cast<std::size_t>(h)];
-      gamma_sum[static_cast<std::size_t>(h)] += g;
+      ws.gamma_sum[static_cast<std::size_t>(h)] += g;
       if (d >= 0) {
-        b_num(h, d) += g;
-        c_total[static_cast<std::size_t>(d)] += g;
+        ws.b_num(h, d) += g;
+        ws.c_total[static_cast<std::size_t>(d)] += g;
       } else {
         // Distribute the loss over symbols with the per-state posterior
         // P(d | h, loss) = B[h][d] C[d] / sum_d' B[h][d'] C[d'].
@@ -288,9 +293,9 @@ std::pair<double, double> Hmm::em_step_reference(const std::vector<int>& seq,
           if (!w.support[static_cast<std::size_t>(dd)]) continue;
           const double p =
               g * b_(h, dd) * c_[static_cast<std::size_t>(dd)] / denom;
-          b_num(h, dd) += p;
-          c_loss[static_cast<std::size_t>(dd)] += p;
-          c_total[static_cast<std::size_t>(dd)] += p;
+          ws.b_num(h, dd) += p;
+          ws.c_loss[static_cast<std::size_t>(dd)] += p;
+          ws.c_total[static_cast<std::size_t>(dd)] += p;
         }
       }
     }
@@ -300,107 +305,117 @@ std::pair<double, double> Hmm::em_step_reference(const std::vector<int>& seq,
       for (int i = 0; i < n_; ++i) {
         const double ai = w.alpha(t, i);
         for (int j = 0; j < n_; ++j) {
-          a_num(i, j) += ai * a_(i, j) * emission(j, seq[t + 1], w.support) *
-                         w.beta(t + 1, j) / w.scale[t + 1];
+          ws.a_num(i, j) += ai * a_(i, j) *
+                            emission(j, seq[t + 1], w.support) *
+                            w.beta(t + 1, j) / w.scale[t + 1];
         }
       }
     }
   }
+  return {ll, m_step(ws)};
+}
 
-  // M-step.
-  ws.old_pi = pi_;
-  ws.old_a = a_;
-  ws.old_b = b_;
-  ws.old_c = c_;
-
-  pi_ = new_pi;
-  a_ = a_num;
-  a_.normalize_rows();
-  for (int h = 0; h < n_; ++h)
-    for (int d = 0; d < m_; ++d)
-      b_(h, d) = gamma_sum[static_cast<std::size_t>(h)] > 0.0
-                     ? b_num(h, d) / gamma_sum[static_cast<std::size_t>(h)]
-                     : 1.0 / static_cast<double>(m_);
-  for (int d = 0; d < m_; ++d) {
-    const auto di = static_cast<std::size_t>(d);
-    if (c_total[di] > 0.0) c_[di] = c_loss[di] / c_total[di];
+double Hmm::chain_sweep(const FitContext& ctx, Workspace& ws) const {
+  const auto n = static_cast<std::size_t>(n_);
+  const auto m = static_cast<std::size_t>(m_);
+  const std::size_t nn = n * n;
+  build_emission_table(ctx.support, ws.emit);
+  for (std::size_t c = 0; c <= m; ++c) {
+    double* blk = ws.blocks.data() + c * nn;
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j)
+        blk[i * n + j] = a_(i, j) * ws.emit(j, c);
   }
-  clamp_parameters();
-
-  double delta = 0.0;
-  for (std::size_t h = 0; h < static_cast<std::size_t>(n_); ++h)
-    delta = std::max(delta, std::abs(pi_[h] - ws.old_pi[h]));
-  delta = std::max(delta, util::Matrix::max_abs_diff(a_, ws.old_a));
-  delta = std::max(delta, util::Matrix::max_abs_diff(b_, ws.old_b));
-  for (std::size_t d = 0; d < static_cast<std::size_t>(m_); ++d)
-    delta = std::max(delta, std::abs(c_[d] - ws.old_c[d]));
-  return {ll, delta};
+  const auto c0 = static_cast<std::size_t>(ctx.col[0]);
+  for (std::size_t j = 0; j < n; ++j) ws.v0[j] = pi_[j] * ws.emit(j, c0);
+  ws.sweep.prepare(m + 1, n);
+  const double log_mass = fb::skeleton_sweep(ws.blocks.data(), n, ctx.col,
+                                             ws.v0.data(), nullptr, ws.sweep);
+  return log_mass -
+         static_cast<double>(ws.sweep.renorm_total) * std::log(2.0);
 }
 
 std::pair<double, double> Hmm::em_step_kernel(const FitContext& ctx,
                                               Workspace& ws) {
   const auto n = static_cast<std::size_t>(n_);
   const auto m = static_cast<std::size_t>(m_);
+  const std::size_t nn = n * n;
+  const double ll = chain_sweep(ctx, ws);
+  const fb::SkeletonSweep& sw = ws.sweep;
 
-  build_emission_table(ctx.support, ws.emit);
-  ws.folded.build(a_, ws.emit);
-  const double ll = fb::forward(ws.folded, ctx.col, pi_.data(), ws.ktr);
-  ws.acc.prepare(m + 1, n);
-  fb::backward_estep(ws.folded, ctx.col, ws.ktr, ws.acc);
-
-  // Snapshot the entering parameters, then build the loss posterior split
-  // from them — W is constant within the iteration, which is what lets the
-  // per-loss-step bookkeeping collapse to the single gl row.
-  ws.old_pi = pi_;
-  ws.old_a = a_;
-  ws.old_b = b_;
-  ws.old_c = c_;
-  for (std::size_t h = 0; h < n; ++h) {
-    const double denom = ws.emit(h, m);
-    for (std::size_t d = 0; d < m; ++d)
-      ws.wsplit(h, d) = ctx.support[d] ? b_(h, d) * c_[d] / denom : 0.0;
+  // Block c's xi is its outer-product sum times the block; its column sums
+  // are the gamma of the steps t >= 1 that emit column c. Step 0's gamma
+  // is the start row times beta_0.
+  ws.a_num.fill(0.0);
+  ws.col_gamma.fill(0.0);
+  for (std::size_t c = 0; c <= m; ++c) {
+    const double* o = sw.outer.data() + c * nn;
+    const double* f = ws.blocks.data() + c * nn;
+    double* cg = ws.col_gamma.row(c);
+    for (std::size_t i = 0; i < n; ++i) {
+      double* a_row = ws.a_num.row(i);
+      for (std::size_t j = 0; j < n; ++j) {
+        const double x = o[i * n + j] * f[i * n + j];
+        a_row[j] += x;
+        cg[j] += x;
+      }
+    }
+  }
+  double g0 = 0.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    ws.new_pi[j] = ws.v0[j] * sw.first[j];
+    g0 += ws.new_pi[j];
+  }
+  DCL_ENSURE_MSG(g0 > 0.0, "chain sweep: zero posterior mass at t = 0");
+  double* cg0 = ws.col_gamma.row(static_cast<std::size_t>(ctx.col[0]));
+  for (std::size_t j = 0; j < n; ++j) {
+    ws.new_pi[j] /= g0;
+    cg0[j] += ws.new_pi[j];
   }
 
-  const double* gl = ws.acc.col_gamma.row(m);  // loss-column gamma sums
-
-  // M-step from the fused accumulators.
-  for (std::size_t h = 0; h < n; ++h) pi_[h] = ws.acc.pi0[h];
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) a_(i, j) = ws.acc.xi.at(i, j);
-  a_.normalize_rows();
-
-  ws.gamma_sum.assign(n, 0.0);
-  ws.c_loss.assign(m, 0.0);
-  ws.c_total.assign(m, 0.0);
+  // The loss posterior split W(h, d) = B[h][d] C[d] / loss_emit(h) of the
+  // entering parameters is constant within the iteration, so the loss
+  // steps' gamma sums gl split over the symbols once.
+  const double* gl = ws.col_gamma.row(m);
   for (std::size_t h = 0; h < n; ++h) {
     double gs = gl[h];
-    for (std::size_t d = 0; d < m; ++d) gs += ws.acc.col_gamma.at(d, h);
+    for (std::size_t d = 0; d < m; ++d) gs += ws.col_gamma(d, h);
     ws.gamma_sum[h] = gs;
   }
   for (std::size_t d = 0; d < m; ++d) {
     double obs_g = 0.0;
     double loss_g = 0.0;
     for (std::size_t h = 0; h < n; ++h) {
-      obs_g += ws.acc.col_gamma.at(d, h);
-      loss_g += gl[h] * ws.wsplit(h, d);
+      const double split =
+          ctx.support[d] ? b_(h, d) * c_[d] / ws.emit(h, m) : 0.0;
+      ws.b_num(h, d) = ws.col_gamma(d, h) + gl[h] * split;
+      obs_g += ws.col_gamma(d, h);
+      loss_g += gl[h] * split;
     }
     ws.c_loss[d] = loss_g;
     ws.c_total[d] = obs_g + loss_g;
   }
+  return {ll, m_step(ws)};
+}
+
+double Hmm::m_step(Workspace& ws) {
+  const auto n = static_cast<std::size_t>(n_);
+  const auto m = static_cast<std::size_t>(m_);
+  ws.old_pi = pi_;
+  ws.old_a = a_;
+  ws.old_b = b_;
+  ws.old_c = c_;
+
+  pi_ = ws.new_pi;
+  a_ = ws.a_num;
+  a_.normalize_rows();
   for (std::size_t h = 0; h < n; ++h)
     for (std::size_t d = 0; d < m; ++d)
-      b_(h, d) = ws.gamma_sum[h] > 0.0
-                     ? (ws.acc.col_gamma.at(d, h) + gl[h] * ws.wsplit(h, d)) /
-                           ws.gamma_sum[h]
-                     : 1.0 / static_cast<double>(m_);
+      b_(h, d) = ws.gamma_sum[h] > 0.0 ? ws.b_num(h, d) / ws.gamma_sum[h]
+                                       : 1.0 / static_cast<double>(m_);
   for (std::size_t d = 0; d < m; ++d)
     if (ws.c_total[d] > 0.0) c_[d] = ws.c_loss[d] / ws.c_total[d];
   clamp_parameters();
-
-  // The loss-column numerator, divided by the loss count, is exactly the
-  // paper's eq. (5) posterior for the entering parameters — the kernel
-  // path never needs a retained beta trellis for it.
-  ws.kpmf = ws.c_loss;
 
   double delta = 0.0;
   for (std::size_t h = 0; h < n; ++h)
@@ -409,7 +424,7 @@ std::pair<double, double> Hmm::em_step_kernel(const FitContext& ctx,
   delta = std::max(delta, util::Matrix::max_abs_diff(b_, ws.old_b));
   for (std::size_t d = 0; d < m; ++d)
     delta = std::max(delta, std::abs(c_[d] - ws.old_c[d]));
-  return {ll, delta};
+  return delta;
 }
 
 void Hmm::install_entering(Workspace& ws) {
@@ -423,7 +438,9 @@ util::Pmf Hmm::fitted_posterior(const std::vector<int>& seq,
                                 const FitContext& ctx, const Workspace& ws,
                                 std::size_t losses) const {
   if (ctx.reference) return posterior_from_trellis(seq, ctx.support, ws.w);
-  util::Pmf pmf(ws.kpmf.begin(), ws.kpmf.end());
+  // The kernel's loss-column numerator is paper eq. (5) times the loss
+  // count, for the parameters entering the last step.
+  util::Pmf pmf(ws.c_loss.begin(), ws.c_loss.end());
   if (losses > 0)
     for (auto& p : pmf) p /= static_cast<double>(losses);
   return pmf;
@@ -511,18 +528,14 @@ util::Pmf Hmm::stationary_virtual_delay_pmf() const {
 }
 
 double Hmm::log_likelihood(const std::vector<int>& seq) const {
-  // Likelihood-only evaluation is the kernel engine's forward sweep: its
-  // raw recursion renormalizes by exact powers of two and telescopes the
-  // likelihood, so 500k-step sequences stay finite.
+  // The kernel engine's fold and chain sweep: its rows are rescaled by
+  // exact powers of two and the likelihood telescopes, so 500k-step
+  // sequences stay finite.
   DCL_ENSURE_MSG(!seq.empty(), "log_likelihood of an empty sequence");
   const FitContext ctx = make_context(seq, EmOptions{});
-  util::Matrix emit(static_cast<std::size_t>(n_),
-                    static_cast<std::size_t>(m_) + 1);
-  build_emission_table(ctx.support, emit);
-  fb::FoldedMatrices folded;
-  folded.build(a_, emit);
-  fb::Trellis tr;
-  return fb::forward(folded, ctx.col, pi_.data(), tr);
+  Workspace ws;
+  ws.prepare(*this);
+  return chain_sweep(ctx, ws);
 }
 
 }  // namespace dcl::inference

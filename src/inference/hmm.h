@@ -71,7 +71,7 @@ class Hmm {
 
   struct Trellis;     // scaled alpha/beta workspace
   struct FitContext;  // immutable per-fit inputs shared by every restart
-  struct Workspace;   // per-restart trellis, emission table, accumulators
+  struct Workspace;   // per-restart trellis, numerators, kernel state
 
   void random_init(util::Rng& rng, double observed_loss_rate);
   void clamp_parameters();
@@ -80,20 +80,28 @@ class Hmm {
   double forward_backward(const std::vector<int>& seq, Trellis& w) const;
   // One EM step in place with the context's engine; returns (log likelihood
   // of the parameters *entering* the step, max absolute parameter change).
-  // Both engines snapshot the entering parameters into the workspace so the
-  // restart can install them afterwards (install_entering).
+  // Each engine is an E-step that fills the workspace's numerators, then
+  // the shared m_step.
   std::pair<double, double> em_step(const std::vector<int>& seq,
                                     const FitContext& ctx, Workspace& ws);
   // Reference engine (EmOptions::cache_emissions = false): per-call
   // emission() evaluation over a full alpha/beta trellis.
   std::pair<double, double> em_step_reference(const std::vector<int>& seq,
                                               Workspace& ws);
-  // Default engine: folded transition x emission blocks + fused
-  // backward/E-step sweep from fb_kernels.h. Equal to the reference to
-  // floating-point accuracy; the loss-step posterior falls out of the
-  // E-step accumulators, so no beta trellis is kept.
+  // Default engine: fb::skeleton_sweep over the folded transition x
+  // emission blocks (chain_sweep), the E-step read off its per-block outer
+  // products. Equal to the reference to floating-point accuracy; the
+  // loss-step posterior falls out of the numerators, so no trellis is kept.
   std::pair<double, double> em_step_kernel(const FitContext& ctx,
                                            Workspace& ws);
+  // Folds F_c(i, j) = A(i, j) * emit(j, c) for every emission column into
+  // ws.blocks and runs the two-ended chain sweep over the sequence; returns
+  // the log likelihood of the current parameters.
+  double chain_sweep(const FitContext& ctx, Workspace& ws) const;
+  // The M-step tail of both engines: snapshots the entering parameters,
+  // installs pi, A and B from the numerators and C from its loss share,
+  // clamps, and returns the max absolute parameter change.
+  double m_step(Workspace& ws);
   void install_entering(Workspace& ws);
   // Eq. (5) for the parameters entering the last em_step on ws.
   util::Pmf fitted_posterior(const std::vector<int>& seq,

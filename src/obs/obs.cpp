@@ -408,12 +408,14 @@ namespace {
 std::string prometheus_name(std::string_view name) {
   std::string out;
   out.reserve(name.size() + 1);
+  // Digits map to themselves, so the name needs the prefix exactly when
+  // its own first character is a digit.
+  if (name.empty() || (name[0] >= '0' && name[0] <= '9')) out += '_';
   for (char c : name) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                     (c >= '0' && c <= '9') || c == '_' || c == ':';
     out += ok ? c : '_';
   }
-  if (out.empty() || (out[0] >= '0' && out[0] <= '9')) out.insert(0, "_");
   return out;
 }
 

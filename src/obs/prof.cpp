@@ -482,8 +482,10 @@ std::string to_speedscope(const Profile& p, const RunManifest* manifest) {
     std::string entry = "[";
     entry += std::to_string(intern_frame(
         std::string("[") + (s.tag[0] != '\0' ? s.tag : "untagged") + "]"));
-    for (const std::string& f : s.frames)
-      entry += "," + std::to_string(intern_frame(f));
+    for (const std::string& f : s.frames) {
+      entry += ',';
+      entry += std::to_string(intern_frame(f));
+    }
     entry += ']';
     const double w =
         p.hz > 0 ? static_cast<double>(s.count) / p.hz : 0.0;

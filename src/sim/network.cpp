@@ -10,7 +10,7 @@ namespace dcl::sim {
 
 NodeId Network::add_node(std::string name) {
   const NodeId id = static_cast<NodeId>(nodes_.size());
-  if (name.empty()) name = "n" + std::to_string(id);
+  if (name.empty()) name.append("n").append(std::to_string(id));
   nodes_.push_back(std::make_unique<Node>(id, std::move(name)));
   return id;
 }

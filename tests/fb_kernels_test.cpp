@@ -1,14 +1,14 @@
-// Parity and stress tests for the vectorized forward-backward kernels (the
-// default engine): randomized HMM and MMHD fits against the retained
-// per-call reference path (cache_emissions=false) — the MMHD at one to four
-// hidden states, where the kernel engine sweeps received probes and bridges
-// loss runs — loss-run shapes that stress the bridges, degenerate sequences
+// Parity and stress tests for the forward-backward kernels (the default
+// engine): randomized HMM and MMHD fits against the retained per-call
+// reference path (cache_emissions=false) — the HMM at one to five hidden
+// states, every width the chain sweep dispatches, and the MMHD at one to
+// four, where the kernel engine sweeps received probes and bridges loss
+// runs — loss-run shapes that stress the bridges, degenerate sequences
 // (all-loss, single-symbol, length-1), likelihood-only evaluation against
 // the fit, a T=500k underflow stress run guarding the raw recursions'
-// renormalization, and the received-probe skeleton sweep on blocks whose
-// mass grows step by step. MMHD fits over a declared alphabet wider than the
-// observed one also check the full transition matrix the live-state
-// M-step leaves.
+// renormalization, and the chain sweep on blocks whose mass grows step by
+// step. MMHD fits over a declared alphabet wider than the observed one
+// also check the full transition matrix the live-state M-step leaves.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -175,11 +175,21 @@ TEST(FbKernels, HmmRandomizedParityWithNaivePath) {
       {2000, 8, 0.1, 2, 105},
   };
   for (const auto& c : cases) {
-    SCOPED_TRACE(::testing::Message() << "T=" << c.t_len << " M=" << c.symbols
-                                      << " seed=" << c.seed);
     const auto seq = synth_sequence(c.t_len, c.symbols, c.loss_p, c.burst,
                                     c.seed);
-    check_kernel_vs_naive<inference::Hmm>(seq, c.symbols, c.seed * 7 + 1);
+    // Every width the chain sweep dispatches: its runtime-N body at N = 1
+    // and 5, the specialized bodies at N = 2..4. With one hidden state the
+    // restarts end on a likelihood plateau (how the losses split over the
+    // symbols is not identified), so their likelihoods tie and the winner
+    // index is engine noise: N = 1 parity runs a single restart, as for
+    // the MMHD.
+    for (int n = 1; n <= 5; ++n) {
+      SCOPED_TRACE(::testing::Message() << "T=" << c.t_len << " M="
+                                        << c.symbols << " N=" << n
+                                        << " seed=" << c.seed);
+      check_kernel_vs_naive<inference::Hmm>(seq, c.symbols, c.seed * 7 + 1,
+                                            n == 1 ? 1 : 3, n);
+    }
   }
 }
 

@@ -422,7 +422,9 @@ TEST(FleetResume, ReplayedPrefixProducesIdenticalOutcomes) {
       for (std::size_t i = 0; i < jobs.size(); ++i) {
         EXPECT_EQ(outcome_fields(got.traces[i]), outcome_fields(ref.traces[i]))
             << "outer=" << outer << " k=" << k << " trace " << i;
-        if (i < k) EXPECT_FALSE(got.traces[i].executed);
+        if (i < k) {
+          EXPECT_FALSE(got.traces[i].executed);
+        }
       }
       // Every trace, replayed or executed, reaches on_done exactly once,
       // and the replayed prefix arrives first, in index order.

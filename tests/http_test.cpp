@@ -52,8 +52,9 @@ TEST(HttpParser, FeedsByteByByte) {
   ParseResult r = ParseResult::kNeedMore;
   for (std::size_t i = 0; i < raw.size(); ++i) {
     r = p.feed(raw.substr(i, 1));
-    if (i + 1 < raw.size())
+    if (i + 1 < raw.size()) {
       ASSERT_EQ(r, ParseResult::kNeedMore) << "at byte " << i;
+    }
   }
   ASSERT_EQ(r, ParseResult::kComplete);
   EXPECT_EQ(p.request().target, "/");
@@ -196,8 +197,11 @@ TEST(HttpParser, OversizedHeaderBlockIs431) {
 
 TEST(HttpParser, TooManyHeadersIs431) {
   std::string raw = "GET / HTTP/1.1\r\n";
-  for (std::size_t i = 0; i <= RequestParser::kMaxHeaders; ++i)
-    raw += "H" + std::to_string(i) + ": v\r\n";
+  for (std::size_t i = 0; i <= RequestParser::kMaxHeaders; ++i) {
+    raw += 'H';
+    raw += std::to_string(i);
+    raw += ": v\r\n";
+  }
   raw += "\r\n";
   RequestParser p;
   EXPECT_EQ(p.feed(raw), ParseResult::kHeadersTooLarge);

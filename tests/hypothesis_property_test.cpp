@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/bounds.h"
 #include "core/hypothesis.h"
@@ -130,9 +131,13 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepCase{50, 0.9, 15}, SweepCase{5, 0.2, 16},
                       SweepCase{25, 0.6, 17}),
     [](const ::testing::TestParamInfo<SweepCase>& info) {
-      return "M" + std::to_string(info.param.symbols) + "s" +
-             std::to_string(static_cast<int>(info.param.sparsity * 10)) +
-             "seed" + std::to_string(info.param.seed);
+      std::string name = "M";
+      name += std::to_string(info.param.symbols);
+      name += 's';
+      name += std::to_string(static_cast<int>(info.param.sparsity * 10));
+      name += "seed";
+      name += std::to_string(info.param.seed);
+      return name;
     });
 
 }  // namespace

@@ -196,8 +196,9 @@ TEST(Journal, TruncationAtEveryOffsetYieldsValidPrefix) {
     for (const std::size_t end : frame_ends)
       if (cut >= end) want_valid = end;
     EXPECT_EQ(r.valid_bytes, want_valid) << "cut=" << cut;
-    if (cut != want_valid)
+    if (cut != want_valid) {
       EXPECT_FALSE(r.warning.empty()) << "cut=" << cut;
+    }
   }
 }
 

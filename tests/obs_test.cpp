@@ -272,7 +272,7 @@ TEST(Span, RecordsScopeDurationIntoRegistry) {
     DCL_STAGE("obs_test.stage");
     // Do a little work so the duration is strictly positive.
     volatile double x = 0;
-    for (int i = 0; i < 1000; ++i) x += i;
+    for (int i = 0; i < 1000; ++i) x = x + i;
   }
   set_enabled(was);
   EXPECT_EQ(span_count("obs_test.stage"), before + 1);

@@ -259,7 +259,9 @@ TEST(Prof, ConcurrentCaptureWhileMetricsScrape) {
   }
   // After stop, publishing lands prof.* metrics in the registry.
   prof::publish_self_cpu(reg);
-  if (!kTsan) EXPECT_GT(reg.counter("prof.samples").value(), 0u);
+  if (!kTsan) {
+    EXPECT_GT(reg.counter("prof.samples").value(), 0u);
+  }
 }
 
 }  // namespace
