@@ -10,6 +10,13 @@
 // and fails (exit 1) on any verdict disagreement, so the perf numbers are
 // only ever reported for policy-equivalent fits.
 //
+// The selection block races model structures the same way:
+// select_mmhd_hidden_states over N = 1..4 on the same sequence, 4
+// restarts of the same fixed depth, unraced (race_warmup 0) against raced
+// (race_warmup 5), sampled in alternation. It fails (exit 1) when the
+// raced selection picks another N or eliminates no candidate — counts, so
+// the gate does not depend on the host's speed.
+//
 // Writes a single-line JSON record to the first non-flag argument
 // (default "BENCH_racing.json") with racing_speedup_vs_full.
 // `--min-racing-speedup X` exits nonzero when that speedup falls below X —
@@ -21,12 +28,14 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bench/common.h"
 #include "core/hypothesis.h"
 #include "inference/discretizer.h"
 #include "inference/mmhd.h"
+#include "inference/model_selection.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -45,6 +54,11 @@ constexpr int kRestarts = 8;
 constexpr int kIterations = 60;
 constexpr double kEpsL = 0.06;
 constexpr double kEpsD = 0.0;
+// Hidden-state selection block: candidates N = 1..kSelectMaxHidden, each
+// with kSelectRestarts restarts of kIterations fixed-depth iterations.
+constexpr int kSelectMaxHidden = 4;
+constexpr int kSelectRestarts = 4;
+constexpr int kSelectRaceWarmup = 5;
 
 // Same congested-path shape as bench_em_scaling: sticky symbols, losses
 // concentrated at the top symbol.
@@ -126,6 +140,41 @@ std::string json_policy(const PolicyRun& r) {
   return buf;
 }
 
+struct SelectionRun {
+  bench::TimingStats wall;
+  int best_hidden_states = 0;
+  int raced_out = 0;
+};
+
+inference::ModelSelectionResult run_selection(const std::vector<int>& seq,
+                                              int race_warmup) {
+  inference::EmOptions em;
+  em.restarts = kSelectRestarts;
+  em.max_iterations = kIterations;
+  em.tolerance = 0.0;  // fixed depth, as for the restart policies
+  em.seed = 42;
+  em.threads = 1;
+  em.race_warmup = race_warmup;
+  return inference::select_mmhd_hidden_states(seq, kSymbols,
+                                              kSelectMaxHidden, em);
+}
+
+void record(SelectionRun& out, const inference::ModelSelectionResult& r) {
+  out.best_hidden_states = r.best_hidden_states;
+  out.raced_out = 0;
+  for (const auto& score : r.scores) out.raced_out += score.raced_out ? 1 : 0;
+}
+
+std::string json_selection(const SelectionRun& r) {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "{\"median_ms\":%.3f,\"spread_ms\":%.3f,"
+                "\"best_hidden_states\":%d,\"raced_out\":%d}",
+                r.wall.median_ms, r.wall.spread_ms, r.best_hidden_states,
+                r.raced_out);
+  return buf;
+}
+
 }  // namespace
 }  // namespace dcl
 
@@ -172,6 +221,32 @@ int main(int argc, char** argv) {
   const double vs_full = full.wall.median_ms / raced.wall.median_ms;
   std::printf("racing speedup: %.2fx vs full\n", vs_full);
 
+  SelectionRun unraced_sel, raced_sel;
+  std::tie(unraced_sel.wall, raced_sel.wall) = bench::time_median_pair_ms(
+      [&] { record(unraced_sel, run_selection(seq, 0)); },
+      [&] { record(raced_sel, run_selection(seq, kSelectRaceWarmup)); },
+      samples, warmup);
+  std::printf(
+      "selection N=1..%d restarts=%d: unraced %8.1f ms (N=%d), raced "
+      "%8.1f ms (N=%d, raced out %d)\n",
+      kSelectMaxHidden, kSelectRestarts, unraced_sel.wall.median_ms,
+      unraced_sel.best_hidden_states, raced_sel.wall.median_ms,
+      raced_sel.best_hidden_states, raced_sel.raced_out);
+  // Same gate shape as verdict parity: a structure race that picks another
+  // N is a correctness bug, and one that never eliminates saves nothing.
+  if (raced_sel.best_hidden_states != unraced_sel.best_hidden_states) {
+    std::fprintf(stderr,
+                 "FAIL: raced selection chose N=%d, unraced N=%d\n",
+                 raced_sel.best_hidden_states,
+                 unraced_sel.best_hidden_states);
+    return 1;
+  }
+  if (raced_sel.raced_out == 0) {
+    std::fprintf(stderr,
+                 "FAIL: raced selection eliminated no candidate\n");
+    return 1;
+  }
+
   char head[256];
   std::snprintf(head, sizeof(head),
                 "{\"bench\":\"racing\",\"t_len\":%d,\"symbols\":%d,"
@@ -187,7 +262,16 @@ int main(int argc, char** argv) {
   const std::string line = std::string(head) + "\"manifest\":" +
                            obs::manifest("racing").to_json() + "," +
                            "\"full\":" + json_policy(full) + "," +
-                           "\"raced\":" + json_policy(raced) + "," + tail;
+                           "\"raced\":" + json_policy(raced) + "," +
+                           "\"selection\":{\"max_hidden_states\":" +
+                           std::to_string(kSelectMaxHidden) +
+                           ",\"restarts\":" +
+                           std::to_string(kSelectRestarts) +
+                           ",\"race_warmup\":" +
+                           std::to_string(kSelectRaceWarmup) +
+                           ",\"unraced\":" + json_selection(unraced_sel) +
+                           ",\"raced\":" + json_selection(raced_sel) + "}," +
+                           tail;
   std::ofstream out(out_path);
   DCL_ENSURE_MSG(out.good(), "cannot open benchmark output file");
   out << line << "\n";

@@ -79,26 +79,35 @@ namespace log = dcl::obs::log;
 }
 
 // EM telemetry into the global registry, plus optional per-restart
-// progress lines on stderr.
+// progress lines on stderr. A restart that did not converge is labelled by
+// why it stopped: eliminated by restart racing, stopped short of the
+// iteration cap (e.g. its candidate lost a model-structure race), or at
+// the cap.
 class CliEmObserver : public dcl::inference::RegistryEmObserver {
  public:
-  CliEmObserver(dcl::obs::Registry& reg, bool verbose)
-      : RegistryEmObserver(reg), verbose_(verbose) {}
+  CliEmObserver(dcl::obs::Registry& reg, bool verbose, int max_iterations)
+      : RegistryEmObserver(reg),
+        verbose_(verbose),
+        max_iterations_(max_iterations) {}
 
   void on_restart(int restart, const dcl::inference::FitResult& result,
                   bool new_best) override {
     RegistryEmObserver::on_restart(restart, result, new_best);
-    if (verbose_ && log::enabled(log::Level::kDebug))
-      log::writef(log::Level::kDebug, "em.restart",
-                  "restart %d: %d iteration%s, ll %.4f%s%s", restart,
-                  result.iterations, result.iterations == 1 ? "" : "s",
-                  result.log_likelihood,
-                  result.converged ? "" : " (max iterations)",
-                  new_best ? " *" : "");
+    if (!verbose_ || !log::enabled(log::Level::kDebug)) return;
+    const char* stop = result.converged ? ""
+                       : result.pruned  ? " (raced out)"
+                       : result.iterations < max_iterations_
+                           ? " (stopped early)"
+                           : " (max iterations)";
+    log::writef(log::Level::kDebug, "em.restart",
+                "restart %d: %d iteration%s, ll %.4f%s%s", restart,
+                result.iterations, result.iterations == 1 ? "" : "s",
+                result.log_likelihood, stop, new_best ? " *" : "");
   }
 
  private:
   bool verbose_;
+  int max_iterations_;
 };
 
 // Provenance stamp shared by every export of this run (see obs/manifest.h):
@@ -243,7 +252,8 @@ int main(int argc, char** argv) {
   if (path.empty() == scenario.empty()) usage(argv[0], 2);
 
   session.begin(/*drain_on_signal=*/false);
-  CliEmObserver em_observer(dcl::obs::Registry::global(), session.verbose);
+  CliEmObserver em_observer(dcl::obs::Registry::global(), session.verbose,
+                            id.em.max_iterations);
   if (session.observing()) id.em.observer = &em_observer;
   session.open();
   return session.run([&] {

@@ -25,8 +25,10 @@
 # below 90% of the last committed BENCH_baseline.jsonl entry — a ratio, so
 # the gate holds on machines of any absolute speed. The same stage gates
 # the restart-racing speedup (bench_racing, racing_speedup_vs_full >= 1.3x
-# absolute and >= 90% of baseline) unless DCL_CHECK_SKIP_RACING=1; the
-# racing determinism suites themselves run under TSan via the
+# absolute and >= 90% of baseline) and the hidden-state race (bench_racing
+# exits 1 when the raced selection picks another N or eliminates no
+# candidate) unless DCL_CHECK_SKIP_RACING=1; the racing determinism
+# suites themselves run under TSan via the
 # parallel_em_test/selection_bootstrap_test labels already in the TSan
 # stage.
 #
@@ -389,8 +391,10 @@ PY
     fi
   fi
   # Restart-racing gate: successive halving must keep beating full
-  # restarts. The benchmark itself enforces the 1.3x absolute floor and
-  # SDCL/WDCL verdict parity between the two policies; the python step
+  # restarts. The benchmark itself enforces the 1.3x absolute floor,
+  # SDCL/WDCL verdict parity between the two policies, and a hidden-state
+  # race that eliminates at least one candidate and picks the unraced N
+  # (counts, not timings); the python step
   # then ratio-gates against the committed baseline so a gradual schedule
   # regression is caught even on machines where 1.3x clears easily.
   if [[ "${DCL_CHECK_SKIP_RACING:-0}" != "1" ]]; then

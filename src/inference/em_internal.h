@@ -64,8 +64,11 @@ struct RaceState {
   // current value plus `overtake` times its last-rung mean per-iteration
   // gain, projected over the remaining iteration budget. EM iteration
   // gains are non-increasing in practice, so overtake = 1 keeps this an
-  // honest reachable-likelihood bound. Infinite until a gain estimate
-  // exists (see the one-iteration probe in RestartSet::advance).
+  // honest reachable-likelihood projection (not a proof: a gain can grow
+  // again after a plateau). Infinite only for a restart that ran no
+  // iteration since the snapshot — RestartSet::advance snapshots at the
+  // start of each rung, after its one-iteration probe, so every live
+  // restart has a finite estimate once a rung has run.
   template <typename Runner>
   double ll_bound(const Runner& run, std::size_t r, int max_iterations,
                   double overtake) const {
@@ -182,23 +185,24 @@ class RestartSet {
 
   // Advances every surviving restart to `upto` cumulative EM iterations
   // (capped at max_iterations), then applies the racing rung reduction at
-  // this boundary. The first call runs a one-iteration probe first, so
-  // per-iteration gain estimates are finite from the first rung on.
+  // this boundary. The rung's gain estimates are measured from the
+  // snapshot taken at its start (after the one-iteration probe of the
+  // first call), so they stay readable between calls: the rung reduction
+  // here and ll_upper_bound() afterwards both see this rung's gain.
   void advance(int upto) {
     const std::size_t n = runs_.size();
     const int cap = std::min(upto, opts_.max_iterations);
     if (!probed_) {
       util::parallel_indexed(pool_.get(), n,
                              [&](std::size_t r) { step(runs_[r], 1); });
-      race_.snapshot(runs_);
       probed_ = true;
     }
+    race_.snapshot(runs_);
     util::parallel_indexed(pool_.get(), n,
                            [&](std::size_t r) { step(runs_[r], cap); });
     if (opts_.race_warmup > 0 && n > 1 && cap < opts_.max_iterations &&
         RaceState::live_count(runs_) > 0)
       race_.reduce(opts_, runs_, cap);
-    race_.snapshot(runs_);
   }
 
   // Every surviving restart converged or exhausted.

@@ -37,8 +37,10 @@
 namespace dcl::inference {
 
 // True when `history` is non-decreasing up to `tolerance` (EM's guarantee
-// for log likelihood). On failure, fills `*first_violation` (when given)
-// with the index whose value dropped below its predecessor.
+// for the log likelihood under plain maximum likelihood; with the MMHD's
+// default transition_prior EM ascends the penalized objective, and the
+// data likelihood may dip). On failure, fills `*first_violation` (when
+// given) with the index whose value dropped below its predecessor.
 inline bool is_monotone_non_decreasing(const std::vector<double>& history,
                                        double tolerance = 1e-9,
                                        std::size_t* first_violation = nullptr) {

@@ -211,8 +211,8 @@ class Mmhd::StagedFit {
   int iterations() const;  // most iterations any surviving restart has run
   double best_ll() const;  // current leader's log likelihood (index-ordered)
   // Upper bound on the final log likelihood any surviving restart can
-  // still reach: ll + overtake * last-rung per-iteration gain * remaining
-  // budget (see detail::RaceState::ll_bound).
+  // still reach: ll + overtake * the per-iteration gain over the last
+  // advance() * remaining budget (see detail::RaceState::ll_bound).
   double ll_upper_bound(double overtake) const;
   // Finalize + deterministic winner reduction: installs the winner into
   // the model, replays buffered observer events, fires on_winner.

@@ -59,8 +59,8 @@ ModelSelectionResult select_mmhd_hidden_states(const std::vector<int>& seq,
   if (base.race_warmup > 0 && max_hidden_states > 1) {
     // Structure racing: every candidate advances on shared rungs; after
     // each rung a candidate whose best reachable BIC (likelihood upper
-    // bound) is already behind the leader's realized BIC — which, EM
-    // likelihood being non-decreasing, only improves — is eliminated. The
+    // bound) is already behind the leader's realized BIC is eliminated
+    // (exact only at transition_prior 0, see model_selection.h). The
     // rung loop runs serially over candidates on the calling thread (each
     // StagedFit parallelizes its own restarts with base.threads), and all
     // decisions are candidate-ordered scans of thread-invariant values, so
@@ -89,7 +89,8 @@ ModelSelectionResult select_mmhd_hidden_states(const std::vector<int>& seq,
       for (int idx = 0; idx < count; ++idx)
         if (!out[static_cast<std::size_t>(idx)])
           fits[static_cast<std::size_t>(idx)]->advance(target);
-      // The leader's realized BIC is an upper bound on its final BIC.
+      // The leader's realized BIC: an upper bound on its final BIC when
+      // EM's likelihood is monotone (transition_prior 0).
       double leader_bic = std::numeric_limits<double>::infinity();
       for (int idx = 0; idx < count; ++idx) {
         const auto i = static_cast<std::size_t>(idx);
@@ -165,7 +166,7 @@ ModelSelectionResult select_mmhd_hidden_states(const std::vector<int>& seq,
   // Deterministic reduction in ascending N (strict '<', so ties resolve to
   // the smallest candidate) — independent of fit completion order. Raced-
   // out candidates carry partial (understated-likelihood) scores and are
-  // excluded: they were provably behind when eliminated.
+  // excluded: they were behind the leader when eliminated.
   ModelSelectionResult out_result;
   double best_bic = std::numeric_limits<double>::infinity();
   for (const ModelScore& score : scores) {

@@ -33,7 +33,7 @@ struct ModelScore {
   int iterations = 0;
   bool converged = false;
   // True when the candidate was eliminated mid-fit by structure racing
-  // (base.race_warmup > 0): its best reachable BIC was provably behind the
+  // (base.race_warmup > 0): its best reachable BIC was behind the
   // leader's already-realized BIC, so the fit stopped early. Its
   // log_likelihood/bic/aic describe the partial fit — understated
   // likelihood, overstated criteria — and it never wins the selection.
@@ -56,14 +56,20 @@ struct ModelSelectionResult {
 // to convergence: every candidate advances on shared successive-halving
 // rungs (Mmhd::StagedFit), and after each rung a candidate whose best
 // reachable BIC — from its likelihood upper bound — is already behind the
-// leader's realized BIC is eliminated (ModelScore::raced_out). EM
-// likelihood is non-decreasing, so a leader's current BIC only improves;
-// the elimination is exact up to the non-increasing-gain assumption behind
-// the bound. Surviving candidates run to convergence and the winner is
-// the same deterministic ascending-N BIC argmin. Rung reductions are
-// candidate-ordered scans on the calling thread, so the raced selection is
-// also bitwise identical for any thread count; observer callbacks are
-// replayed per candidate in ascending N once the race settles.
+// leader's realized BIC is eliminated (ModelScore::raced_out). The cut is
+// exact only under plain maximum likelihood (transition_prior = 0), where
+// EM's likelihood is non-decreasing, so the leader's current BIC only
+// improves — and then only up to the non-increasing-gain assumption
+// behind the bound. The MMHD default prior (2) makes EM ascend the
+// penalized objective instead, so the data likelihood, and with it the
+// leader's BIC, can dip; there the cut rests on the checks that the raced
+// selection picks the unraced N (selection_bootstrap_test, bench_racing's
+// selection block). Surviving candidates run to convergence and the
+// winner is the same deterministic ascending-N BIC argmin. Rung reductions
+// are candidate-ordered scans on the calling thread, so the raced
+// selection is also bitwise identical for any thread count; observer
+// callbacks are replayed per candidate in ascending N once the race
+// settles.
 ModelSelectionResult select_mmhd_hidden_states(const std::vector<int>& seq,
                                                int symbols,
                                                int max_hidden_states,

@@ -7,7 +7,9 @@
 #   (c) --resume refuses a journal written under another configuration,
 #       leaving journal and output untouched, and a plain resume still
 #       reproduces an uninterrupted run byte for byte;
-#   (d) SIGTERM during --serve-linger exits 128+15 on every exit path.
+#   (d) SIGTERM during --serve-linger exits 128+15 on every exit path;
+#   (e) dclid -v labels why each non-converged restart stopped (raced out,
+#       stopped early, max iterations) on stderr, leaving stdout unchanged.
 #
 #   tests/cli_contract_test.sh <dclid> <dclfleet>
 #
@@ -265,6 +267,26 @@ serve_sigterm "${DCLID}" "${serve[@]}" "${tmp}/lost.csv"       # no verdict
 serve_sigterm "${DCLID}" "${serve[@]}" "${tmp}/malformed.csv"  # parse error
 serve_sigterm "${DCLFLEET}" "${serve[@]}" --synth 2 \
   --out "${tmp}/no-such-dir/out.jsonl"                         # io error
+
+# --- (e) -v restart labels ----------------------------------------------
+
+# The careful flags on a short scenario: restart racing prunes restarts
+# and the hidden-state race stops losing candidates short of the
+# 300-iteration cap.
+careful=("${DCLID}" --scenario sdcl --duration 300 --select-N 4 \
+  --restarts 4 --race-warmup 5 --threads 1)
+"${careful[@]}" > "${tmp}/careful.out" 2> /dev/null
+"${careful[@]}" -v > "${tmp}/careful-v.out" 2> "${tmp}/careful-v.err"
+cmp -s "${tmp}/careful.out" "${tmp}/careful-v.out" \
+  || fail "dclid -v changed stdout"
+grep -q "(raced out)" "${tmp}/careful-v.err" \
+  || fail "dclid -v: no restart labelled (raced out)"
+grep -q "(stopped early)" "${tmp}/careful-v.err" \
+  || fail "dclid -v: no restart labelled (stopped early)"
+if grep "(max iterations)" "${tmp}/careful-v.err" \
+    | grep -qv ": 300 iterations,"; then
+  fail "dclid -v: a restart short of the cap is labelled (max iterations)"
+fi
 
 if (( failures > 0 )); then
   echo "cli_contract_test: ${failures} failure(s)" >&2

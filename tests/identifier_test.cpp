@@ -3,7 +3,11 @@
 // options — complementing the scenario-level integration tests.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "core/identifier.h"
+#include "obs/obs.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -183,8 +187,23 @@ TEST(Identifier, AutoModelRacesAndMatchesTheChosenBackend) {
   IdentifierConfig cfg;
   cfg.compute_fine_bound = false;
   cfg.model = ModelKind::kAuto;
+  auto& rungs =
+      dcl::obs::Registry::global().counter("identifier.auto_model.race_rungs");
+  const std::uint64_t before = rungs.value();
   const auto r = Identifier(cfg).identify(obs);
   ASSERT_TRUE(r.has_losses);
+  // The race's rung targets: kAuto races with a warm-up of 4 when restart
+  // racing is off, two candidates live.
+  inference::EmOptions race = cfg.em;
+  race.race_warmup = 4;
+  std::vector<int> targets{race.race_warmup};
+  while (targets.back() < race.max_iterations)
+    targets.push_back(inference::race_next_target(race, targets.back(), 2, 2));
+  // The race stops early: in fewer rungs than two fits running to
+  // max_iterations need.
+  const std::uint64_t race_rungs = rungs.value() - before;
+  ASSERT_GE(race_rungs, 1u);
+  ASSERT_LT(race_rungs, targets.size());
   // The race resolves to a concrete backend and the pipeline runs it.
   EXPECT_NE(r.model_used, ModelKind::kAuto);
   double sum = 0.0;
@@ -198,6 +217,9 @@ TEST(Identifier, AutoModelRacesAndMatchesTheChosenBackend) {
   EXPECT_EQ(r2.model_used, r.model_used);
   EXPECT_EQ(r.wdcl.accepted, r2.wdcl.accepted);
   EXPECT_EQ(r.fit.log_likelihood, r2.fit.log_likelihood);
+  // It stopped on an elimination, not on both fits finishing: the chosen
+  // model's own fit had not converged by the race's last rung.
+  EXPECT_LT(targets[race_rungs - 1], r2.fit.iterations);
 }
 
 TEST(Identifier, AutoModelIsDeterministicAcrossRuns) {

@@ -2,10 +2,14 @@
 // confidence.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+
 #include "core/bootstrap.h"
 #include "inference/discretizer.h"
 #include "inference/mmhd.h"
 #include "inference/model_selection.h"
+#include "obs/obs.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -65,15 +69,24 @@ TEST(ModelSelection, RejectsBadArguments) {
                util::Error);
 }
 
+int raced_out_count(const inference::ModelSelectionResult& r) {
+  int count = 0;
+  for (const auto& s : r.scores) count += s.raced_out ? 1 : 0;
+  return count;
+}
+
 TEST(ModelSelection, RacedSelectionPicksSameWinnerAsFull) {
   // Structure racing eliminates candidates whose best reachable BIC is
-  // provably behind the leader's realized BIC, so it may stop losers
-  // early but must never change the winner.
+  // behind the leader's realized BIC, so it stops losers early but must
+  // not change the winner.
   const auto seq = markov_sequence(8000, 13);
   inference::EmOptions base;
   base.seed = 9;
   const auto full = inference::select_mmhd_hidden_states(seq, 3, 3, base);
 
+  auto& eliminations =
+      obs::Registry::global().counter("model_selection.race_eliminations");
+  const std::uint64_t before = eliminations.value();
   auto racing = base;
   racing.race_warmup = 4;
   const auto raced = inference::select_mmhd_hidden_states(seq, 3, 3, racing);
@@ -86,8 +99,48 @@ TEST(ModelSelection, RacedSelectionPicksSameWinnerAsFull) {
       EXPECT_NE(s.hidden_states, raced.best_hidden_states);
     }
   }
+  // The race actually cut a candidate, and counted it.
+  EXPECT_GE(raced_out_count(raced), 1);
+  EXPECT_EQ(eliminations.value() - before,
+            static_cast<std::uint64_t>(raced_out_count(raced)));
   // No candidate in the full run is marked raced_out.
   for (const auto& s : full.scores) EXPECT_FALSE(s.raced_out);
+}
+
+TEST(ModelSelection, RacedSelectionWithRestartsEliminatesAndAgrees) {
+  // The careful configuration: several restarts per candidate, each
+  // candidate's restarts racing on the structure rungs.
+  const auto seq = markov_sequence(8000, 13);
+  inference::EmOptions base;
+  base.seed = 9;
+  base.restarts = 4;
+  const auto full = inference::select_mmhd_hidden_states(seq, 3, 4, base);
+
+  auto racing = base;
+  racing.race_warmup = 5;
+  const auto raced = inference::select_mmhd_hidden_states(seq, 3, 4, racing);
+
+  EXPECT_EQ(raced.best_hidden_states, full.best_hidden_states);
+  EXPECT_GE(raced_out_count(raced), 1);
+}
+
+TEST(ModelSelection, StagedFitBoundIsFiniteBetweenRungs) {
+  // A structure race reads ll_upper_bound() between advance() calls, so
+  // the bound must carry the last rung's gain estimate, not +inf.
+  const auto seq = markov_sequence(8000, 13);
+  inference::EmOptions opts;
+  opts.seed = 9;
+  opts.hidden_states = 2;
+  opts.restarts = 4;
+  opts.race_warmup = 5;
+  inference::Mmhd model(2, 3);
+  inference::Mmhd::StagedFit fit(model, seq, opts);
+  fit.advance(5);
+  ASSERT_FALSE(fit.finished());
+  const double bound = fit.ll_upper_bound(1.0);
+  EXPECT_TRUE(std::isfinite(bound));
+  EXPECT_GE(bound, fit.best_ll());
+  fit.finish();
 }
 
 TEST(ModelSelection, RacedSelectionIsThreadCountInvariant) {
@@ -104,6 +157,7 @@ TEST(ModelSelection, RacedSelectionIsThreadCountInvariant) {
   // Rung reductions are candidate-ordered scans on the calling thread, so
   // the eliminated set and every surviving score are bitwise identical
   // for any thread count.
+  EXPECT_GE(raced_out_count(s1), 1);
   EXPECT_EQ(s1.best_hidden_states, s4.best_hidden_states);
   ASSERT_EQ(s1.scores.size(), s4.scores.size());
   for (std::size_t i = 0; i < s1.scores.size(); ++i) {
