@@ -150,8 +150,6 @@ std::uint64_t Args::u64() {
 const char kPipelineUsage[] =
     "  -M, --symbols N        delay symbols (default 10)\n"
     "  -N, --hidden N         MMHD hidden states (default 2)\n"
-    "  --model mmhd|hmm|auto  inference model (default mmhd; auto races\n"
-    "                         the structures and fits the BIC winner)\n"
     "  --eps-l X              WDCL loss tolerance in [0, 0.5) (default 0.06)\n"
     "  --eps-d X              WDCL delay tolerance in [0, 0.5) (default 0)\n"
     "  --deadline SECONDS     wall-clock budget per analysis; optional\n"
@@ -174,12 +172,6 @@ bool parse_pipeline_flag(Args& args, core::PipelineConfig& cfg) {
     id.symbols = args.int32();
   } else if (args.is("-N") || args.is("--hidden")) {
     id.hidden_states = args.int32();
-  } else if (args.is("--model")) {
-    const std::string m = args.value();
-    if (m == "mmhd") id.model = core::ModelKind::kMmhd;
-    else if (m == "hmm") id.model = core::ModelKind::kHmm;
-    else if (m == "auto") id.model = core::ModelKind::kAuto;
-    else bad_value(m.c_str(), args.arg());
   } else if (args.is("--eps-l")) {
     id.eps_l = args.real();
   } else if (args.is("--eps-d")) {
@@ -240,21 +232,14 @@ void validate(const core::PipelineConfig& cfg) {
     config_error("--window must be 0 or >= 12");
 }
 
-const char* model_name(core::ModelKind model) {
-  switch (model) {
-    case core::ModelKind::kMmhd: return "mmhd";
-    case core::ModelKind::kHmm: return "hmm";
-    case core::ModelKind::kAuto: break;
-  }
-  return "auto";
-}
-
 std::string config_key(const core::PipelineConfig& cfg,
                        const std::string& input) {
   const auto& id = cfg.identifier;
   const auto& em = id.em;
-  std::string key = "input=" + input + ";model=" + model_name(id.model) +
-                    ";seed=" + std::to_string(em.seed);
+  // The model is always the MMHD, and the key still names it: journals on
+  // disk hold digests of keys that do, and --resume compares against them.
+  std::string key =
+      "input=" + input + ";model=mmhd;seed=" + std::to_string(em.seed);
   // %.17g round-trips every double, so any change of value changes the
   // key; -1 stands for "no --dprop", which validate() never lets through.
   const std::pair<const char*, double> fields[] = {

@@ -60,17 +60,15 @@ class Args {
 extern const char kPipelineUsage[];
 
 // Consumes the current argument when it is one of the pipeline flags both
-// analysis CLIs take: -M/--symbols, -N/--hidden, --model, --eps-l,
-// --eps-d, --deadline, --no-sanitize, --no-skew-correction, --restarts,
-// --seed and --race-*.
+// analysis CLIs take: -M/--symbols, -N/--hidden, --eps-l, --eps-d,
+// --deadline, --no-sanitize, --no-skew-correction, --restarts, --seed and
+// --race-*.
 bool parse_pipeline_flag(Args& args, core::PipelineConfig& cfg);
 
 // Range checks on every PipelineConfig field a flag of either CLI sets,
 // matching the library's own preconditions (a flag the library would
 // reject mid-run must exit 2 up front); exits 2 naming the flag.
 void validate(const core::PipelineConfig& cfg);
-
-const char* model_name(core::ModelKind model);
 
 // The key behind a run's config_digest: the input (a trace path,
 // "scenario:NAME" with its duration, "synth:N" with its probe count) and

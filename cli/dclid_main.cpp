@@ -121,7 +121,6 @@ dcl::obs::RunManifest make_manifest(const dcl::core::PipelineConfig& cfg,
   man.seed = id.em.seed;
   std::string input = scenario.empty() ? path : "scenario:" + scenario;
   man.add("input", input);
-  man.add("model", cli::model_name(id.model));
   man.add("symbols", std::to_string(id.symbols));
   man.add("hidden", std::to_string(id.hidden_states));
   man.add("restarts", std::to_string(id.em.restarts));

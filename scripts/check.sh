@@ -19,8 +19,10 @@
 #   DCL_CHECK_SKIP_PROF=1      scripts/check.sh   # profiler smoke + gate
 #   DCL_CHECK_TSAN_SKIP='...'  # labels excluded from the TSan run (regex)
 #
-# The final stage (unless DCL_CHECK_SKIP_PERF=1) builds bench_em_scaling
-# in Release and fails when the kernel engine's single-thread speedup over
+# The final stage (unless DCL_CHECK_SKIP_PERF=1) builds the benchmark
+# driver (perfbench/) against the Release libraries and runs its
+# truth_test, then builds bench_em_scaling in Release and fails when the
+# kernel engine's single-thread speedup over
 # the per-call reference path (kernel_vs_naive_1t) drops below 1.3x or
 # below 90% of the last committed BENCH_baseline.jsonl entry — a ratio, so
 # the gate holds on machines of any absolute speed. The same stage gates
@@ -309,7 +311,18 @@ if [[ "${DCL_CHECK_SKIP_PERF:-0}" != "1" ]]; then
   # one build-release cache.
   cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DDCLID_WERROR=ON
   cmake --build build-release -j "${JOBS}" \
-    --target bench_em_scaling bench_fleet bench_racing bench_micro
+    --target bench_em_scaling bench_fleet bench_racing bench_micro \
+    dcl_fleet dcl_scenarios
+  # The benchmark driver compiles against the library headers (it names
+  # core::ModelKind, IdentifierConfig::model and
+  # IdentificationResult::model_used), so a library change can break it
+  # unseen. Build it against these libraries, as perfbench/run.py does
+  # against its own tree, and run its scorer test; perfbench/ is only read.
+  echo "==> perfbench build (benchmark driver against build-release)"
+  cmake -S perfbench -B build-release/perfbench -DCMAKE_BUILD_TYPE=Release \
+    -DDCL_BUILD_DIR="${PWD}/build-release"
+  cmake --build build-release/perfbench -j "${JOBS}"
+  ./build-release/perfbench/truth_test
   fresh="$(mktemp)"; tmpfiles+=("${fresh}")
   echo "==> bench_em_scaling perf smoke"
   # The bench's own floor catches an outright broken kernel path even when

@@ -25,15 +25,12 @@
 
 namespace dcl::core {
 
+// The model the pipeline fits. The paper's MMHD is the only one: the HMM
+// stays a library model (inference::Hmm) for the paper's Fig. 8
+// comparison. The type and the fields that carry it stay so that callers
+// which name the model keep compiling.
 enum class ModelKind {
-  kMmhd,  // paper default: accurate in every evaluated setting
-  kHmm,   // kept for the paper's HMM-vs-MMHD comparison (Fig. 8)
-  // Decide per trace: both structures race on shared successive-halving
-  // rungs (Hmm::StagedFit vs Mmhd::StagedFit) and the one whose BIC wins
-  // is fitted for the pipeline. Ties and an expired deadline fall back to
-  // the paper default kMmhd. IdentificationResult::model_used records the
-  // outcome.
-  kAuto,
+  kMmhd,
 };
 
 struct IdentifierConfig {
@@ -52,8 +49,8 @@ struct IdentifierConfig {
   // minimum observed delay.
   std::optional<double> propagation_delay;
 
-  // Bootstrap confidence for the WDCL decision (MMHD only): number of
-  // replicates over the per-loss posteriors; 0 disables.
+  // Bootstrap confidence for the WDCL decision: number of replicates over
+  // the per-loss posteriors; 0 disables.
   int bootstrap_replicates = 0;
   // When true the bootstrap resamples the *sequence* (circular blocks)
   // and refits each replicate by EM warm-started from the point fit —
@@ -63,7 +60,7 @@ struct IdentifierConfig {
   bool bootstrap_refit = false;
 
   // Choose hidden_states automatically by BIC over 1..auto_hidden_max
-  // before the main fit (MMHD only); 0 disables.
+  // before the main fit; 0 disables.
   int auto_hidden_max = 0;
 
   // Fine-grained delay-bound estimation (second EM fit on a finer grid).
@@ -105,8 +102,7 @@ struct IdentificationResult {
   // Hidden-state count actually used (differs from the config when
   // auto_hidden_max selected one).
   int hidden_states_used = 0;
-  // Model structure actually fitted (differs from the config only when
-  // ModelKind::kAuto raced the structures).
+  // Model structure actually fitted.
   ModelKind model_used = ModelKind::kMmhd;
   // i*-based bound on the WDCL grid (valid when a test accepted).
   DelayBound coarse_bound;

@@ -23,10 +23,10 @@
 namespace dcl::inference::detail {
 
 // Successive-halving rung bookkeeping of RestartSet below, whose rungs are
-// either its own schedule (fit()) or boundaries supplied by a
-// model-structure race (StagedFit). Tracks the per-restart likelihood and
-// iteration count at the previous rung boundary so a trailer's mean
-// per-iteration gain — the slope of the overtake
+// either its own schedule (fit()) or boundaries supplied by the
+// hidden-state race (model_selection.cpp). Tracks the per-restart
+// likelihood and iteration count at the previous rung boundary so a
+// trailer's mean per-iteration gain — the slope of the overtake
 // bound — is available at the next reduction. Every method runs on the
 // calling thread and scans restarts in index order, so each decision is a
 // deterministic function of per-restart values: the surviving set, and
@@ -145,8 +145,10 @@ struct RaceState {
 // Resumable multi-restart EM fit, shared by Hmm and Mmhd: the restart set
 // with its pre-forked RNG streams, the worker pool, the racing rung
 // reductions and the winner reduction. Model::fit() runs it to completion
-// (run()); Model::StagedFit advances it on rung boundaries supplied by a
-// model-structure race. Model grants friendship and supplies, privately:
+// (run()); select_mmhd_hidden_states advances one set per candidate N on
+// the rung boundaries of its hidden-state race, then finishes each. Model
+// grants friendship and supplies, privately, with definitions visible
+// where the set is instantiated (mmhd_internal.h for Mmhd):
 //   FitContext, Workspace     immutable per-fit inputs / per-restart state
 //   kRestartStage, kIterStage  DCL_STAGE names of a restart and an iteration
 //   FitContext make_context(seq, opts) const
@@ -156,8 +158,8 @@ struct RaceState {
 //   void install_entering(Workspace&)   adopt the parameters entering the
 //                                       last em_step (their ll is reported)
 //   util::Pmf fitted_posterior(seq, ctx, ws, losses) const
-// `target` and `seq` must outlive the set, and the set must not move (the
-// StagedFit handles own it through a pointer).
+// `target` and `seq` must outlive the set. The set can be neither copied
+// nor moved; a caller that keeps several holds each by unique_ptr.
 template <typename Model>
 class RestartSet {
  public:
@@ -208,14 +210,6 @@ class RestartSet {
   // Every surviving restart converged or exhausted.
   bool finished() const { return RaceState::live_count(runs_) == 0; }
 
-  // Most iterations any surviving restart has run.
-  int iterations() const {
-    int most = 0;
-    for (const Runner& run : runs_)
-      if (!run.pruned()) most = std::max(most, run.iterations());
-    return most;
-  }
-
   // The current leader's log likelihood (index-ordered).
   double best_ll() const {
     double best = -std::numeric_limits<double>::infinity();
@@ -241,6 +235,8 @@ class RestartSet {
   // incrementally recomputed new_best flag (strict '>', so ties resolve to
   // the lowest index), and installs each new leader into the target model
   // — the serial observer call order and winner for any thread count.
+  // A raced-out restart is reported but never leads: its likelihood froze
+  // at its elimination and finalize() computed no posterior for it.
   // Fires on_winner last. Call once.
   FitResult finish() {
     util::parallel_indexed(pool_.get(), runs_.size(),
@@ -257,7 +253,8 @@ class RestartSet {
         for (const IterEvent& e : run.events)
           observer->on_iteration(static_cast<int>(r), e.iteration,
                                  e.log_likelihood, e.max_param_delta);
-      const bool new_best = run.res.log_likelihood > best.log_likelihood;
+      const bool new_best =
+          !run.pruned() && run.res.log_likelihood > best.log_likelihood;
       if (observer != nullptr)
         observer->on_restart(static_cast<int>(r), run.res, new_best);
       if (new_best) {

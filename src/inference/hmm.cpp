@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include "inference/discretizer.h"
 #include "inference/em_internal.h"
@@ -449,21 +448,6 @@ util::Pmf Hmm::fitted_posterior(const std::vector<int>& seq,
 FitResult Hmm::fit(const std::vector<int>& seq, const EmOptions& opts) {
   return detail::RestartSet<Hmm>(*this, seq, opts).run();
 }
-
-Hmm::StagedFit::StagedFit(Hmm& model, const std::vector<int>& seq,
-                          const EmOptions& opts)
-    : impl_(std::make_unique<detail::RestartSet<Hmm>>(model, seq, opts)) {}
-Hmm::StagedFit::~StagedFit() = default;
-Hmm::StagedFit::StagedFit(StagedFit&&) noexcept = default;
-Hmm::StagedFit& Hmm::StagedFit::operator=(StagedFit&&) noexcept = default;
-void Hmm::StagedFit::advance(int upto) { impl_->advance(upto); }
-bool Hmm::StagedFit::finished() const { return impl_->finished(); }
-int Hmm::StagedFit::iterations() const { return impl_->iterations(); }
-double Hmm::StagedFit::best_ll() const { return impl_->best_ll(); }
-double Hmm::StagedFit::ll_upper_bound(double overtake) const {
-  return impl_->ll_upper_bound(overtake);
-}
-FitResult Hmm::StagedFit::finish() { return impl_->finish(); }
 
 util::Pmf Hmm::posterior_from_trellis(const std::vector<int>& seq,
                                       const std::vector<char>& support,

@@ -14,9 +14,11 @@
 // is the posterior over the missing symbols at loss steps, averaged over
 // losses, computed from the smoothed state posteriors of the whole
 // sequence.
+//
+// core::Identifier fits only the MMHD (mmhd.h); this model serves the
+// paper's HMM-vs-MMHD comparison (Fig. 8) and the ablation benches.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "inference/em_options.h"
@@ -39,9 +41,6 @@ class Hmm {
   // with `opts.restarts` random restarts, keeping the best likelihood.
   // The returned FitResult carries the virtual-delay PMF.
   FitResult fit(const std::vector<int>& seq, const EmOptions& opts);
-
-  // Resumable multi-restart fit for model-structure racing (see below).
-  class StagedFit;
 
   int hidden_states() const { return n_; }
   int symbols() const { return m_; }
@@ -129,37 +128,6 @@ class Hmm {
   util::Matrix a_;  // N x N
   util::Matrix b_;  // N x M
   std::vector<double> c_;  // M
-};
-
-// Resumable multi-restart fit: the same restart set, forked RNG streams,
-// and racing/winner reductions as Hmm::fit (both run
-// detail::RestartSet<Hmm>), but advanced in externally driven increments
-// so candidate model *structures* can race each other on shared rungs (the
-// HMM-vs-MMHD race in core::Identifier). See Mmhd::StagedFit for the full
-// contract: reductions are index-ordered on the calling thread (bitwise
-// identical for any opts.threads), `model` and `seq` must outlive the
-// StagedFit, and finish() — which installs the winner into `model` — must
-// be called exactly once.
-class Hmm::StagedFit {
- public:
-  StagedFit(Hmm& model, const std::vector<int>& seq, const EmOptions& opts);
-  ~StagedFit();
-  StagedFit(StagedFit&&) noexcept;
-  StagedFit& operator=(StagedFit&&) noexcept;
-
-  // Advances every surviving restart to `upto` cumulative EM iterations
-  // (capped at opts.max_iterations) and applies the restart-level racing
-  // reduction at this boundary. The first call runs a one-iteration probe
-  // first so per-iteration gain estimates are finite from the start.
-  void advance(int upto);
-  bool finished() const;   // every surviving restart converged or exhausted
-  int iterations() const;  // most iterations any surviving restart has run
-  double best_ll() const;  // current leader's log likelihood (index-ordered)
-  double ll_upper_bound(double overtake) const;
-  FitResult finish();
-
- private:
-  std::unique_ptr<detail::RestartSet<Hmm>> impl_;
 };
 
 }  // namespace dcl::inference

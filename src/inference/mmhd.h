@@ -61,9 +61,6 @@ class Mmhd {
   // restarts; returns diagnostics and the virtual-delay PMF (eq. (5)).
   FitResult fit(const std::vector<int>& seq, const EmOptions& opts);
 
-  // Resumable multi-restart fit for model-structure racing (see below).
-  class StagedFit;
-
   int hidden_states() const { return n_; }
   int symbols() const { return m_; }
   int states() const { return n_ * m_; }
@@ -101,6 +98,7 @@ class Mmhd {
   static constexpr const char* kRestartStage = "em.mmhd";
   static constexpr const char* kIterStage = "em.mmhd.iter";
 
+  // Defined in mmhd_internal.h.
   struct Trellis;
   struct FitContext;  // immutable per-fit inputs shared by every restart
   struct Workspace;   // per-restart trellis, segment state, accumulators
@@ -182,44 +180,6 @@ class Mmhd {
   std::vector<double> pi_;  // N*M
   util::Matrix a_;          // (N*M) x (N*M)
   std::vector<double> c_;   // M
-};
-
-// Resumable multi-restart fit: the same restart set, forked RNG streams,
-// and racing/winner reductions as Mmhd::fit (both run
-// detail::RestartSet<Mmhd>), but advanced in externally driven increments
-// so candidate model *structures* can race each other on shared rungs
-// (model_selection.cpp, core::Identifier). Between advances the
-// restart-level successive-halving reduction of EmOptions::race_* applies
-// at each caller-supplied boundary; all reductions stay index-ordered on
-// the calling thread, so results are bitwise identical for any
-// opts.threads. `model` and `seq` must outlive the StagedFit;
-// finish() installs the winning restart's parameters into `model` and must
-// be called exactly once, after which the StagedFit is spent.
-class Mmhd::StagedFit {
- public:
-  StagedFit(Mmhd& model, const std::vector<int>& seq, const EmOptions& opts);
-  ~StagedFit();
-  StagedFit(StagedFit&&) noexcept;
-  StagedFit& operator=(StagedFit&&) noexcept;
-
-  // Advances every surviving restart to `upto` cumulative EM iterations
-  // (capped at opts.max_iterations) and applies the restart-level racing
-  // reduction at this boundary. The first call runs a one-iteration probe
-  // first so per-iteration gain estimates are finite from the start.
-  void advance(int upto);
-  bool finished() const;   // every surviving restart converged or exhausted
-  int iterations() const;  // most iterations any surviving restart has run
-  double best_ll() const;  // current leader's log likelihood (index-ordered)
-  // Upper bound on the final log likelihood any surviving restart can
-  // still reach: ll + overtake * the per-iteration gain over the last
-  // advance() * remaining budget (see detail::RaceState::ll_bound).
-  double ll_upper_bound(double overtake) const;
-  // Finalize + deterministic winner reduction: installs the winner into
-  // the model, replays buffered observer events, fires on_winner.
-  FitResult finish();
-
- private:
-  std::unique_ptr<detail::RestartSet<Mmhd>> impl_;
 };
 
 // Warm-started EM refits for the sequence bootstrap: snapshots a fitted

@@ -8,6 +8,7 @@
 #include "inference/discretizer.h"
 #include "inference/em_internal.h"
 #include "inference/mmhd.h"
+#include "inference/mmhd_internal.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
 #include "util/error.h"
@@ -62,13 +63,13 @@ ModelSelectionResult select_mmhd_hidden_states(const std::vector<int>& seq,
     // bound) is already behind the leader's realized BIC is eliminated
     // (exact only at transition_prior 0, see model_selection.h). The
     // rung loop runs serially over candidates on the calling thread (each
-    // StagedFit parallelizes its own restarts with base.threads), and all
+    // restart set parallelizes its own restarts with base.threads), and all
     // decisions are candidate-ordered scans of thread-invariant values, so
     // the raced selection is bitwise identical for any thread count.
     auto& reg = obs::Registry::global();
     const int count = max_hidden_states;
     std::vector<std::unique_ptr<Mmhd>> models;
-    std::vector<std::unique_ptr<Mmhd::StagedFit>> fits;
+    std::vector<std::unique_ptr<detail::RestartSet<Mmhd>>> fits;
     std::vector<double> penalty(static_cast<std::size_t>(count));
     std::vector<char> out(static_cast<std::size_t>(count), 0);
     models.reserve(static_cast<std::size_t>(count));
@@ -78,8 +79,8 @@ ModelSelectionResult select_mmhd_hidden_states(const std::vector<int>& seq,
       EmOptions opts = base;
       opts.hidden_states = n;
       models.push_back(std::make_unique<Mmhd>(n, symbols));
-      fits.push_back(
-          std::make_unique<Mmhd::StagedFit>(*models.back(), seq, opts));
+      fits.push_back(std::make_unique<detail::RestartSet<Mmhd>>(
+          *models.back(), seq, opts));
       penalty[static_cast<std::size_t>(idx)] =
           static_cast<double>(free_parameters(n)) * std::log(t_len);
     }

@@ -53,8 +53,8 @@ struct ModelSelectionResult {
 // parallelizes its own restarts — so observer callbacks never interleave.
 //
 // With base.race_warmup > 0 the candidates *race* instead of each fitting
-// to convergence: every candidate advances on shared successive-halving
-// rungs (Mmhd::StagedFit), and after each rung a candidate whose best
+// to convergence: every candidate's restart set advances on shared
+// successive-halving rungs, and after each rung a candidate whose best
 // reachable BIC — from its likelihood upper bound — is already behind the
 // leader's realized BIC is eliminated (ModelScore::raced_out). The cut is
 // exact only under plain maximum likelihood (transition_prior = 0), where

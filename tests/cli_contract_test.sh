@@ -2,8 +2,9 @@
 # The command-line contract of dclid and dclfleet (DESIGN.md §5.14):
 #   (a) exit codes and one-line messages for help, unknown flags, missing
 #       and malformed values, and every range bound;
-#   (b) config_digest moves with every flag that changes results and
-#       stays put for thread counts and output flags;
+#   (b) config_digest is pinned for three default invocations, moves with
+#       every flag that changes results and stays put for thread counts
+#       and output flags;
 #   (c) --resume refuses a journal written under another configuration,
 #       leaving journal and output untouched, and a plain resume still
 #       reproduces an uninterrupted run byte for byte;
@@ -52,6 +53,7 @@ expect() {
 missing="${tmp}/missing.csv"  # validation must fail before it is read
 expect 0 usage "${DCLID}" --help
 expect 2 usage "${DCLID}" --bogus --print-manifest
+expect 2 usage "${DCLID}" --model mmhd --print-manifest
 expect 2 "dclid: --eps-l needs a value" "${DCLID}" --eps-l
 expect 2 "dclid: bad value 'x' for --eps-l" \
   "${DCLID}" --eps-l x --print-manifest
@@ -94,6 +96,7 @@ EOF
 
 expect 0 usage "${DCLFLEET}" --help
 expect 2 usage "${DCLFLEET}" --bogus --print-manifest
+expect 2 usage "${DCLFLEET}" --model mmhd --print-manifest
 expect 2 "dclfleet: --synth needs a value" "${DCLFLEET}" --synth
 expect 2 "dclfleet: bad value 'x' for --synth" "${DCLFLEET}" --synth x
 expect 2 "dclfleet: bad value '-1' for --seed" \
@@ -147,13 +150,23 @@ digest_case() {
   fi
 }
 
+# Digests of default invocations, pinned: fleet journals on disk hold
+# them in their headers, and --resume must keep accepting those journals.
+while IFS='|' read -r want cmd; do
+  got="$(digest ${cmd})"
+  [[ "${got}" == "${want}" ]] \
+    || fail "${cmd} --print-manifest: config_digest '${got}', want ${want}"
+done <<EOF
+01225b377cca02a4|${DCLID}
+7b560eb1b4c75cc1|${DCLID} --scenario wdcl
+02f66b14a35246ce|${DCLFLEET} --synth 12
+EOF
+
 while read -r flags; do
   digest_case moves "${DCLID}" -- ${flags}
 done <<'EOF'
 -M 12
 -N 3
---model hmm
---model auto
 --eps-l 0.1
 --eps-d 0.1
 --dprop 0.01
@@ -186,7 +199,6 @@ while read -r flags; do
 done <<'EOF'
 -M 12
 -N 3
---model hmm
 --eps-l 0.1
 --eps-d 0.1
 --deadline 5
@@ -223,7 +235,7 @@ cp "${tmp}/run.journal" "${tmp}/journal.before"
 cp "${tmp}/run.jsonl" "${tmp}/out.before"
 refused="dclfleet: --resume: journal header does not match this invocation"
 refused+=" (seed, fleet size, or config changed)"
-for changed in "--model hmm" "--eps-l 0.1"; do
+for changed in "--restarts 2" "--eps-l 0.1"; do
   expect 2 "${refused}" "${fleet[@]}" --journal "${tmp}/run.journal" \
     --out "${tmp}/run.jsonl" --resume ${changed}
   cmp -s "${tmp}/run.journal" "${tmp}/journal.before" \

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/identifier.h"
-#include "obs/obs.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -79,18 +78,6 @@ TEST(Identifier, DeterministicAcrossRuns) {
   for (std::size_t i = 0; i < a.virtual_pmf.size(); ++i)
     EXPECT_DOUBLE_EQ(a.virtual_pmf[i], b.virtual_pmf[i]);
   EXPECT_EQ(a.wdcl.accepted, b.wdcl.accepted);
-}
-
-TEST(Identifier, HmmBackendRunsEndToEnd) {
-  const auto obs = synth_obs(8000, 5);
-  IdentifierConfig cfg;
-  cfg.model = ModelKind::kHmm;
-  cfg.compute_fine_bound = false;
-  const auto r = Identifier(cfg).identify(obs);
-  ASSERT_TRUE(r.has_losses);
-  double sum = 0.0;
-  for (double p : r.virtual_pmf) sum += p;
-  EXPECT_NEAR(sum, 1.0, 1e-9);
 }
 
 TEST(Identifier, FineBoundCanBeDisabled) {
@@ -169,69 +156,6 @@ TEST(Identifier, AutoHiddenStatesSelectsAndRecordsN) {
   fixed.hidden_states = r.hidden_states_used;
   const auto r2 = Identifier(fixed).identify(obs);
   EXPECT_EQ(r.wdcl.accepted, r2.wdcl.accepted);
-}
-
-TEST(Identifier, ExplicitModelKindIsRecorded) {
-  const auto obs = synth_obs(8000, 12);
-  IdentifierConfig cfg;
-  cfg.compute_fine_bound = false;
-  const auto r = Identifier(cfg).identify(obs);
-  EXPECT_EQ(r.model_used, ModelKind::kMmhd);
-  cfg.model = ModelKind::kHmm;
-  const auto rh = Identifier(cfg).identify(obs);
-  EXPECT_EQ(rh.model_used, ModelKind::kHmm);
-}
-
-TEST(Identifier, AutoModelRacesAndMatchesTheChosenBackend) {
-  const auto obs = synth_obs(8000, 13);
-  IdentifierConfig cfg;
-  cfg.compute_fine_bound = false;
-  cfg.model = ModelKind::kAuto;
-  auto& rungs =
-      dcl::obs::Registry::global().counter("identifier.auto_model.race_rungs");
-  const std::uint64_t before = rungs.value();
-  const auto r = Identifier(cfg).identify(obs);
-  ASSERT_TRUE(r.has_losses);
-  // The race's rung targets: kAuto races with a warm-up of 4 when restart
-  // racing is off, two candidates live.
-  inference::EmOptions race = cfg.em;
-  race.race_warmup = 4;
-  std::vector<int> targets{race.race_warmup};
-  while (targets.back() < race.max_iterations)
-    targets.push_back(inference::race_next_target(race, targets.back(), 2, 2));
-  // The race stops early: in fewer rungs than two fits running to
-  // max_iterations need.
-  const std::uint64_t race_rungs = rungs.value() - before;
-  ASSERT_GE(race_rungs, 1u);
-  ASSERT_LT(race_rungs, targets.size());
-  // The race resolves to a concrete backend and the pipeline runs it.
-  EXPECT_NE(r.model_used, ModelKind::kAuto);
-  double sum = 0.0;
-  for (double p : r.virtual_pmf) sum += p;
-  EXPECT_NEAR(sum, 1.0, 1e-9);
-  // The auto run's verdict equals a fixed run of the backend it chose:
-  // the race only picks the model, it never perturbs the real fit.
-  IdentifierConfig fixed = cfg;
-  fixed.model = r.model_used;
-  const auto r2 = Identifier(fixed).identify(obs);
-  EXPECT_EQ(r2.model_used, r.model_used);
-  EXPECT_EQ(r.wdcl.accepted, r2.wdcl.accepted);
-  EXPECT_EQ(r.fit.log_likelihood, r2.fit.log_likelihood);
-  // It stopped on an elimination, not on both fits finishing: the chosen
-  // model's own fit had not converged by the race's last rung.
-  EXPECT_LT(targets[race_rungs - 1], r2.fit.iterations);
-}
-
-TEST(Identifier, AutoModelIsDeterministicAcrossRuns) {
-  const auto obs = synth_obs(8000, 14);
-  IdentifierConfig cfg;
-  cfg.compute_fine_bound = false;
-  cfg.model = ModelKind::kAuto;
-  const auto a = Identifier(cfg).identify(obs);
-  const auto b = Identifier(cfg).identify(obs);
-  EXPECT_EQ(a.model_used, b.model_used);
-  EXPECT_EQ(a.fit.log_likelihood, b.fit.log_likelihood);
-  EXPECT_EQ(a.wdcl.accepted, b.wdcl.accepted);
 }
 
 }  // namespace

@@ -384,6 +384,8 @@ TEST(ParallelEm, ObserverSeesRungsAndEliminations) {
     int last_target = 0;
     int restarts = 0;
     int flagged = 0;
+    int flagged_best = 0;
+    bool first_pruned = false;
     void on_rung(int, int target_iterations, int survivors,
                  int eliminated_now) override {
       ++rungs;
@@ -391,9 +393,12 @@ TEST(ParallelEm, ObserverSeesRungsAndEliminations) {
       last_survivors = survivors;
       last_target = target_iterations;
     }
-    void on_restart(int, const inference::FitResult& r, bool) override {
+    void on_restart(int restart, const inference::FitResult& r,
+                    bool new_best) override {
       ++restarts;
       if (r.pruned) ++flagged;
+      if (r.pruned && new_best) ++flagged_best;
+      if (restart == 0) first_pruned = r.pruned;
     }
   } counter;
   em.observer = &counter;
@@ -407,6 +412,12 @@ TEST(ParallelEm, ObserverSeesRungsAndEliminations) {
   // flagged pruned.
   EXPECT_EQ(counter.restarts, em.restarts);
   EXPECT_EQ(counter.flagged, fit.pruned_restarts);
+  // ...and never lead the winner reduction, not even restart 0, which
+  // it sees first: a raced-out restart froze early and has no posterior.
+  ASSERT_TRUE(counter.first_pruned);
+  EXPECT_EQ(counter.flagged_best, 0);
+  EXPECT_FALSE(fit.pruned);
+  EXPECT_FALSE(fit.virtual_delay_pmf.empty());
   // The last rung reduction leaves at least the eventual winner alive and
   // never reports a target beyond the configured iteration budget.
   EXPECT_GE(counter.last_survivors, 1);

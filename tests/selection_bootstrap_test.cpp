@@ -7,7 +7,9 @@
 
 #include "core/bootstrap.h"
 #include "inference/discretizer.h"
+#include "inference/em_internal.h"
 #include "inference/mmhd.h"
+#include "inference/mmhd_internal.h"
 #include "inference/model_selection.h"
 #include "obs/obs.h"
 #include "util/error.h"
@@ -124,7 +126,7 @@ TEST(ModelSelection, RacedSelectionWithRestartsEliminatesAndAgrees) {
   EXPECT_GE(raced_out_count(raced), 1);
 }
 
-TEST(ModelSelection, StagedFitBoundIsFiniteBetweenRungs) {
+TEST(ModelSelection, RestartSetBoundIsFiniteBetweenRungs) {
   // A structure race reads ll_upper_bound() between advance() calls, so
   // the bound must carry the last rung's gain estimate, not +inf.
   const auto seq = markov_sequence(8000, 13);
@@ -134,7 +136,7 @@ TEST(ModelSelection, StagedFitBoundIsFiniteBetweenRungs) {
   opts.restarts = 4;
   opts.race_warmup = 5;
   inference::Mmhd model(2, 3);
-  inference::Mmhd::StagedFit fit(model, seq, opts);
+  inference::detail::RestartSet<inference::Mmhd> fit(model, seq, opts);
   fit.advance(5);
   ASSERT_FALSE(fit.finished());
   const double bound = fit.ll_upper_bound(1.0);
