@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <utility>
 
 #include "inference/discretizer.h"
 #include "inference/em_internal.h"
@@ -27,6 +29,114 @@ util::Pmf mean_pmf(const std::vector<util::Pmf>& per_loss, int symbols) {
   if (!per_loss.empty())
     for (auto& p : pmf) p /= static_cast<double>(per_loss.size());
   return pmf;
+}
+
+// Rescales `len` nonnegative entries by the power of two that puts the
+// largest in [0.5, 1); returns that power's exponent e (the old entries
+// are the new ones times 2^e).
+int normalize_max(double* c, std::size_t len) {
+  const double mx = *std::max_element(c, c + len);
+  DCL_ENSURE_MSG(mx > 0.0, "skeleton: zero block");
+  int e = 0;
+  std::frexp(mx, &e);
+  const double s = std::ldexp(1.0, -e);
+  for (std::size_t k = 0; k < len; ++k) c[k] *= s;
+  return e;
+}
+
+// 2^e for e <= 0, zero once it falls below the subnormal range.
+double pow2_at_most_one(long long e) {
+  return std::ldexp(1.0, static_cast<int>(std::max(e, -2000LL)));
+}
+
+// c = a * b for n x n row-major matrices, normalized as above; returns the
+// exponent (a * b = c * 2^e).
+int mul_normalized(const double* a, const double* b, double* c,
+                   std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j) {
+      double x = 0.0;
+      for (std::size_t k = 0; k < n; ++k) x += a[i * n + k] * b[k * n + j];
+      c[i * n + j] = x;
+    }
+  return normalize_max(c, n * n);
+}
+
+// The run-interior recurrence of one fold (Mmhd::run_interiors): B is B_d,
+// keys[0..count) its run keys ascending in length, x[k] (n x n at k * n * n)
+// the sweep's outer block of key k and exps[k] the exponent of its block,
+// so Y_r = X_r * 2^-exps. With P = B^T, the interior xi of the runs of
+// length r sum to B o sum_{t<r} P^t Y_r P^(r-1-t); summed over every r by
+// levels t = r_max - 1 .. 0 as R <- R P + Y_(t+1), Z <- R + P Z. R and Z
+// share one exponent (their true values are R, Z times 2^ex), moved when
+// Z's mass leaves [2^-64, 2^64) and when an input is larger. Writes Z to
+// z_out and returns ex. Templated on N like the sweep: kN = 2..4 keep the
+// N x N matrices in registers (survey's trace p50 read 9% higher without);
+// kN = 0 is the runtime-N body, which keeps them in scratch (5 n^2 doubles).
+template <std::size_t kN, typename Key>
+long long run_interior(const double* b, const double* x, const Key* keys,
+                       const long long* exps, std::size_t count,
+                       double* scratch, double* z_out, std::size_t n_any) {
+  constexpr bool kFixed = kN != 0;
+  constexpr std::size_t kCap = kFixed ? kN * kN : 1;
+  const std::size_t n = kFixed ? kN : n_any;
+  const std::size_t nn = n * n;
+  double b_loc[kCap], r_loc[kCap], rn_loc[kCap], z_loc[kCap], zn_loc[kCap];
+  double* bl = kFixed ? b_loc : scratch;
+  double* r = kFixed ? r_loc : scratch + nn;
+  double* rn = kFixed ? rn_loc : scratch + 2 * nn;
+  double* z = kFixed ? z_loc : scratch + 3 * nn;
+  double* zn = kFixed ? zn_loc : scratch + 4 * nn;
+  for (std::size_t i = 0; i < nn; ++i) bl[i] = b[i];
+  std::size_t k = count - 1;
+  long long ex = -exps[k];
+  for (std::size_t i = 0; i < nn; ++i) r[i] = z[i] = x[k * nn + i];
+  for (std::size_t t = keys[k].len - 1; t-- > 0;) {
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j) {
+        double v = r[i * n] * bl[j * n];
+        for (std::size_t a = 1; a < n; ++a) v += r[i * n + a] * bl[j * n + a];
+        rn[i * n + j] = v;
+      }
+    if (k > 0 && keys[k - 1].len == t + 1) {
+      --k;
+      const long long g = -exps[k];
+      if (g > ex) {
+        const double s = pow2_at_most_one(ex - g);
+        for (std::size_t i = 0; i < nn; ++i) {
+          rn[i] *= s;
+          z[i] *= s;
+        }
+        ex = g;
+      }
+      const double s = pow2_at_most_one(g - ex);
+      for (std::size_t i = 0; i < nn; ++i) rn[i] += x[k * nn + i] * s;
+    }
+    double mass = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j) {
+        double v = rn[i * n + j];
+        for (std::size_t a = 0; a < n; ++a) v += bl[a * n + i] * z[a * n + j];
+        zn[i * n + j] = v;
+        mass += v;
+      }
+    for (std::size_t i = 0; i < nn; ++i) {
+      r[i] = rn[i];
+      z[i] = zn[i];
+    }
+    if (mass < 0x1p-64 || mass >= 0x1p64) {
+      DCL_ENSURE_MSG(mass > 0.0, "run interiors: zero probability mass");
+      const int e = std::ilogb(mass);
+      const double s = std::ldexp(1.0, -e);
+      for (std::size_t i = 0; i < nn; ++i) {
+        r[i] *= s;
+        z[i] *= s;
+      }
+      ex += e;
+    }
+  }
+  for (std::size_t i = 0; i < nn; ++i) z_out[i] = z[i];
+  return ex;
 }
 }  // namespace
 
@@ -238,6 +348,97 @@ void Mmhd::build_segments(const std::vector<int>& seq,
       ctx.steps.push_back(n_bigrams + seg_of(runs[run++]));
     prev = d;
   }
+  ctx.fold_runs(n);
+}
+
+void Mmhd::FitContext::fold_runs(std::size_t n) {
+  const std::size_t nb = bigrams.size();
+  const std::size_t m = received.size();
+  // The symbol of each self bigram (d, d), -1 for the others.
+  std::vector<int> self(nb, -1);
+  for (std::size_t b = 0; b < nb; ++b)
+    if (bigrams[b].from == bigrams[b].to) self[b] = bigrams[b].from;
+  // The symbol of step k when it is a self-step, else -1, and the end of
+  // the run of equal steps from k.
+  const auto self_sym = [&](std::size_t k) {
+    const auto b = static_cast<std::size_t>(steps[k]);
+    return b < nb ? self[b] : -1;
+  };
+  const auto run_end = [&](std::size_t k) {
+    std::size_t e = k;
+    while (e < steps.size() && steps[e] == steps[k]) ++e;
+    return e;
+  };
+  // Run lengths per symbol.
+  std::vector<std::vector<std::size_t>> lens(m);
+  for (std::size_t k = 1; k < steps.size();) {
+    const int d = self_sym(k);
+    const std::size_t e = d >= 0 ? run_end(k) : k + 1;
+    if (e - k >= 2) lens[static_cast<std::size_t>(d)].push_back(e - k);
+    k = e;
+  }
+
+  // A symbol folds when the sweep steps its runs remove outweigh the work
+  // the fold adds per iteration: one recurrence level per unit of its
+  // longest run and one N x N product per power, each costing at most
+  // about N / 2 sweep steps (a level measured 0.75, 1.3 and 1.6 steps at
+  // N = 2, 3, 4 on x86-64), so the rule errs toward not folding.
+  std::vector<int> fold_of(m, -1);
+  for (std::size_t d = 0; d < m; ++d) {
+    std::vector<std::size_t>& l = lens[d];
+    if (l.empty()) continue;
+    std::sort(l.begin(), l.end());
+    double saved = 0.0;
+    for (std::size_t r : l) saved += static_cast<double>(r - 1);
+    std::size_t products = 0, have = 0;
+    for (std::size_t i = 0; i < l.size(); ++i) {
+      if (i > 0 && l[i] == l[i - 1]) continue;
+      products += static_cast<std::size_t>(std::popcount(l[i] - have));
+      have = l[i];
+    }
+    products += static_cast<std::size_t>(std::bit_width(l.back()));
+    const double work = static_cast<double>(n) / 2.0 *
+                        static_cast<double>(l.back() + products);
+    if (saved <= work) continue;
+    Fold f;
+    f.sym = static_cast<int>(d);
+    for (std::size_t b = 0; b < nb; ++b)
+      if (self[b] == f.sym) f.bigram = b;
+    f.begin = run_keys.size();
+    for (std::size_t i = 0; i < l.size(); ++i) {
+      if (i > 0 && l[i] == l[i - 1])
+        run_keys.back().count += 1.0;
+      else
+        run_keys.push_back({l[i], 1.0});
+    }
+    f.end = run_keys.size();
+    fold_of[d] = static_cast<int>(folds.size());
+    folds.push_back(f);
+  }
+  if (folds.empty()) return;
+
+  // Rewrite the step list: a folded run becomes its key's block.
+  const int base = static_cast<int>(nb + segments.size());
+  std::vector<int> folded;
+  folded.reserve(steps.size());
+  folded.push_back(steps[0]);
+  for (std::size_t k = 1; k < steps.size();) {
+    const int d = self_sym(k);
+    const std::size_t e = d >= 0 ? run_end(k) : k + 1;
+    const int fi = d >= 0 ? fold_of[static_cast<std::size_t>(d)] : -1;
+    if (fi < 0 || e - k < 2) {
+      for (; k < e; ++k) folded.push_back(steps[k]);
+      continue;
+    }
+    const Fold& f = folds[static_cast<std::size_t>(fi)];
+    const auto key = std::lower_bound(
+        run_keys.begin() + static_cast<std::ptrdiff_t>(f.begin),
+        run_keys.begin() + static_cast<std::ptrdiff_t>(f.end), e - k,
+        [](const RunKey& a, std::size_t len) { return a.len < len; });
+    folded.push_back(base + static_cast<int>(key - run_keys.begin()));
+    k = e;
+  }
+  steps = std::move(folded);
 }
 
 double Mmhd::forward_backward(const std::vector<int>& seq,
@@ -555,7 +756,7 @@ void Mmhd::build_skeleton(const FitContext& ctx, Workspace& ws) const {
   const auto n = static_cast<std::size_t>(n_);
   const std::size_t nn = n * n;
   const std::size_t nb = ctx.bigrams.size();
-  ws.blocks.resize((nb + ctx.segments.size()) * nn);
+  ws.blocks.resize((nb + ctx.segments.size() + ctx.run_keys.size()) * nn);
   // Adjacent received pairs: A's (h, d) -> (h', d') block times 1 - C[d'].
   for (std::size_t b = 0; b < nb; ++b) {
     const FitContext::Bigram& bg = ctx.bigrams[b];
@@ -582,18 +783,15 @@ void Mmhd::build_skeleton(const FitContext& ctx, Workspace& ws) const {
   for (std::size_t i = 0; i < ctx.segments.size(); ++i) {
     const double* src = sa.bridge.data() + sa.bridge_off[i];
     const std::size_t len = sa.bridge_off[i + 1] - sa.bridge_off[i];
-    const double mx = *std::max_element(src, src + len);
-    DCL_ENSURE_MSG(mx > 0.0, "skeleton: zero bridge");
-    int ex = 0;
-    std::frexp(mx, &ex);
-    const double scale = std::ldexp(1.0, -ex);
-    ws.bridge_exp += static_cast<long long>(ctx.segments[i].count) *
-                     (ex - 64 * static_cast<long long>(sa.bridge_renorms[i]));
     double* dst = static_cast<int>(i) == ctx.head   ? ws.v0.data()
                   : static_cast<int>(i) == ctx.tail ? ws.tail.data()
                                                     : ws.blocks.data() + (nb + i) * nn;
-    for (std::size_t k = 0; k < len; ++k) dst[k] = src[k] * scale;
+    std::copy(src, src + len, dst);
+    const int ex = normalize_max(dst, len);
+    ws.bridge_exp += static_cast<long long>(ctx.segments[i].count) *
+                     (ex - 64 * static_cast<long long>(sa.bridge_renorms[i]));
   }
+  build_run_blocks(ctx, ws);
   if (ctx.head < 0) {
     const auto d = static_cast<std::size_t>(ctx.first);
     for (std::size_t h = 0; h < n; ++h)
@@ -603,21 +801,102 @@ void Mmhd::build_skeleton(const FitContext& ctx, Workspace& ws) const {
   }
 }
 
-double Mmhd::segment_forward(const FitContext& ctx, Workspace& ws) const {
+void Mmhd::build_run_blocks(const FitContext& ctx, Workspace& ws) const {
+  const auto n = static_cast<std::size_t>(n_);
+  const std::size_t nn = n * n;
+  const std::size_t base = ctx.bigrams.size() + ctx.segments.size();
+  ws.run_exp.resize(ctx.run_keys.size());
+  for (const FitContext::Fold& f : ctx.folds) {
+    // Squarings, sq[j] * 2^sq_exp[j] = B_d^(2^j), then each key's power
+    // from the previous key's: B_d^r = B_d^r' * prod over the bits j of
+    // r - r' of B_d^(2^j). Every product is normalized and its exponent
+    // carried, so no run length underflows or overflows.
+    const auto levels =
+        static_cast<std::size_t>(std::bit_width(ctx.run_keys[f.end - 1].len));
+    ws.fold_scratch.resize((levels + 1) * nn);
+    double* sq = ws.fold_scratch.data();
+    double* tmp = sq + levels * nn;
+    std::array<long long, 64> sq_exp{};
+    const double* b = ws.blocks.data() + f.bigram * nn;
+    std::copy(b, b + nn, sq);
+    sq_exp[0] = normalize_max(sq, nn);
+    for (std::size_t j = 1; j < levels; ++j)
+      sq_exp[j] = 2 * sq_exp[j - 1] + mul_normalized(sq + (j - 1) * nn,
+                                                     sq + (j - 1) * nn,
+                                                     sq + j * nn, n);
+    // The running power starts as the identity (products with it are
+    // exact) and is each key's block once its bits are multiplied in.
+    std::fill(tmp, tmp + nn, 0.0);
+    for (std::size_t i = 0; i < n; ++i) tmp[i * n + i] = 1.0;
+    const double* prev = tmp;
+    long long power_exp = 0;
+    std::size_t have = 0;
+    for (std::size_t k = f.begin; k < f.end; ++k) {
+      double* dst = ws.blocks.data() + (base + k) * nn;
+      std::copy(prev, prev + nn, dst);
+      for (std::size_t j = 0, gap = ctx.run_keys[k].len - have; gap != 0;
+           ++j, gap >>= 1) {
+        if ((gap & 1) == 0) continue;
+        power_exp += sq_exp[j] + mul_normalized(dst, sq + j * nn, tmp, n);
+        std::copy(tmp, tmp + nn, dst);
+      }
+      ws.run_exp[k] = power_exp;
+      ws.bridge_exp +=
+          static_cast<long long>(ctx.run_keys[k].count) * power_exp;
+      prev = dst;
+      have = ctx.run_keys[k].len;
+    }
+  }
+}
+
+void Mmhd::run_interiors(const FitContext& ctx, Workspace& ws) const {
+  const auto n = static_cast<std::size_t>(n_);
+  const std::size_t nn = n * n;
+  const std::size_t base = ctx.bigrams.size() + ctx.segments.size();
+  ws.run_z.resize(ctx.folds.size() * nn);
+  ws.run_z_exp.resize(ctx.folds.size());
+  ws.fold_scratch.resize(5 * nn);
+  for (std::size_t fi = 0; fi < ctx.folds.size(); ++fi) {
+    const FitContext::Fold& f = ctx.folds[fi];
+    const double* b = ws.blocks.data() + f.bigram * nn;
+    const double* x = ws.sweep.outer.data() + (base + f.begin) * nn;
+    const FitContext::RunKey* keys = ctx.run_keys.data() + f.begin;
+    const long long* exps = ws.run_exp.data() + f.begin;
+    const std::size_t count = f.end - f.begin;
+    double* z = ws.run_z.data() + fi * nn;
+    double* scratch = ws.fold_scratch.data();
+    long long& ex = ws.run_z_exp[fi];
+    if (n == 2)
+      ex = run_interior<2>(b, x, keys, exps, count, scratch, z, n);
+    else if (n == 3)
+      ex = run_interior<3>(b, x, keys, exps, count, scratch, z, n);
+    else if (n == 4)
+      ex = run_interior<4>(b, x, keys, exps, count, scratch, z, n);
+    else
+      ex = run_interior<0>(b, x, keys, exps, count, scratch, z, n);
+  }
+}
+
+void Mmhd::bridge_loss_runs(const FitContext& ctx, Workspace& ws) const {
   build_segment_chain(ctx, ws);
   ws.sacc.prepare(ws.seg, ctx.segments);
   fb::segment_bridges(ws.seg, ctx.segments, ws.sacc);
-  if (!ctx.steps.empty()) {
-    build_skeleton(ctx, ws);
-    const auto n = static_cast<std::size_t>(n_);
-    ws.sweep.prepare(ctx.bigrams.size() + ctx.segments.size(), n);
-    const double log_mass = fb::skeleton_sweep(
-        ws.blocks.data(), n, ctx.steps, ws.v0.data(),
-        ctx.tail >= 0 ? ws.tail.data() : nullptr, ws.sweep);
-    return log_mass + static_cast<double>(ws.bridge_exp -
-                                          ws.sweep.renorm_total) *
-                          std::log(2.0);
-  }
+}
+
+double Mmhd::skeleton_forward(const FitContext& ctx, Workspace& ws) const {
+  build_skeleton(ctx, ws);
+  const auto n = static_cast<std::size_t>(n_);
+  ws.sweep.prepare(
+      ctx.bigrams.size() + ctx.segments.size() + ctx.run_keys.size(), n);
+  const double log_mass = fb::skeleton_sweep(
+      ws.blocks.data(), n, ctx.steps, ws.v0.data(),
+      ctx.tail >= 0 ? ws.tail.data() : nullptr, ws.sweep);
+  return log_mass +
+         static_cast<double>(ws.bridge_exp - ws.sweep.renorm_total) *
+             std::log(2.0);
+}
+
+double Mmhd::certain_forward(const FitContext& ctx, Workspace& ws) const {
   // Every received probe's state is certain (N = 1, or none received):
   // the expansion needs no skeleton weights and measures each loss run's
   // mass as it goes, and each received step adds a closed-form factor.
@@ -648,10 +927,23 @@ std::pair<double, double> Mmhd::em_step_segments(const FitContext& ctx,
         state_of(static_cast<int>(h), d))]);
   };
 
-  const double ll = segment_forward(ctx, ws);
+  // The three stages split an iteration: the loss-run kernels
+  // (em.mmhd.segments), the received-probe sweep with its run blocks and
+  // run interiors (em.mmhd.sweep), and the M-step (em.mmhd.mstep).
+  {
+    DCL_STAGE("em.mmhd.segments");
+    bridge_loss_runs(ctx, ws);
+  }
+  double ll = 0.0;
   fb::SegmentEStep& acc = ws.sacc;
   const fb::SkeletonSweep& sw = ws.sweep;
   if (skeleton) {
+    {
+      DCL_STAGE("em.mmhd.sweep");
+      ll = skeleton_forward(ctx, ws);
+      run_interiors(ctx, ws);
+    }
+    DCL_STAGE("em.mmhd.segments");
     // Skeleton posterior weights: a bridged step's xi divided by its block
     // is the outer-product sum; the end rows carry the two boundary runs'.
     for (std::size_t i = 0; i < ctx.segments.size(); ++i) {
@@ -663,8 +955,12 @@ std::pair<double, double> Mmhd::em_step_segments(const FitContext& ctx,
                 acc.weight.data() + acc.bridge_off[i]);
     }
     fb::segment_expand(ws.seg, ctx.segments, acc);
+  } else {
+    DCL_STAGE("em.mmhd.segments");
+    ll = certain_forward(ctx, ws);
   }
 
+  DCL_STAGE("em.mmhd.mstep");
   ws.new_pi.assign(static_cast<std::size_t>(states()), 0.0);
   if (ctx.first >= 0) {
     const int d = ctx.first;
@@ -689,6 +985,18 @@ std::pair<double, double> Mmhd::em_step_segments(const FitContext& ctx,
       double* a_row = ws.a_num.row(live(h, bg.from));
       for (std::size_t k = 0; k < n; ++k)
         a_row[live(k, bg.to)] += o[h * n + k] * blk[h * n + k];
+    }
+  }
+  // The transitions inside folded runs: B_d o Z on bigram (d, d)'s entries.
+  for (std::size_t fi = 0; fi < ctx.folds.size(); ++fi) {
+    const FitContext::Fold& f = ctx.folds[fi];
+    const double* z = ws.run_z.data() + fi * n * n;
+    const double* blk = ws.blocks.data() + f.bigram * n * n;
+    const auto ex = static_cast<int>(ws.run_z_exp[fi]);
+    for (std::size_t h = 0; h < n; ++h) {
+      double* a_row = ws.a_num.row(live(h, f.sym));
+      for (std::size_t k = 0; k < n; ++k)
+        a_row[live(k, f.sym)] += std::ldexp(z[h * n + k] * blk[h * n + k], ex);
     }
   }
   // Boundary transitions: the xi from a left boundary state (the start:
@@ -797,7 +1105,9 @@ double Mmhd::log_likelihood(const std::vector<int>& seq) const {
   engine.transition_prior = 0.0;
   const FitContext ctx = make_context(seq, engine);
   Workspace ws;
-  return segment_forward(ctx, ws);
+  bridge_loss_runs(ctx, ws);
+  return ctx.steps.empty() ? certain_forward(ctx, ws)
+                           : skeleton_forward(ctx, ws);
 }
 
 std::vector<int> Mmhd::viterbi(const std::vector<int>& seq) const {

@@ -144,19 +144,29 @@ class Mmhd {
   // its loss steps (fb::segment_expand).
   std::pair<double, double> em_step_segments(const FitContext& ctx,
                                              Workspace& ws);
-  // The first half of em_step_segments, also the likelihood-only path:
-  // folds the parameters into ws, builds the bridges, runs the skeleton
-  // sweep (its E-step comes with the likelihood) and returns the log
-  // likelihood of the current parameters. When every received probe's
-  // state is certain, the expansion (which measures each loss run's mass)
-  // runs here too.
-  double segment_forward(const FitContext& ctx, Workspace& ws) const;
+  // The forward half of em_step_segments, also the likelihood-only path.
+  // bridge_loss_runs folds the parameters into ws.seg and bridges every
+  // loss run. Then skeleton_forward builds the skeleton blocks and runs
+  // the two-ended sweep over them (its E-step comes with the likelihood),
+  // or, when every received probe's state is certain (N = 1, or nothing
+  // received), certain_forward runs the expansion, which measures each
+  // loss run's mass, plus a closed-form factor per received step. Both
+  // return the log likelihood of the current parameters.
+  void bridge_loss_runs(const FitContext& ctx, Workspace& ws) const;
+  double skeleton_forward(const FitContext& ctx, Workspace& ws) const;
+  double certain_forward(const FitContext& ctx, Workspace& ws) const;
   // Folds the parameters into ws.seg for the segment kernels.
   void build_segment_chain(const FitContext& ctx, Workspace& ws) const;
   // Folds the received-probe blocks into ws: adjacent-pair blocks, each
-  // bridge scaled to a maximum in [0.5, 1) (its exponent summed into
-  // ws.bridge_exp), and the rows at the two ends of the sequence.
+  // bridge and each folded run's block scaled to a maximum in [0.5, 1)
+  // (its exponent summed into ws.bridge_exp), and the rows at the two ends
+  // of the sequence.
   void build_skeleton(const FitContext& ctx, Workspace& ws) const;
+  // The folded runs' blocks B_d^r (part of build_skeleton).
+  void build_run_blocks(const FitContext& ctx, Workspace& ws) const;
+  // After the sweep: each fold's summed run-interior xi, divided by B_d,
+  // into ws.run_z.
+  void run_interiors(const FitContext& ctx, Workspace& ws) const;
   // Sizes and zeroes the live x live transition numerators.
   void zero_numerators(const FitContext& ctx, Workspace& ws) const;
   // M-step tail shared by both engines: snapshots the entering parameters

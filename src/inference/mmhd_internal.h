@@ -66,13 +66,37 @@ struct Mmhd::FitContext {
   std::vector<std::size_t> entry_seeds, exit_seeds;  // per boundary: N, or 1
   std::vector<fb::LossSegment> segments;  // distinct keys, sorted
   // Received-probe skeleton (N >= 2 with a received probe; empty
-  // otherwise): per received probe k >= 1 the block into it — a bigram
-  // index, or bigrams.size() + the segment index across a loss run
-  // (steps[0] is unused) — and the segments at the sequence start and end
-  // (-1 when that end is received).
+  // otherwise): per skeleton probe k >= 1 the block into it — a bigram
+  // index, bigrams.size() + the segment index across a loss run, or
+  // bigrams.size() + segments.size() + the run key index across a folded
+  // run (steps[0] is unused) — and the segments at the sequence start and
+  // end (-1 when that end is received).
   std::vector<int> steps;
   int head = -1;
   int tail = -1;
+
+  // Folded received runs. A maximal run of r >= 2 consecutive self-steps
+  // of symbol d (r + 1 adjacent received probes of d) is one skeleton
+  // step through B_d^r, where B_d is bigram (d, d)'s block; the probes
+  // inside it leave the skeleton. A symbol's runs fold only when the
+  // steps removed outweigh the per-iteration work of its powers and of
+  // its run-interior recurrence (fold_runs). Keys are the distinct
+  // (d, r), ascending in r within each folded symbol.
+  struct RunKey {
+    std::size_t len = 0;  // r, self-steps in the run
+    double count = 0.0;   // occurrences
+  };
+  struct Fold {
+    int sym = 0;
+    std::size_t bigram = 0;        // index of bigram (d, d): B_d's block
+    std::size_t begin = 0, end = 0;  // its keys in run_keys
+  };
+  std::vector<RunKey> run_keys;
+  std::vector<Fold> folds;
+
+  // Replaces every maximal run of r >= 2 self-steps of a symbol whose fold
+  // pays off by one step through its run key (see above).
+  void fold_runs(std::size_t n);
 };
 
 // Per-restart mutable state besides the parameters: the reference
@@ -102,6 +126,12 @@ struct Mmhd::Workspace {
   util::AlignedVector<double> blocks, v0, tail;
   long long bridge_exp = 0;
   fb::SkeletonSweep sweep;
+  // Folded runs: per run key the exponent of its block (the true B_d^r is
+  // the scaled block times 2^run_exp); per fold the summed run-interior
+  // xi divided by B_d, as run_z times 2^run_z_exp; scratch for the powers
+  // and the recurrence.
+  std::vector<long long> run_exp, run_z_exp;
+  std::vector<double> run_z, fold_scratch;
 
   // Starts a fit: the first M-steps rewrite the dead rows (see m_step).
   void prepare(const Mmhd&) { m_steps = 0; }

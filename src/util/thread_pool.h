@@ -8,9 +8,10 @@
 //     bitwise identical for any worker count (including the serial path).
 //   * No work stealing, no task priorities — the units of work here are
 //     coarse (an entire EM restart), so a mutex-protected queue is cheap.
-//   * Exceptions thrown by a task are captured in its future and rethrown
-//     at the join point, lowest index first (parallel_indexed), so error
-//     behavior also does not depend on scheduling.
+//   * Exceptions thrown by a task are captured per index and rethrown at
+//     the join point, lowest index first (parallel_indexed,
+//     parallel_dynamic), so error behavior also does not depend on
+//     scheduling.
 #pragma once
 
 #include <algorithm>
@@ -84,18 +85,33 @@ class ThreadPool {
 // otherwise they are dispatched to the pool and joined before returning.
 // Exceptions propagate deterministically: all tasks are waited for, then
 // the exception of the lowest-index failing task is rethrown.
+//
+// Each task catches its exception into a per-index slot the caller owns,
+// as parallel_dynamic does, rather than leaving it in the task's future:
+// a worker destroys its finished task after the caller may have read the
+// exception, and the task's stored result would hold the last reference
+// to it, so the worker could free what the caller is reading.
 template <typename Fn>
 void parallel_indexed(ThreadPool* pool, int n, Fn&& fn) {
   if (pool == nullptr || n <= 1) {
     for (int i = 0; i < n; ++i) fn(i);
     return;
   }
+  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(n));
   std::vector<std::future<void>> futures;
   futures.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)
-    futures.push_back(pool->submit([&fn, i]() { fn(i); }));
+    futures.push_back(pool->submit([&fn, &errors, i]() {
+      try {
+        fn(i);
+      } catch (...) {
+        errors[static_cast<std::size_t>(i)] = std::current_exception();
+      }
+    }));
   for (auto& f : futures) f.wait();
-  for (auto& f : futures) f.get();  // rethrows lowest index first
+  for (auto& f : futures) f.get();  // surfaces submit/packaged_task failures
+  for (const auto& e : errors)
+    if (e) std::rethrow_exception(e);  // lowest index first
 }
 
 // Dynamic-schedule variant of parallel_indexed for irregular work items

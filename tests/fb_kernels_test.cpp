@@ -2,13 +2,16 @@
 // engine): randomized HMM and MMHD fits against the retained per-call
 // reference path (cache_emissions=false) — the HMM at one to five hidden
 // states, every width the chain sweep dispatches, and the MMHD at one to
-// four, where the kernel engine sweeps received probes and bridges loss
-// runs — loss-run shapes that stress the bridges, degenerate sequences
-// (all-loss, single-symbol, length-1), likelihood-only evaluation against
-// the fit, a T=500k underflow stress run guarding the raw recursions'
-// renormalization, and the chain sweep on blocks whose mass grows step by
-// step. MMHD fits over a declared alphabet wider than the observed one
-// also check the full transition matrix the live-state M-step leaves.
+// four, where the kernel engine sweeps received probes, folds runs of one
+// received symbol and bridges loss runs — loss-run shapes that stress the
+// bridges, a run-heavy shape that stresses the folds, a million-probe
+// single-symbol sequence whose folded blocks need exponents, degenerate
+// sequences (all-loss, single-symbol, length-1), likelihood-only
+// evaluation against the fit, a T=500k underflow stress run guarding the
+// raw recursions' renormalization, and the chain sweep on blocks whose
+// mass grows step by step. MMHD fits over a declared alphabet wider than
+// the observed one also check the full transition matrix the live-state
+// M-step leaves.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -285,6 +288,75 @@ TEST(FbKernels, MmhdSegmentShapes) {
                                              1, n);
     }
   }
+}
+
+// Received runs long and repeated enough that the skeleton folds them (a
+// run of r self-steps of symbol d is one step through B_d^r, its interior
+// xi recovered after the sweep): about 90% of adjacent received pairs keep
+// their symbol, runs reach a few hundred probes, their lengths repeat so
+// many (d, r) keys occur often, and runs touch loss runs and both ends of
+// the sequence. N = 2, 3 and 4, against the reference at the usual 1e-12.
+TEST(FbKernels, MmhdFoldedReceivedRuns) {
+  util::Rng rng(409);
+  const std::size_t short_runs[] = {1, 1, 2, 3, 4};
+  const std::size_t mid_runs[] = {9, 15, 30};
+  const std::size_t long_runs[] = {120, 280};
+  std::vector<int> seq;
+  while (seq.size() < 8000) {
+    const double u = rng.uniform();
+    const std::size_t len =
+        u < 0.82    ? short_runs[rng.uniform_int(0, 4)]
+        : u < 0.985 ? mid_runs[rng.uniform_int(0, 2)]
+                    : long_runs[rng.uniform_int(0, 1)];
+    seq.insert(seq.end(), len, static_cast<int>(rng.uniform_int(1, 4)));
+    if (rng.bernoulli(0.25))
+      seq.insert(seq.end(), static_cast<std::size_t>(rng.uniform_int(1, 4)),
+                 kLoss);
+  }
+  seq.insert(seq.end(), 50, 2);
+  std::size_t same = 0, pairs = 0;
+  for (std::size_t t = 1; t < seq.size(); ++t) {
+    if (seq[t] == kLoss || seq[t - 1] == kLoss) continue;
+    ++pairs;
+    same += seq[t] == seq[t - 1] ? 1 : 0;
+  }
+  ASSERT_GT(static_cast<double>(same), 0.85 * static_cast<double>(pairs));
+  for (int n : {2, 3, 4}) {
+    SCOPED_TRACE(::testing::Message() << "N=" << n);
+    check_kernel_vs_naive<inference::Mmhd>(
+        seq, 4, 70 + static_cast<std::uint64_t>(n), 3, n);
+  }
+}
+
+// A million probes of one symbol with five losses: received runs of
+// 137k-249k probes fold into single steps whose blocks B_d^r, and the
+// run-interior recurrence, reach far past the double range at the random
+// start (B_d keeps about a third of its row mass per step over a declared
+// alphabet of three), so both carry power-of-two exponents.
+TEST(FbKernels, MmhdMillionProbeRunStaysFinite) {
+  std::vector<int> seq(1000000, 1);
+  for (std::size_t t : {137000u, 341000u, 342000u, 590017u, 811000u})
+    seq[t] = kLoss;
+  inference::EmOptions em = engine_options(true);
+  em.restarts = 1;
+  em.max_iterations = 3;
+  em.seed = 81;
+  inference::Mmhd model(2, 3);
+  const auto fit = model.fit(seq, em);
+  ASSERT_TRUE(std::isfinite(fit.log_likelihood));
+  for (double ll : fit.log_likelihood_history) ASSERT_TRUE(std::isfinite(ll));
+  EXPECT_NEAR(fit.log_likelihood, model.log_likelihood(seq),
+              1e-13 * std::abs(fit.log_likelihood));
+  ASSERT_EQ(fit.virtual_delay_pmf.size(), 3u);
+  EXPECT_NEAR(fit.virtual_delay_pmf[0], 1.0, 1e-12);
+  // Against the reference, which sums a million per-step log scales: the
+  // engines differed by 6e-12 relative (4e-10 of -66 after the first
+  // M-step). The fold's share: B_d^r comes from repeated squaring, which
+  // multiplies the first product's rounding by r ~ 2.5e5 in every block.
+  auto naive = em;
+  naive.cache_emissions = false;
+  inference::Mmhd reference(2, 3);
+  expect_fits_match(fit, reference.fit(seq, naive), 2e-11);
 }
 
 // Where the two-ended skeleton sweep's chains meet: K = 2..5 received

@@ -244,8 +244,9 @@ TEST(Pipeline, TraceScopesAndSpanHistogramsShareOneVocabulary) {
   }
   EXPECT_EQ(session.dropped(), 0u);
   EXPECT_EQ(traced, timed);
-  for (const char* stage : {"analyze_trace", "em.mmhd", "em.mmhd.iter",
-                            "bootstrap.chunk", "pool.task"})
+  for (const char* stage :
+       {"analyze_trace", "em.mmhd", "em.mmhd.iter", "em.mmhd.sweep",
+        "em.mmhd.segments", "em.mmhd.mstep", "bootstrap.chunk", "pool.task"})
     EXPECT_EQ(timed.count(stage), 1u) << stage;
 }
 
