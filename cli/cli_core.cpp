@@ -160,11 +160,7 @@ const char kPipelineUsage[] =
     "  --restarts R           independent EM restarts (default 1)\n"
     "  --seed N               base RNG seed (default 1)\n"
     "  --race-warmup K        race restarts with successive halving: first\n"
-    "                         rung after K iterations (default 0 = off)\n"
-    "  --race-keep F          fraction of restarts kept per rung (0.5)\n"
-    "  --race-grow X          per-rung budget growth factor (1.0)\n"
-    "  --race-overtake X      optimism of the overtake bound that retains\n"
-    "                         trailing restarts (1.0; 0 = pure rank cut)\n";
+    "                         rung after K iterations (default 0 = off)\n";
 
 bool parse_pipeline_flag(Args& args, core::PipelineConfig& cfg) {
   auto& id = cfg.identifier;
@@ -188,12 +184,6 @@ bool parse_pipeline_flag(Args& args, core::PipelineConfig& cfg) {
     id.em.seed = args.u64();
   } else if (args.is("--race-warmup")) {
     id.em.race_warmup = args.int32();
-  } else if (args.is("--race-keep")) {
-    id.em.race_keep = args.real();
-  } else if (args.is("--race-grow")) {
-    id.em.race_grow = args.real();
-  } else if (args.is("--race-overtake")) {
-    id.em.race_overtake = args.real();
   } else {
     return false;
   }
@@ -220,11 +210,6 @@ void validate(const core::PipelineConfig& cfg) {
   if (id.em_retries < 0) config_error("--em-retries must be >= 0");
   if (em.restarts < 1) config_error("--restarts must be >= 1");
   if (em.race_warmup < 0) config_error("--race-warmup must be >= 0");
-  if (!(em.race_keep > 0.0 && em.race_keep <= 1.0))
-    config_error("--race-keep must be in (0, 1]");
-  if (!(em.race_grow > 0.0)) config_error("--race-grow must be > 0");
-  if (!(em.race_overtake >= 0.0))
-    config_error("--race-overtake must be >= 0");
   if (em.threads < 0) config_error("--threads must be >= 0");
   if (!(cfg.deadline_s >= 0.0)) config_error("--deadline must be >= 0");
   // core::most_stationary_window's smallest window.
@@ -255,9 +240,11 @@ std::string config_key(const core::PipelineConfig& cfg,
       {"em_retries", id.em_retries},
       {"restarts", em.restarts},
       {"race_warmup", em.race_warmup},
-      {"race_keep", em.race_keep},
-      {"race_grow", em.race_grow},
-      {"race_overtake", em.race_overtake},
+      // The racing policy is fixed now; the key keeps its old values so
+      // journals on disk, whose digests include them, still resume.
+      {"race_keep", 0.5},
+      {"race_grow", 1.0},
+      {"race_overtake", 1.0},
       {"skew", cfg.correct_clock_skew ? 1.0 : 0.0},
       {"window", static_cast<double>(cfg.stationary_window)},
       {"sanitize", cfg.sanitize ? 1.0 : 0.0},

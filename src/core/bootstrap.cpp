@@ -84,22 +84,17 @@ BootstrapResult bootstrap_wdcl_refit(const std::vector<int>& seq,
   DCL_ENSURE(cfg.replicates >= 1);
   DCL_ENSURE_MSG(seq.size() >= 2, "need at least two observations");
   const std::size_t t_len = seq.size();
-  constexpr int kLoss = inference::Discretizer::kLossSymbol;
   // Loss-free resamples cannot be scored; bounded redraws keep the draw
   // count deterministic, and the bound is never reached in practice.
   constexpr int kMaxLossRedraws = 32;
 
   BootstrapResult out;
   out.replicates = cfg.replicates;
-  for (int o : seq) out.losses += (o == kLoss) ? 1 : 0;
+  out.losses = inference::loss_count(seq);
   if (out.losses == 0) return out;  // WDCL is undefined without losses
 
-  const std::size_t block =
-      cfg.block_len > 0
-          ? std::min(cfg.block_len, t_len)
-          : std::max<std::size_t>(
-                1, static_cast<std::size_t>(
-                       std::llround(std::sqrt(static_cast<double>(t_len)))));
+  const auto block = static_cast<std::size_t>(
+      std::llround(std::sqrt(static_cast<double>(t_len))));
 
   // Same determinism scheme as bootstrap_wdcl: one pre-forked RNG stream
   // per replicate, per-replicate result slots, replicate-ordered reduction.
@@ -141,12 +136,8 @@ BootstrapResult bootstrap_wdcl_refit(const std::vector<int>& seq,
             rep[filled + k] = seq[(start + k) % t_len];
           filled += len;
         }
-        for (int o : rep) {
-          if (o == kLoss) {
-            has_loss = true;
-            break;
-          }
-        }
+        has_loss = std::find(rep.begin(), rep.end(),
+                             inference::Discretizer::kLossSymbol) != rep.end();
       }
       if (!has_loss) rep = seq;  // degenerate draw: score the original
 

@@ -36,10 +36,6 @@ struct BootstrapConfig {
   // serial. Each replicate draws from its own RNG stream forked by
   // replicate index, so the result is identical for any thread count.
   int threads = 0;
-  // Refit variant only: circular block length for the sequence resampling;
-  // 0 picks round(sqrt(T)), the usual rate-optimal block-bootstrap choice,
-  // preserving the short-range symbol correlation the MMHD models.
-  std::size_t block_len = 0;
 };
 
 struct BootstrapResult {
@@ -62,19 +58,21 @@ BootstrapResult bootstrap_wdcl(
     const BootstrapConfig& cfg = {});
 
 // Sequence-level bootstrap with warm-started refits. Each replicate is a
-// circular block resample of `seq` (preserving within-block symbol
-// dynamics), refit by EM starting from `point_fit`'s parameters — no cold
-// restarts — and scored by the WDCL-Test on the replicate's own
-// virtual-delay PMF. Unlike bootstrap_wdcl, which resamples the point
-// fit's per-loss posteriors, this propagates parameter re-estimation
-// noise into the decision at the cost of one warm EM run per replicate;
-// MmhdRefitter reuses one workspace per worker so the replicate loop is
-// allocation-free in steady state. A replicate that draws no losses is
-// redrawn (bounded), then falls back to the original sequence — with the
-// WDCL precondition of a lossy trace this is vanishingly rare. Results
-// are identical for any cfg.threads (per-replicate forked RNG streams,
-// replicate-ordered reduction). `em` supplies the engine/convergence
-// options (restarts/racing/observer are ignored; see MmhdRefitter).
+// circular block resample of `seq` in blocks of round(sqrt(T)) symbols
+// (the usual rate-optimal block length, preserving the short-range symbol
+// correlation the MMHD models), refit by EM starting from `point_fit`'s
+// parameters — no cold restarts — and scored by the WDCL-Test on the
+// replicate's own virtual-delay PMF. Unlike bootstrap_wdcl, which
+// resamples the point fit's per-loss posteriors, this propagates parameter
+// re-estimation noise into the decision at the cost of one warm EM run
+// per replicate; MmhdRefitter reuses one workspace per worker so the
+// replicate loop is allocation-free in steady state. A replicate that
+// draws no losses is redrawn (bounded), then falls back to the original
+// sequence — with the WDCL precondition of a lossy trace this is
+// vanishingly rare. Results are identical for any cfg.threads
+// (per-replicate forked RNG streams, replicate-ordered reduction). `em`
+// supplies the engine/convergence options (restarts/racing/observer are
+// ignored; see MmhdRefitter).
 BootstrapResult bootstrap_wdcl_refit(const std::vector<int>& seq,
                                      const inference::Mmhd& point_fit,
                                      const inference::EmOptions& em,

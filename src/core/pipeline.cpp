@@ -87,8 +87,8 @@ PipelineResult run_pipeline(const trace::Trace& input,
           .add(1);
     } else {
       DCL_STAGE("window_selection");
-      const auto [lo, hi] = most_stationary_window(
-          obs_seq, cfg.stationary_window, cfg.window_stride, cfg.min_losses);
+      const auto [lo, hi] =
+          most_stationary_window(obs_seq, cfg.stationary_window, 1000, 20);
       out.window_begin = lo;
       out.window_end = hi;
       obs_seq.assign(obs_seq.begin() + static_cast<long>(lo),

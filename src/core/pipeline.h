@@ -52,10 +52,9 @@ struct PipelineConfig {
   // identification (needs send times, which traces carry).
   bool correct_clock_skew = true;
   // When > 0, analyze only the most stationary window of this many probes
-  // (with at least `min_losses` losses) instead of the whole trace.
+  // instead of the whole trace: candidate windows start every 1000 probes
+  // and must hold at least 20 losses (core::most_stationary_window).
   std::size_t stationary_window = 0;
-  std::size_t window_stride = 1000;
-  std::size_t min_losses = 20;
 };
 
 struct PipelineResult {

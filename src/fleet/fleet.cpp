@@ -108,13 +108,10 @@ FleetReport run_fleet(const std::vector<TraceJob>& jobs,
 
   // Per-trace forked seeds, precomputed in index order before dispatch so
   // the stream a trace sees depends only on (base seed, index) — never on
-  // scheduling. With fork_seeds off every trace runs the base seed.
-  const std::uint64_t base_seed = cfg.pipeline.identifier.em.seed;
-  std::vector<std::uint64_t> seeds(jobs.size(), base_seed);
-  if (cfg.fork_seeds) {
-    util::Rng chain(base_seed);
-    for (auto& s : seeds) s = chain.engine()();
-  }
+  // scheduling.
+  std::vector<std::uint64_t> seeds(jobs.size());
+  util::Rng chain(cfg.pipeline.identifier.em.seed);
+  for (auto& s : seeds) s = chain.engine()();
 
   auto& reg = obs::Registry::global();
   reg.counter("fleet.traces_total").set(jobs.size());
@@ -328,7 +325,7 @@ FleetReport run_fleet(const std::vector<TraceJob>& jobs,
       for (const std::size_t i : todo) process(i);
     } else if (!todo.empty()) {
       util::ThreadPool pool(static_cast<std::size_t>(report.plan.outer));
-      util::parallel_dynamic(&pool, todo.size(),
+      util::parallel_indexed(&pool, todo.size(),
                              [&](std::size_t k) { process(todo[k]); });
     }
   }

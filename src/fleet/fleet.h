@@ -113,14 +113,13 @@ struct TraceOutcome {
 
 struct FleetConfig {
   // Per-trace pipeline template. `pipeline.identifier.em.seed` is the
-  // fleet's base seed: each trace analyzes with its own stream forked
-  // from it (disable with fork_seeds = false to run every trace at the
-  // literal base seed). `pipeline.identifier.em.threads` is overwritten
-  // by the plan's inner budget.
+  // fleet's base seed: trace i analyzes with the (i + 1)-th draw of a
+  // stream seeded with it, so no two traces share a seed and each trace's
+  // seed depends only on (base seed, i). `pipeline.identifier.em.threads`
+  // is overwritten by the plan's inner budget.
   core::PipelineConfig pipeline;
   int outer_threads = 0;  // concurrent traces; 0 = auto
   int inner_threads = 0;  // EM threads per fit; 0 = auto
-  bool fork_seeds = true;
 
   // --- durable execution (DESIGN.md §5.12) --------------------------------
 
@@ -141,7 +140,7 @@ struct FleetConfig {
   // Cooperative cancellation (SIGTERM drain): when set and it becomes
   // true, workers finish the traces they already claimed and every
   // not-yet-claimed trace becomes a non-executed "cancelled" outcome.
-  // parallel_dynamic claims indices in order, so the completed prefix
+  // parallel_indexed claims indices in order, so the completed prefix
   // stays contiguous-per-worker and a later --resume completes the rest.
   const std::atomic<bool>* cancel = nullptr;
 

@@ -67,4 +67,22 @@ util::Pmf Discretizer::pmf_of_owds(const std::vector<double>& owds) const {
   return util::histogram(syms, symbols_);
 }
 
+std::size_t loss_count(const std::vector<int>& seq) {
+  return static_cast<std::size_t>(
+      std::count(seq.begin(), seq.end(), Discretizer::kLossSymbol));
+}
+
+std::vector<char> observed_support(const std::vector<int>& seq, int symbols) {
+  std::vector<char> support(static_cast<std::size_t>(symbols), 0);
+  bool any = false;
+  for (int o : seq) {
+    if (o != Discretizer::kLossSymbol) {
+      support[static_cast<std::size_t>(o - 1)] = 1;
+      any = true;
+    }
+  }
+  if (!any) support.assign(static_cast<std::size_t>(symbols), 1);
+  return support;
+}
+
 }  // namespace dcl::inference

@@ -18,6 +18,7 @@
 // w = range_factor * (dmax - dmin) / M.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <vector>
 
@@ -70,5 +71,15 @@ class Discretizer {
   double width_;
   int symbols_;
 };
+
+// The losses (kLossSymbol entries) of a symbol sequence.
+std::size_t loss_count(const std::vector<int>& seq);
+
+// The symbols of 1..`symbols` that `seq` observes, as a mask indexed by
+// symbol - 1 — all ones when it observes none. The models attribute losses
+// only to these symbols (a never-observed symbol's C[d] could otherwise
+// grow freely and soak up the loss mass), and BIC counts parameters over
+// them.
+std::vector<char> observed_support(const std::vector<int>& seq, int symbols);
 
 }  // namespace dcl::inference

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <functional>
 #include <limits>
@@ -61,17 +60,17 @@ struct RaceState {
   }
 
   // Upper bound on the final log likelihood restart r can still reach: its
-  // current value plus `overtake` times its last-rung mean per-iteration
-  // gain, projected over the remaining iteration budget. EM iteration
-  // gains are non-increasing in practice, so overtake = 1 keeps this an
-  // honest reachable-likelihood projection (not a proof: a gain can grow
-  // again after a plateau). Infinite only for a restart that ran no
-  // iteration since the snapshot — RestartSet::advance snapshots at the
-  // start of each rung, after its one-iteration probe, so every live
-  // restart has a finite estimate once a rung has run.
+  // current value plus its last-rung mean per-iteration gain, projected
+  // over the remaining iteration budget. EM iteration gains are
+  // non-increasing in practice, so this is an honest reachable-likelihood
+  // projection (not a proof: a gain can grow again after a plateau).
+  // Infinite only for a restart that ran no iteration since the snapshot —
+  // RestartSet::advance snapshots at the start of each rung, after its
+  // one-iteration probe, so every live restart has a finite estimate once
+  // a rung has run.
   template <typename Runner>
-  double ll_bound(const Runner& run, std::size_t r, int max_iterations,
-                  double overtake) const {
+  double ll_bound(const Runner& run, std::size_t r,
+                  int max_iterations) const {
     if (run.finished()) return run.last_ll();
     const int di = run.iterations() - prev_iters[r];
     if (di <= 0 || !(prev_ll[r] > -std::numeric_limits<double>::infinity()))
@@ -80,22 +79,22 @@ struct RaceState {
         std::max(0.0, (run.last_ll() - prev_ll[r]) / static_cast<double>(di));
     const double remaining =
         static_cast<double>(max_iterations - run.iterations());
-    return run.last_ll() + overtake * gain * remaining;
+    return run.last_ll() + gain * remaining;
   }
 
   // One rung reduction at cumulative iteration `target`: rank-cut the
-  // contenders to the top race_keep fraction of the likelihood ranking
-  // (finished contenders hold their final likelihood and still occupy
-  // ranking slots — they can win), retain trailers whose projection can
-  // still overtake the *leader's* projection, and mark the rest pruned.
-  // The retention races projections against each other — a trailer is kept
-  // only when its (overtake-scaled) per-iteration gain closes the gap to
-  // the leader within the remaining budget — because every early-EM run
-  // is still climbing steeply; comparing a trailer's projection against
-  // the leader's current value would retain the whole field and the race
-  // would never shrink. The leader is never eliminated (it is >= the
-  // cut), so at least one contender survives. Returns the eliminated
-  // count.
+  // contenders to the better half of the likelihood ranking, rounded up
+  // (classic successive halving; finished contenders hold their final
+  // likelihood and still occupy ranking slots — they can win), retain
+  // trailers whose projection can still overtake the *leader's*
+  // projection, and mark the rest pruned. The retention races projections
+  // against each other — a trailer is kept only when its per-iteration
+  // gain closes the gap to the leader within the remaining budget —
+  // because every early-EM run is still climbing steeply; comparing a
+  // trailer's projection against the leader's current value would retain
+  // the whole field and the race would never shrink. The leader is never
+  // eliminated (it is >= the cut), so at least one contender survives.
+  // Returns the eliminated count.
   template <typename Runner>
   int reduce(const EmOptions& opts, std::vector<Runner>& runs, int target) {
     std::vector<double> lls;
@@ -113,20 +112,16 @@ struct RaceState {
     }
     const std::size_t alive = lls.size();
     std::sort(lls.begin(), lls.end(), std::greater<double>());
-    std::size_t keep = static_cast<std::size_t>(
-        std::ceil(static_cast<double>(alive) * opts.race_keep));
-    keep = std::min(std::max<std::size_t>(keep, 1), alive);
+    const std::size_t keep = (alive + 1) / 2;  // alive >= 1: the leader
     const double cut = lls[keep - 1];
     const double leader_proj =
-        ll_bound(runs[leader_idx], leader_idx, opts.max_iterations, 1.0);
+        ll_bound(runs[leader_idx], leader_idx, opts.max_iterations);
     int eliminated = 0;
     for (std::size_t r = 0; r < runs.size(); ++r) {
       Runner& run = runs[r];
       if (run.pruned() || run.finished()) continue;
       if (run.last_ll() >= cut) continue;  // within the kept rank band
-      if (opts.race_overtake > 0.0 &&
-          ll_bound(run, r, opts.max_iterations, opts.race_overtake) >=
-              leader_proj)
+      if (ll_bound(run, r, opts.max_iterations) >= leader_proj)
         continue;  // outpacing the leader: could still overtake it
       run.mark_pruned();
       ++eliminated;
@@ -168,8 +163,8 @@ class RestartSet {
         seq_(&seq),
         opts_(checked(seq, o)),
         ctx_(target.make_context(seq, opts_)),
+        losses_(loss_count(seq)),
         race_(static_cast<std::size_t>(opts_.restarts)) {
-    for (int s : seq) losses_ += (s == Discretizer::kLossSymbol) ? 1 : 0;
     loss_rate_ =
         static_cast<double>(losses_) / static_cast<double>(seq.size());
     // RNG streams are forked in restart order before dispatch, so every
@@ -220,12 +215,12 @@ class RestartSet {
 
   // Upper bound on the final log likelihood any surviving restart can
   // still reach (RaceState::ll_bound).
-  double ll_upper_bound(double overtake) const {
+  double ll_upper_bound() const {
     double bound = -std::numeric_limits<double>::infinity();
     for (std::size_t r = 0; r < runs_.size(); ++r) {
       if (runs_[r].pruned()) continue;
-      bound = std::max(bound, race_.ll_bound(runs_[r], r, opts_.max_iterations,
-                                             overtake));
+      bound =
+          std::max(bound, race_.ll_bound(runs_[r], r, opts_.max_iterations));
     }
     return bound;
   }
@@ -387,7 +382,7 @@ class RestartSet {
   const std::vector<int>* seq_;
   EmOptions opts_;
   typename Model::FitContext ctx_;
-  std::size_t losses_ = 0;
+  std::size_t losses_;
   double loss_rate_ = 0.0;
   std::vector<Runner> runs_;
   std::unique_ptr<util::ThreadPool> pool_;

@@ -88,30 +88,18 @@ struct EmOptions {
   // slower.
   bool cache_emissions = true;
   // Successive-halving restart racing: every restart runs `race_warmup`
-  // iterations, a rung reduction keeps the top `race_keep` fraction of the
-  // likelihood ranking — plus any trailer whose likelihood upper bound (see
-  // race_overtake) can still overtake the leader — and the eliminated
+  // iterations, then each rung reduction keeps the better half of the
+  // likelihood ranking — plus any trailer whose reachable-likelihood
+  // projection can still overtake the leader's — and the eliminated
   // contenders' per-rung iteration budget is reallocated to the survivors,
   // so rung depth grows as the field shrinks. Rungs repeat until one
   // contender remains or max_iterations is exhausted. Every reduction is
   // an index-ordered scan on the calling thread over per-restart values,
   // so the surviving set — and the winner — is bitwise identical for any
   // thread count. race_warmup = 0 (the default) disables racing: every
-  // restart runs straight to max_iterations.
+  // restart runs straight to max_iterations. The policy is fixed
+  // (detail::RaceState, race_next_target; DESIGN.md §5.10).
   int race_warmup = 0;
-  // Fraction of the contenders kept by each rung's rank cut (ties at the
-  // cut survive). 0.5 is classic successive halving.
-  double race_keep = 0.5;
-  // Scales the reallocated per-rung budget: each survivor's next rung runs
-  // about race_grow * race_warmup * restarts / survivors more iterations.
-  double race_grow = 1.0;
-  // Overtake retention: a contender below the rank cut still survives
-  // while  ll + race_overtake * gain * remaining_iterations >= leader_ll,
-  // with `gain` its mean per-iteration likelihood gain over the last rung.
-  // EM iteration gains are non-increasing in practice, so race_overtake =
-  // 1 makes this a faithful reachable-likelihood bound; smaller values
-  // race more aggressively, 0 disables retention (pure rank racing).
-  double race_overtake = 1.0;
   // Telemetry hook (not owned; may be null). See EmObserver above. Under a
   // multi-threaded fit the per-iteration events are buffered inside each
   // worker and replayed in restart order at the join, so the observer is
@@ -124,14 +112,13 @@ struct EmOptions {
 // target after a rung reduction at `target` left `live` of `n` contenders
 // (restarts, or model structures racing on shared rungs). The eliminated
 // contenders' rung budget is reallocated, so each survivor's increment is
-// about race_grow * race_warmup * n / live — rung depth doubles as the
-// field halves. A single survivor runs straight to max_iterations.
+// about race_warmup * n / live — rung depth doubles as the field halves.
+// A single survivor runs straight to max_iterations.
 inline int race_next_target(const EmOptions& opts, int target, std::size_t n,
                             int live) {
   if (live <= 1) return opts.max_iterations;
-  const double budget = opts.race_grow *
-                        static_cast<double>(opts.race_warmup) *
-                        static_cast<double>(n);
+  const double budget =
+      static_cast<double>(opts.race_warmup) * static_cast<double>(n);
   const int step =
       std::max(1, static_cast<int>(budget / static_cast<double>(live)));
   if (target > opts.max_iterations - step) return opts.max_iterations;

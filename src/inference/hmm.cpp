@@ -136,24 +136,11 @@ void Hmm::clamp_parameters() {
   for (auto& x : c_) x = std::clamp(x, kFloor, 1.0 - 1e-9);
 }
 
-std::vector<char> Hmm::observed_support(const std::vector<int>& seq) const {
-  std::vector<char> support(static_cast<std::size_t>(m_), 0);
-  bool any = false;
-  for (int o : seq) {
-    if (o != kLoss) {
-      support[static_cast<std::size_t>(sym(o))] = 1;
-      any = true;
-    }
-  }
-  if (!any) support.assign(static_cast<std::size_t>(m_), 1);
-  return support;
-}
-
 Hmm::FitContext Hmm::make_context(const std::vector<int>& seq,
                                   const EmOptions& opts) const {
   FitContext ctx;
   ctx.reference = !opts.cache_emissions;
-  ctx.support = observed_support(seq);
+  ctx.support = observed_support(seq, m_);
   ctx.col.resize(seq.size());
   for (std::size_t t = 0; t < seq.size(); ++t) {
     const int d = sym(seq[t]);
@@ -195,7 +182,7 @@ void Hmm::build_emission_table(const std::vector<char>& support,
 double Hmm::forward_backward(const std::vector<int>& seq, Trellis& w) const {
   const std::size_t t_len = seq.size();
   w.resize(t_len, static_cast<std::size_t>(n_));
-  w.support = observed_support(seq);
+  w.support = observed_support(seq, m_);
 
   // Forward pass with per-step scaling.
   double sum = 0.0;

@@ -114,10 +114,6 @@ class Hmm {
   util::Pmf posterior_from_trellis(const std::vector<int>& seq,
                                    const std::vector<char>& support,
                                    const Trellis& w) const;
-  // Symbols observed at least once in the sequence; losses may only be
-  // attributed to these (prevents the degenerate optimum of dumping loss
-  // mass on a never-observed symbol whose C[d] can grow freely).
-  std::vector<char> observed_support(const std::vector<int>& seq) const;
   double emission(int h, int obs, const std::vector<char>& support) const;
   // sum over supported d of B[h][d] * C[d].
   double loss_emission(int h, const std::vector<char>& support) const;

@@ -213,15 +213,7 @@ Mmhd::FitContext Mmhd::make_context(const std::vector<int>& seq,
                                     const EmOptions& opts) const {
   FitContext ctx;
   ctx.reference = !opts.cache_emissions;
-  ctx.support.assign(static_cast<std::size_t>(m_), 0);
-  bool any_observed = false;
-  for (int o : seq) {
-    if (o != kLoss) {
-      ctx.support[static_cast<std::size_t>(sym(o))] = 1;
-      any_observed = true;
-    }
-  }
-  if (!any_observed) ctx.support.assign(static_cast<std::size_t>(m_), 1);
+  ctx.support = observed_support(seq, m_);
   // The supported states, ascending — the same order active_states
   // produces for a loss step — so compact loss coordinates match the
   // reference engine's.
@@ -450,17 +442,8 @@ double Mmhd::forward_backward(const std::vector<int>& seq,
   w.scale.assign(t_len, 0.0);
 
   // Losses may only be attributed to symbols observed somewhere in the
-  // sequence (see active_states); with no observed symbol at all fall back
-  // to the full alphabet.
-  std::vector<char> support(static_cast<std::size_t>(m_), 0);
-  bool any_observed = false;
-  for (int o : seq) {
-    if (o != kLoss) {
-      support[static_cast<std::size_t>(sym(o))] = 1;
-      any_observed = true;
-    }
-  }
-  if (!any_observed) support.assign(static_cast<std::size_t>(m_), 1);
+  // sequence (see active_states).
+  const std::vector<char> support = observed_support(seq, m_);
 
   // Build the active-set index.
   w.active.clear();
@@ -1117,15 +1100,7 @@ std::vector<int> Mmhd::viterbi(const std::vector<int>& seq) const {
 
   // Same support restriction as the EM (losses only attributed to
   // observed symbols).
-  std::vector<char> support(static_cast<std::size_t>(m_), 0);
-  bool any_observed = false;
-  for (int o : seq) {
-    if (o != kLoss) {
-      support[static_cast<std::size_t>(sym(o))] = 1;
-      any_observed = true;
-    }
-  }
-  if (!any_observed) support.assign(static_cast<std::size_t>(m_), 1);
+  const std::vector<char> support = observed_support(seq, m_);
 
   constexpr double kNegInf = -std::numeric_limits<double>::infinity();
   std::vector<double> delta(s_count, kNegInf), next(s_count, kNegInf);
@@ -1205,8 +1180,7 @@ MmhdRefitter& MmhdRefitter::operator=(MmhdRefitter&&) noexcept = default;
 
 FitResult MmhdRefitter::refit(const std::vector<int>& seq) {
   DCL_ENSURE_MSG(seq.size() >= 2, "need at least two observations to refit");
-  std::size_t losses = 0;
-  for (int o : seq) losses += (o == kLoss) ? 1 : 0;
+  const std::size_t losses = loss_count(seq);
 
   // Reset to the snapshot: every refit starts from the point estimate, not
   // from wherever the previous replicate's EM ended.

@@ -26,12 +26,9 @@ ModelSelectionResult select_mmhd_hidden_states(const std::vector<int>& seq,
   // Free parameters are counted over the observed-support alphabet m_obs:
   // EM never moves mass onto unobserved symbols (loss attribution is
   // restricted to the support), so those rows/entries are pinned.
-  std::vector<char> seen(static_cast<std::size_t>(symbols), 0);
-  for (int o : seq)
-    if (o != Discretizer::kLossSymbol) seen[static_cast<std::size_t>(o - 1)] = 1;
-  std::size_t m_obs = 0;
-  for (char c : seen) m_obs += c ? 1 : 0;
-  if (m_obs == 0) m_obs = static_cast<std::size_t>(symbols);
+  const std::vector<char> support = observed_support(seq, symbols);
+  const auto m_obs =
+      static_cast<std::size_t>(std::count(support.begin(), support.end(), 1));
 
   const auto t_len = static_cast<double>(seq.size());
   std::vector<ModelScore> scores(static_cast<std::size_t>(max_hidden_states));
@@ -102,8 +99,7 @@ ModelSelectionResult select_mmhd_hidden_states(const std::vector<int>& seq,
       for (int idx = 0; idx < count && live > 1; ++idx) {
         const auto i = static_cast<std::size_t>(idx);
         if (out[i] || fits[i]->finished()) continue;
-        const double reachable =
-            -2.0 * fits[i]->ll_upper_bound(base.race_overtake) + penalty[i];
+        const double reachable = -2.0 * fits[i]->ll_upper_bound() + penalty[i];
         if (reachable > leader_bic) {
           out[i] = 1;
           --live;

@@ -1,5 +1,5 @@
 // Run provenance manifest: every exported artifact (trace JSON, metrics
-// JSON/CSV, bench JSON) embeds one of these so a figure or a perf number
+// JSON, bench JSON) embeds one of these so a figure or a perf number
 // can always be traced back to an exact build, seed, and configuration.
 //
 //   auto m = obs::manifest("dclid");

@@ -337,70 +337,6 @@ std::string Registry::to_json(const RunManifest& manifest) const {
          manifest.to_json() + "," + body.substr(brace + 1);
 }
 
-std::string Registry::to_csv() const {
-  const Snapshot s = snapshot();
-  std::ostringstream os;
-  os << "type,name,field,value\n";
-  for (const auto& [name, v] : s.counters)
-    os << "counter," << name << ",value," << v << '\n';
-  for (std::size_t i = 0; i < s.gauges.size(); ++i) {
-    os << "gauge," << s.gauges[i].first << ",value,"
-       << json_number(s.gauges[i].second) << '\n';
-    os << "gauge," << s.gauges[i].first << ",max,"
-       << json_number(s.gauge_maxima[i].second) << '\n';
-  }
-  for (const auto& h : s.histograms) {
-    os << "histogram," << h.name << ",count," << h.count << '\n';
-    os << "histogram," << h.name << ",sum," << json_number(h.sum) << '\n';
-    os << "histogram," << h.name << ",min," << json_number(h.min) << '\n';
-    os << "histogram," << h.name << ",max," << json_number(h.max) << '\n';
-    os << "histogram," << h.name << ",mean," << json_number(h.mean) << '\n';
-    os << "histogram," << h.name << ",p50," << json_number(h.p50) << '\n';
-    os << "histogram," << h.name << ",p99," << json_number(h.p99) << '\n';
-  }
-  for (const auto& w : s.windows) {
-    os << "window," << w.name << ",count," << w.count << '\n';
-    os << "window," << w.name << ",rate," << json_number(w.rate) << '\n';
-    if (w.is_histogram) {
-      os << "window," << w.name << ",p50," << json_number(w.p50) << '\n';
-      os << "window," << w.name << ",p95," << json_number(w.p95) << '\n';
-      os << "window," << w.name << ",p99," << json_number(w.p99) << '\n';
-    }
-  }
-  return os.str();
-}
-
-std::string Registry::to_csv(const RunManifest& manifest) const {
-  // CSV has no nesting; provenance rides along as typed rows the same
-  // loader scripts already split on commas. Values are quoted because
-  // compiler flags contain commas.
-  std::ostringstream os;
-  os << "type,name,field,value\n";
-  auto row = [&os](const char* key, const std::string& v) {
-    std::string quoted = v;
-    std::string::size_type pos = 0;
-    while ((pos = quoted.find('"', pos)) != std::string::npos) {
-      quoted.insert(pos, 1, '"');
-      pos += 2;
-    }
-    os << "manifest," << key << ",,\"" << quoted << "\"\n";
-  };
-  row("tool", manifest.tool);
-  row("version", manifest.version);
-  row("git", manifest.git);
-  row("compiler", manifest.compiler);
-  row("build_type", manifest.build_type);
-  row("cxx_flags", manifest.cxx_flags);
-  row("hostname", manifest.hostname);
-  row("hardware_threads", std::to_string(manifest.hardware_threads));
-  row("wall_time_utc", manifest.wall_time_utc);
-  row("seed", std::to_string(manifest.seed));
-  row("config_digest", manifest.config_digest);
-  for (const auto& [k, v] : manifest.extra) row(k.c_str(), v);
-  const std::string body = to_csv();
-  return os.str() + body.substr(body.find('\n') + 1);  // drop dup header
-}
-
 namespace {
 
 // Prometheus metric names: [a-zA-Z_:][a-zA-Z0-9_:]*. Dots and every other

@@ -4,7 +4,7 @@
 // thread-safe (atomic, relaxed) updates; metric handles returned by the
 // registry stay valid for the registry's lifetime, so hot paths look up a
 // metric once and update it lock-free afterwards. Exporters produce a JSON
-// document or CSV rows from a consistent point-in-time snapshot.
+// document or Prometheus text from a consistent point-in-time snapshot.
 //
 // DCL_STAGE(name) marks the enclosing scope as one named stage of the
 // analysis on all three observability surfaces at once: a profiler tag
@@ -182,10 +182,6 @@ class Registry {
   // Same document with a leading "manifest" key, so metric exports are
   // provenance-stamped (see obs/manifest.h).
   std::string to_json(const RunManifest& manifest) const;
-  // CSV rows "type,name,field,value" with a header line. The manifest
-  // overload prepends one "manifest,<key>,,<value>" row per field.
-  std::string to_csv() const;
-  std::string to_csv(const RunManifest& manifest) const;
   // Prometheus text exposition (version 0.0.4): counters and gauges map
   // directly (a gauge additionally exports `<name>_max`), histograms map to
   // prometheus histograms with cumulative `_bucket{le="..."}` counts, a

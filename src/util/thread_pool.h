@@ -9,9 +9,8 @@
 //   * No work stealing, no task priorities — the units of work here are
 //     coarse (an entire EM restart), so a mutex-protected queue is cheap.
 //   * Exceptions thrown by a task are captured per index and rethrown at
-//     the join point, lowest index first (parallel_indexed,
-//     parallel_dynamic), so error behavior also does not depend on
-//     scheduling.
+//     the join point, lowest index first (parallel_indexed), so error
+//     behavior also does not depend on scheduling.
 #pragma once
 
 #include <algorithm>
@@ -81,58 +80,25 @@ class ThreadPool {
 };
 
 // Runs fn(0), fn(1), ..., fn(n - 1), each exactly once. With a null pool
-// (or n <= 1) the calls run serially in index order on the calling thread;
-// otherwise they are dispatched to the pool and joined before returning.
-// Exceptions propagate deterministically: all tasks are waited for, then
-// the exception of the lowest-index failing task is rethrown.
+// (or n <= 1) the calls run serially in index order on the calling thread.
+// Otherwise min(workers, n) runner tasks claim the next unclaimed index,
+// in ascending order, from a shared atomic until the range is exhausted,
+// and the call returns after joining them. A slow item therefore never
+// holds up the items behind it, and an n-item fleet never materializes n
+// closures. Determinism is the caller's: index-addressed output slots and
+// a post-join reduction in index order.
 //
-// Each task catches its exception into a per-index slot the caller owns,
-// as parallel_dynamic does, rather than leaving it in the task's future:
-// a worker destroys its finished task after the caller may have read the
-// exception, and the task's stored result would hold the last reference
-// to it, so the worker could free what the caller is reading.
-template <typename Fn>
-void parallel_indexed(ThreadPool* pool, int n, Fn&& fn) {
-  if (pool == nullptr || n <= 1) {
-    for (int i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(n));
-  std::vector<std::future<void>> futures;
-  futures.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i)
-    futures.push_back(pool->submit([&fn, &errors, i]() {
-      try {
-        fn(i);
-      } catch (...) {
-        errors[static_cast<std::size_t>(i)] = std::current_exception();
-      }
-    }));
-  for (auto& f : futures) f.wait();
-  for (auto& f : futures) f.get();  // surfaces submit/packaged_task failures
-  for (const auto& e : errors)
-    if (e) std::rethrow_exception(e);  // lowest index first
-}
-
-// Dynamic-schedule variant of parallel_indexed for irregular work items
-// (whole pipeline runs over traces of different lengths): instead of
-// enqueueing one task per index, min(workers, n) runner tasks pull the
-// next unclaimed index from a shared atomic until the range is exhausted.
-// A slow item therefore never serializes the items queued behind it in a
-// static partition, and in-flight work is bounded by the worker count —
-// an n-item fleet never materializes n closures. fn(i) runs exactly once
-// per i in [0, n); determinism is owned by the caller exactly as with
-// parallel_indexed (index-addressed output slots, post-join reduction in
-// index order). With a null pool or n <= 1 the calls run serially in
-// index order on the calling thread.
-//
-// Exceptions: every runner keeps claiming indices even after a failure
-// (so fn(i) still runs exactly once per index), and the exception of the
+// Exceptions: every runner keeps claiming indices after a failure (so
+// fn(i) still runs exactly once per index), and the exception of the
 // lowest failing index is rethrown after the join — scheduling-
-// independent, like parallel_indexed. Callers that must not lose work to
-// a throwing sibling (the fleet engine) catch inside fn instead.
+// independent. It is caught into a slot the caller owns rather than left
+// in a task's future, because a worker destroys its finished task after
+// the caller may have read the exception: a future would hold the last
+// reference to it, and the worker could free what the caller is reading.
+// Callers that must not lose work to a throwing sibling (the fleet
+// engine) catch inside fn instead.
 template <typename Fn>
-void parallel_dynamic(ThreadPool* pool, std::size_t n, Fn&& fn) {
+void parallel_indexed(ThreadPool* pool, std::size_t n, Fn&& fn) {
   if (pool == nullptr || n <= 1) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The command-line contract of dclid and dclfleet (DESIGN.md §5.14):
-#   (a) exit codes and one-line messages for help, unknown flags, missing
-#       and malformed values, and every range bound;
+#   (a) exit codes and one-line messages for help, unknown and retired
+#       flags, missing and malformed values, and every range bound;
 #   (b) config_digest is pinned for three default invocations, moves with
 #       every flag that changes results and stays put for thread counts
 #       and output flags;
@@ -54,6 +54,9 @@ missing="${tmp}/missing.csv"  # validation must fail before it is read
 expect 0 usage "${DCLID}" --help
 expect 2 usage "${DCLID}" --bogus --print-manifest
 expect 2 usage "${DCLID}" --model mmhd --print-manifest
+for retired in "--race-keep 0.5" "--race-grow 1" "--race-overtake 1"; do
+  expect 2 usage "${DCLID}" ${retired} --print-manifest
+done
 expect 2 "dclid: --eps-l needs a value" "${DCLID}" --eps-l
 expect 2 "dclid: bad value 'x' for --eps-l" \
   "${DCLID}" --eps-l x --print-manifest
@@ -75,10 +78,6 @@ done <<'EOF'
 --em-retries -1|--em-retries must be >= 0
 --restarts 0|--restarts must be >= 1
 --race-warmup -1|--race-warmup must be >= 0
---race-keep 0|--race-keep must be in (0, 1]
---race-keep 1.5|--race-keep must be in (0, 1]
---race-grow 0|--race-grow must be > 0
---race-overtake -1|--race-overtake must be >= 0
 --threads -1|--threads must be >= 0
 --deadline -1|--deadline must be >= 0
 --window 10|--window must be 0 or >= 12
@@ -97,6 +96,9 @@ EOF
 expect 0 usage "${DCLFLEET}" --help
 expect 2 usage "${DCLFLEET}" --bogus --print-manifest
 expect 2 usage "${DCLFLEET}" --model mmhd --print-manifest
+for retired in "--race-keep 0.5" "--race-grow 1" "--race-overtake 1"; do
+  expect 2 usage "${DCLFLEET}" ${retired} --print-manifest
+done
 expect 2 "dclfleet: --synth needs a value" "${DCLFLEET}" --synth
 expect 2 "dclfleet: bad value 'x' for --synth" "${DCLFLEET}" --synth x
 expect 2 "dclfleet: bad value '-1' for --seed" \
@@ -113,7 +115,6 @@ done <<'EOF'
 --eps-l 2|--eps-l must be in [0, 0.5)
 --eps-d -1|--eps-d must be in [0, 0.5)
 --restarts 0|--restarts must be >= 1
---race-keep 0|--race-keep must be in (0, 1]
 --deadline -1|--deadline must be >= 0
 --serve-linger -1|--serve-linger must be >= 0 (or inf)
 --profile-hz 0|--profile-hz must be in [1, 10000]
@@ -180,9 +181,6 @@ done <<'EOF'
 --restarts 2
 --seed 2
 --race-warmup 2
---race-keep 0.25
---race-grow 2
---race-overtake 0.5
 --deadline 5
 --no-sanitize
 --scenario wdcl
@@ -207,9 +205,6 @@ done <<'EOF'
 --restarts 2
 --seed 2
 --race-warmup 2
---race-keep 0.25
---race-grow 2
---race-overtake 0.5
 --synth-probes 400
 --synth 13
 EOF

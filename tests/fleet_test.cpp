@@ -190,15 +190,6 @@ TEST(FleetDeterminism, SeedsForkInIndexOrderFromBase) {
   }
 }
 
-TEST(FleetDeterminism, ForkSeedsOffRunsEveryTraceAtBaseSeed) {
-  const auto jobs = small_mesh(3);
-  FleetConfig cfg;
-  cfg.pipeline = fast_pipeline();
-  cfg.fork_seeds = false;
-  const auto report = run_fleet(jobs, cfg);
-  for (const auto& t : report.traces) EXPECT_EQ(t.seed, 7u);
-}
-
 TEST(Fleet, EmptyJobListIsTypedInvalidInput) {
   FleetConfig cfg;
   try {

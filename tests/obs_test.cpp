@@ -1,7 +1,7 @@
 // Tests for the dcl::obs observability layer: counter/gauge/histogram
-// semantics, span timing, concurrent updates, and the JSON/CSV exporters
-// (including a parse-back of the JSON snapshot with a minimal validating
-// parser).
+// semantics, span timing, concurrent updates, and the JSON and Prometheus
+// exporters (including a parse-back of the JSON snapshot with a minimal
+// validating parser).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -481,39 +481,11 @@ TEST(ManifestExport, JsonEmbedsManifestAsFirstKey) {
   EXPECT_DOUBLE_EQ(root.at("counters").obj().at("c").num(), 2.0);
 }
 
-TEST(ManifestExport, CsvQuotesManifestValues) {
-  Registry reg;
-  reg.counter("c").add(1);
-  RunManifest m = manifest("obs_test");
-  m.add("note", "a, \"quoted\" value");
-  const std::string csv = reg.to_csv(m);
-  EXPECT_EQ(csv.rfind("type,name,field,value\n", 0), 0u);
-  // One header only: the manifest rows replace the body's, not precede it.
-  EXPECT_EQ(csv.find("type,name,field,value", 1), std::string::npos);
-  EXPECT_NE(csv.find("manifest,tool,,\"obs_test\""), std::string::npos);
-  // Embedded quotes are doubled per RFC 4180.
-  EXPECT_NE(csv.find("manifest,note,,\"a, \"\"quoted\"\" value\""),
-            std::string::npos);
-  EXPECT_NE(csv.find("counter,c,value,1"), std::string::npos);
-}
-
 TEST(ManifestExport, DigestIsDeterministic) {
   EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ull);
   EXPECT_EQ(digest_hex("abc"), digest_hex("abc"));
   EXPECT_NE(digest_hex("abc"), digest_hex("abd"));
   EXPECT_EQ(digest_hex("abc").size(), 16u);
-}
-
-TEST(CsvExport, EmitsHeaderAndRows) {
-  Registry reg;
-  reg.counter("c").add(5);
-  reg.gauge("g").set(2.0);
-  reg.histogram("h").record(1.0);
-  const std::string csv = reg.to_csv();
-  EXPECT_EQ(csv.rfind("type,name,field,value\n", 0), 0u);
-  EXPECT_NE(csv.find("counter,c,value,5"), std::string::npos);
-  EXPECT_NE(csv.find("gauge,g,value,2"), std::string::npos);
-  EXPECT_NE(csv.find("histogram,h,count,1"), std::string::npos);
 }
 
 // ---- windowed instruments (obs/window.h) -------------------------------

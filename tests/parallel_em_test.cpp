@@ -2,11 +2,13 @@
 // thread-count invariance of the HMM/MMHD fits, observer replay
 // equivalence, restart racing on the restart driver both models share,
 // and thread-count invariance of model selection and the WDCL bootstrap.
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <future>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -254,52 +256,98 @@ TEST(ParallelEm, ModelSelectionIsThreadCountInvariant) {
 }
 
 // --------------------------------------------------------------------------
-// Successive-halving restart racing (EmOptions::race_*)
+// Successive-halving restart racing (EmOptions::race_warmup)
 
-// Racing with race_keep = 1.0 puts every live restart in the keep set, so
-// the rung schedule runs but never eliminates. Chunked advancing must then
-// be a pure re-chunking of the same EM trajectory: winner, histories, and
-// installed parameters bitwise equal to the non-racing fit.
+// Every restart's FitResult, as EmObserver::on_restart reports it.
+struct RestartRecorder : inference::EmObserver {
+  std::vector<inference::FitResult> restarts;
+  void on_restart(int, const inference::FitResult& result, bool) override {
+    restarts.push_back(result);
+  }
+};
+
+// Rungs only re-chunk each restart's EM trajectory, so a raced restart runs
+// the same iterations as in the plain fit until a rung prunes it: its
+// likelihood history is a prefix of the plain one, and all of it when it
+// survives. A raced fit that keeps the plain winner installs the same
+// parameters bitwise. Counts the pruned restarts and the fits whose winner
+// matched, so the caller can check that both branches ran.
 template <typename Model>
-void expect_racing_without_eliminations_is_plain(const std::vector<int>& seq) {
-  for (int n : {3, 2, 1}) {
-    SCOPED_TRACE(::testing::Message() << "N=" << n);
-    auto em = base_options();
-    em.restarts = 6;
-    em.hidden_states = n;
+void expect_raced_restarts_follow_plain(const std::vector<int>& seq,
+                                        int& pruned, int& same_winner) {
+  for (int n : {1, 2, 3}) {
+    for (const auto& [restarts, warmup] :
+         {std::pair{6, 4}, std::pair{8, 3}}) {
+      SCOPED_TRACE(::testing::Message() << "N=" << n << " restarts="
+                                        << restarts << " warmup=" << warmup);
+      auto em = base_options();
+      em.hidden_states = n;
+      em.restarts = restarts;
 
-    Model plain(em.hidden_states, 4);
-    const auto f_plain = plain.fit(seq, em);
+      RestartRecorder plain_seen;
+      em.observer = &plain_seen;
+      Model plain(n, 4);
+      const auto f_plain = plain.fit(seq, em);
 
-    auto racing = em;
-    racing.race_warmup = 4;
-    racing.race_keep = 1.0;
-    Model raced(em.hidden_states, 4);
-    const auto f_raced = raced.fit(seq, racing);
+      RestartRecorder raced_seen;
+      auto racing = em;
+      racing.race_warmup = warmup;
+      racing.observer = &raced_seen;
+      Model raced(n, 4);
+      const auto f_raced = raced.fit(seq, racing);
 
-    EXPECT_GT(f_raced.race_rungs, 0);
-    EXPECT_EQ(f_raced.pruned_restarts, 0);
-    EXPECT_EQ(f_plain.race_rungs, 0);
-    EXPECT_EQ(f_plain.winning_restart, f_raced.winning_restart);
-    EXPECT_EQ(f_plain.log_likelihood, f_raced.log_likelihood);
-    EXPECT_EQ(f_plain.log_likelihood_history,
-              f_raced.log_likelihood_history);
-    EXPECT_EQ(f_plain.virtual_delay_pmf, f_raced.virtual_delay_pmf);
-    EXPECT_EQ(plain.initial(), raced.initial());
-    EXPECT_EQ(plain.transitions().data(), raced.transitions().data());
-    EXPECT_EQ(plain.loss_given_symbol(), raced.loss_given_symbol());
+      EXPECT_EQ(f_plain.race_rungs, 0);
+      EXPECT_GT(f_raced.race_rungs, 0);
+      ASSERT_EQ(plain_seen.restarts.size(), static_cast<std::size_t>(restarts));
+      ASSERT_EQ(raced_seen.restarts.size(), plain_seen.restarts.size());
+      for (std::size_t r = 0; r < plain_seen.restarts.size(); ++r) {
+        SCOPED_TRACE(::testing::Message() << "restart " << r);
+        const auto& p = plain_seen.restarts[r];
+        const auto& q = raced_seen.restarts[r];
+        EXPECT_FALSE(p.pruned);
+        if (q.pruned) {
+          ++pruned;
+          ASSERT_LT(q.log_likelihood_history.size(),
+                    p.log_likelihood_history.size());
+          EXPECT_TRUE(std::equal(q.log_likelihood_history.begin(),
+                                 q.log_likelihood_history.end(),
+                                 p.log_likelihood_history.begin()));
+        } else {
+          EXPECT_EQ(q.log_likelihood_history, p.log_likelihood_history);
+          EXPECT_EQ(q.log_likelihood, p.log_likelihood);
+          EXPECT_EQ(q.virtual_delay_pmf, p.virtual_delay_pmf);
+        }
+      }
+      if (f_raced.winning_restart != f_plain.winning_restart) continue;
+      ++same_winner;
+      EXPECT_EQ(f_plain.log_likelihood, f_raced.log_likelihood);
+      EXPECT_EQ(f_plain.log_likelihood_history,
+                f_raced.log_likelihood_history);
+      EXPECT_EQ(f_plain.virtual_delay_pmf, f_raced.virtual_delay_pmf);
+      EXPECT_EQ(plain.initial(), raced.initial());
+      EXPECT_EQ(plain.transitions().data(), raced.transitions().data());
+      EXPECT_EQ(plain.loss_given_symbol(), raced.loss_given_symbol());
+    }
   }
 }
 
-TEST(ParallelEm, RacingWithNoEliminationsReproducesPlainFitBitwise) {
+TEST(ParallelEm, RacedRestartsFollowThePlainTrajectory) {
   const auto seq = synth_sequence(1500, 4, 91);
   {
     SCOPED_TRACE("Mmhd");
-    expect_racing_without_eliminations_is_plain<inference::Mmhd>(seq);
+    int pruned = 0, same_winner = 0;
+    expect_raced_restarts_follow_plain<inference::Mmhd>(seq, pruned,
+                                                        same_winner);
+    EXPECT_GT(pruned, 0);
+    EXPECT_GT(same_winner, 0);
   }
   {
     SCOPED_TRACE("Hmm");
-    expect_racing_without_eliminations_is_plain<inference::Hmm>(seq);
+    int pruned = 0, same_winner = 0;
+    expect_raced_restarts_follow_plain<inference::Hmm>(seq, pruned,
+                                                       same_winner);
+    EXPECT_GT(pruned, 0);
+    EXPECT_GT(same_winner, 0);
   }
 }
 

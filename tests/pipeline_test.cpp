@@ -52,7 +52,6 @@ TEST(Pipeline, EndToEndWithSkewAndWindowSelection) {
   const auto trace = synth_trace(24000, 60e-6, 5);
   PipelineConfig cfg;
   cfg.stationary_window = 12000;
-  cfg.window_stride = 1000;
   const auto r = analyze_trace(trace, cfg);
 
   ASSERT_TRUE(r.skew.valid);

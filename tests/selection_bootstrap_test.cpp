@@ -139,7 +139,7 @@ TEST(ModelSelection, RestartSetBoundIsFiniteBetweenRungs) {
   inference::detail::RestartSet<inference::Mmhd> fit(model, seq, opts);
   fit.advance(5);
   ASSERT_FALSE(fit.finished());
-  const double bound = fit.ll_upper_bound(1.0);
+  const double bound = fit.ll_upper_bound();
   EXPECT_TRUE(std::isfinite(bound));
   EXPECT_GE(bound, fit.best_ll());
   fit.finish();
